@@ -21,7 +21,6 @@ class IsotropyReport:
     subgroup.  The full group is always realizable with witness 0."""
 
     entries: tuple[tuple[MatGroup, tuple[int, ...]], ...]
-    complete: bool
 
     def witnesses(self) -> dict[int, tuple[int, ...]]:
         return {i: w for i, (_, w) in enumerate(self.entries)}
@@ -64,7 +63,7 @@ def isotropy_subgroups(G: MatGroup, subgroup_bound: int = 200) -> IsotropyReport
         covered, witness = covers(ah, parts)
         if not covered:
             entries.append((H, witness))
-    return IsotropyReport(tuple(entries), True)
+    return IsotropyReport(tuple(entries))
 
 
 def height_ir(H) -> int:

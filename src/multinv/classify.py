@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .action import mu_action
-from .intlinalg import fixed_lattice, intmat
+from .intlinalg import _to_lists, fixed_lattice, intmat
 from .matgroup import (
     MatGroup,
     is_fixed_point_free,
@@ -59,10 +59,6 @@ class Verdict:
     rule: str
     certificate: dict
     notes: tuple[str, ...] = ()
-
-
-def _matrix_list(m) -> list[list[int]]:
-    return [[int(x) for x in row] for row in m.tolist()]
 
 
 class _Context:
@@ -117,7 +113,7 @@ def _rule_r2(ctx: _Context):
             chosen.append(i)
             if len(ctx.G.closure_indices(chosen)) == ctx.G.order:
                 break
-        cert = {"reflection_generators": [_matrix_list(ctx.G.elements[i]) for i in chosen]}
+        cert = {"reflection_generators": [_to_lists(ctx.G.elements[i]) for i in chosen]}
         return (CM, cert), None
     return None, (f"reflections generate a subgroup of order {len(span)} "
                   f"inside order {ctx.G.order}")
@@ -129,7 +125,7 @@ def _rule_r3(ctx: _Context):
         cert = {
             "sylow_order": P.order,
             "moved_rank": ctx.moved_rank,
-            "sylow_generators": [_matrix_list(P.elements[i])
+            "sylow_generators": [_to_lists(P.elements[i])
                                  for i in P.small_generating_indices()],
         }
         return (CM, cert), None
@@ -173,7 +169,7 @@ def _rule_r5(ctx: _Context):
         return None, "the Sylow generator is a bireflection"
     cert = {
         "sylow_order": P.order,
-        "sylow_generator": _matrix_list(P.elements[gens[0]]),
+        "sylow_generator": _to_lists(P.elements[gens[0]]),
         "generator_rank_drop": drop,
         "p_quotient_order": ctx.G.order // core.order,
     }

@@ -28,7 +28,7 @@ from .classify import ClassifyOptions, classify
 from .cohomology import resolution, mu_p
 from .corpus import corpus_entry, corpus_names
 from .errors import BoundExceededError, NonUnimodularError
-from .intlinalg import fixed_lattice
+from .intlinalg import _to_lists, fixed_lattice
 from .laurent import invariant_dim_in_ball, orbit_sum
 from .matgroup import (
     MatGroup,
@@ -55,10 +55,6 @@ _OPTION_DEFAULTS = {
 
 class InputError(ValueError):
     pass
-
-
-def _matrix_list(m) -> list[list[int]]:
-    return [[int(x) for x in row] for row in m.tolist()]
 
 
 def _require(cond: bool, message: str) -> None:
@@ -160,7 +156,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
         P = sylow(G, q)
         sylows[str(q)] = {
             "order": P.order,
-            "generators": [_matrix_list(P.elements[i])
+            "generators": [_to_lists(P.elements[i])
                            for i in P.small_generating_indices()],
         }
     heights = []
@@ -181,7 +177,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
         "n": G.n,
         "p": p,
         "element_profiles": [
-            {"matrix": _matrix_list(g), "order": pr.order, "rank_drop": pr.rank_drop,
+            {"matrix": _to_lists(g), "order": pr.order, "rank_drop": pr.rank_drop,
              "is_reflection": pr.is_reflection, "is_bireflection": pr.is_bireflection}
             for g, pr in zip(G.elements, profiles)
         ],

@@ -2,9 +2,17 @@
 
 A free resolution of the trivial module over F_p[G] is built degree by
 degree: the kernel of each boundary map is computed as an F_p subspace, a
-short list of module generators is extracted (preferring generators outside
-span + I*ker, where I is the augmentation ideal, which yields the minimal
-resolution whenever G is a p-group), and the next free module maps onto them.
+short list of module generators is extracted, and the next free module maps
+onto them.  The generators are first a basis of the kernel modulo I*ker,
+where I is the augmentation ideal; for a p-group I is the radical of F_p[G],
+so by Nakayama that basis generates the kernel and the resolution is minimal.
+For other groups, kernel rows outside the module generated so far are added
+until it is the whole kernel.
+
+I*ker needs only a generating set S of G, not every element: I is the sum of
+the right ideals (s - 1) F_p[G] for s in S (Brown, Cohomology of Groups,
+ch. I-II), and the kernel is a submodule, so I*ker is spanned by (s - 1) v
+for s in S and v in an F_p-basis of the kernel.
 
 Cohomology dimensions are read from the induced complex Hom(F_*, F_p): the
 differential of that complex is the entry-wise augmentation of the boundary
@@ -23,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundExceededError
-from .fparith import SpanFp, nullspace_fp, rank_fp
-from .matgroup import GroupTable, MatGroup, is_prime, subgroup_structure, sylow
+from .fparith import SpanFp, matmul_fp, nullspace_fp, rank_fp, rref_fp
+from .matgroup import GroupTable, MatGroup, _p_part, is_prime, subgroup_structure, sylow
 
 INFINITY = math.inf
 
@@ -90,14 +98,8 @@ class FpResolution:
         if not 1 <= r <= self.depth:
             raise ValueError(f"no boundary in degree {r}")
         gi = self.generator_images[r - 1]
-        m = self.ranks[r - 1]
-        t = self.ranks[r]
-        out = np.zeros((m, t), dtype=np.int64)
-        if t and m:
-            n = self.group_order
-            for i in range(t):
-                out[:, i] = gi[:, i].reshape(m, n).sum(axis=1) % self.p
-        return out
+        shape = (self.ranks[r - 1], self.group_order, self.ranks[r])
+        return gi.reshape(shape).sum(axis=1) % self.p
 
     def cohomology_dim(self, r: int) -> int:
         """dim H^r(G, F_p); requires depth >= r + 1."""
@@ -116,44 +118,51 @@ class FpResolution:
     def check_complex(self) -> None:
         """Assert that consecutive boundaries compose to zero."""
         for r in range(1, self.depth):
-            prod = (self.boundaries[r - 1] @ self.boundaries[r]) % self.p
+            prod = matmul_fp(self.boundaries[r - 1], self.boundaries[r], self.p)
             assert not prod.any(), f"d_{r} . d_{r + 1} != 0"
 
 
-def _module_generators(kernel_rows: np.ndarray, perms: list[np.ndarray],
-                       blocks: int, p: int) -> list[np.ndarray]:
-    """Pick a short list of module generators of the kernel.
+def _translates(rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """g * row for every left multiplication g in ``perms`` and every row.
 
-    Candidates outside span + I*kernel are preferred; for p-groups the
-    augmentation ideal is the radical, so this choice is exactly minimal.
+    A row is a run of blocks of |G| coordinates; g moves the coordinate of h
+    to that of g h in each block.  Shape (len(perms), len(rows), width).
+    """
+    k, width = rows.shape
+    m, n = perms.shape
+    src = rows.reshape(k, width // n, n)
+    out = np.empty((m, k, width // n, n), dtype=rows.dtype)
+    for j, perm in enumerate(perms):
+        out[j][..., perm] = src
+    return out.reshape(m, k, width)
+
+
+def _module_generators(kernel_rows: np.ndarray, perms: np.ndarray,
+                       gen_perms: np.ndarray, p: int) -> np.ndarray:
+    """Module generators of the kernel, picked greedily in row order.
+
+    First each row outside I*ker plus the rows picked before it: the pivot
+    columns of the transposed matrix of residues mod I*ker.  Then, unless G
+    is a p-group, each first row outside the module generated so far.
     """
     k, width = kernel_rows.shape
     if k == 0:
-        return []
-    order = len(perms)
-
-    def translate(g: int, vec: np.ndarray) -> np.ndarray:
-        out = np.empty_like(vec)
-        out.reshape(blocks, order)[:, perms[g]] = vec.reshape(blocks, order)
-        return out
-
-    span = SpanFp(p, width)
-    preferred = SpanFp(p, width)  # tracks span + I*kernel
-    for row in kernel_rows:
-        for g in range(order):
-            preferred.add((translate(g, row) - row) % p)
-    gens: list[np.ndarray] = []
-    while True:
-        remaining = [row for row in kernel_rows if not span.contains(row)]
-        if not remaining:
-            return gens
-        pick = next((row for row in remaining if not preferred.contains(row)),
-                    remaining[0])
-        gens.append(pick)
-        for g in range(order):
-            w = translate(g, pick)
-            span.add(w)
-            preferred.add(w)
+        return kernel_rows
+    ideal = SpanFp(p, width)
+    for perm in gen_perms:
+        ideal.add(_translates(kernel_rows, perm[None])[0] - kernel_rows)
+    _, picks = rref_fp(ideal.residues(kernel_rows).T, p)
+    n = perms.shape[0]
+    if _p_part(n, p) != n:
+        span = SpanFp(p, width)
+        for i in picks:
+            span.add(_translates(kernel_rows[i:i + 1], perms))
+        rest = np.flatnonzero(~span.contains(kernel_rows))
+        while rest.size:
+            picks.append(int(rest[0]))
+            span.add(_translates(kernel_rows[rest[:1]], perms))
+            rest = rest[~span.contains(kernel_rows[rest])]
+    return kernel_rows[picks]
 
 
 def resolution(group, p: int, depth: int,
@@ -174,7 +183,8 @@ def resolution(group, p: int, depth: int,
     if depth > max_depth:
         raise BoundExceededError(f"depth {depth} exceeds bound {max_depth}")
     n = table.order
-    perms = [np.array(table.mult[g], dtype=np.intp) for g in range(n)]
+    perms = np.array(table.mult, dtype=np.intp)
+    gen_perms = perms[list(table.generators)]
 
     def order_for(width: int):
         return list(range(width - 1, -1, -1)) if _reverse_pivots else None
@@ -185,28 +195,15 @@ def resolution(group, p: int, depth: int,
     # degree 0: F_0 = F_p[G] with the augmentation onto the trivial module
     augmentation = np.ones((1, n), dtype=np.int64)
     kernel = nullspace_fp(augmentation, p, order_for(n))
-    blocks = 1
     for r in range(1, depth + 1):
-        gens = _module_generators(kernel, perms, blocks, p)
+        gens = _module_generators(kernel, perms, gen_perms, p)
         t = len(gens)
         ranks.append(t)
-        width = blocks * n
-        gi = np.zeros((width, t), dtype=np.int64)
-        big = np.zeros((width, t * n), dtype=np.int64)
-        for i, v in enumerate(gens):
-            gi[:, i] = v
-            for g in range(n):
-                col = np.empty(width, dtype=np.int64)
-                col.reshape(blocks, n)[:, perms[g]] = v.reshape(blocks, n)
-                big[:, i * n + g] = col
+        big = _translates(gens, perms).transpose(2, 1, 0).reshape(gens.shape[1], t * n)
         boundaries.append(big)
-        generator_images.append(gi)
+        generator_images.append(gens.T)
         if r < depth:
-            if t == 0:
-                kernel = np.zeros((0, 0), dtype=np.int64)
-            else:
-                kernel = nullspace_fp(big, p, order_for(t * n))
-            blocks = t
+            kernel = nullspace_fp(big, p, order_for(t * n))
     return FpResolution(p, table, ranks, boundaries, generator_images)
 
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundExceededError
-from .intlinalg import intmat, is_unimodular
+from .corpus import corpus_group
 from .fparith import nullspace_fp, rank_fp
-from .matgroup import MatGroup, generate
+from .intlinalg import _to_lists, intmat, is_unimodular
+from .matgroup import MatGroup
 
 
 class LaurentPoly:
@@ -105,20 +106,16 @@ class LaurentPoly:
         return " + ".join(bits)
 
 
-def _matrix_rows(g) -> list[list[int]]:
-    mat = intmat(g)
-    if not is_unimodular(mat):
-        raise ValueError("action matrices must be unimodular")
-    return [[int(x) for x in row] for row in mat.tolist()]
-
-
 def _apply_rows(rows: list[list[int]], pt: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(r[j] * pt[j] for j in range(len(pt))) for r in rows)
 
 
 def act(g, f: LaurentPoly) -> LaurentPoly:
     """The ring automorphism sending the monomial at a to the monomial at g a."""
-    rows = _matrix_rows(g)
+    mat = intmat(g)
+    if not is_unimodular(mat):
+        raise ValueError("action matrices must be unimodular")
+    rows = _to_lists(mat)
     if len(rows) != f.n:
         raise ValueError(f"matrix is {len(rows)}x{len(rows)}, polynomial lives in rank {f.n}")
     return LaurentPoly(f.n, f.p, {_apply_rows(rows, e): c for e, c in f.terms.items()})
@@ -129,8 +126,7 @@ def orbit_sum(G: MatGroup, a, p: int) -> LaurentPoly:
     pt = tuple(int(x) for x in a)
     if len(pt) != G.n:
         raise ValueError("exponent vector has wrong length")
-    orbit = {_apply_rows([[int(x) for x in row] for row in el.tolist()], pt)
-             for el in G.elements}
+    orbit = {_apply_rows(rows, pt) for rows in _group_rows(G)}
     return LaurentPoly(G.n, p, {e: 1 for e in orbit})
 
 
@@ -140,7 +136,7 @@ def is_invariant(f: LaurentPoly, G: MatGroup) -> bool:
 
 
 def _group_rows(G: MatGroup) -> list[list[list[int]]]:
-    return [[[int(x) for x in row] for row in el.tolist()] for el in G.elements]
+    return [_to_lists(el) for el in G.elements]
 
 
 def _ball(n: int, radius: int):
@@ -188,8 +184,6 @@ def invariant_dim_in_ball(G: MatGroup, p: int, B: int,
 # decomposition of the order-2 sign-and-swap invariants over the Klein-four
 # invariant ring, in characteristic 2
 
-_FLIP_SWAP = ((-1, 0, 0), (0, 0, 1), (0, 1, 0))
-_FLIP_FIRST = ((-1, 0, 0), (0, 1, 0), (0, 0, 1))
 # the invariant monomial pair X0 X1 + X0^-1 X2, stable under the flip-swap
 _TWIST_EXPONENTS = ((1, 1, 0), (-1, 0, 1))
 
@@ -236,8 +230,8 @@ def check_g1_decomposition(p: int, B: int) -> BallDecomposition:
     """
     if p != 2:
         raise ValueError("decomposition check is stated for characteristic 2 only")
-    group = generate([_FLIP_SWAP])
-    overgroup = generate([_FLIP_SWAP, _FLIP_FIRST])
+    group, _ = corpus_group("g1")
+    overgroup, _ = corpus_group("gamma")
     twist = LaurentPoly(3, 2, {e: 1 for e in _TWIST_EXPONENTS})
 
     dim_invariants = len(_orbits_within(group, B))

@@ -55,15 +55,17 @@ class ElementProfile:
 
 @dataclass(frozen=True)
 class GroupTable:
-    """Abstract multiplication table: mult[i][j] is the index of g_i * g_j."""
+    """Multiplication table (mult[i][j] indexes g_i * g_j) and a generating set."""
 
     order: int
     mult: tuple[tuple[int, ...], ...]
     identity: int
+    generators: tuple[int, ...]
 
     @classmethod
     def cyclic(cls, m: int) -> "GroupTable":
-        return cls(m, tuple(tuple((i + j) % m for j in range(m)) for i in range(m)), 0)
+        mult = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
+        return cls(m, mult, 0, (1,) if m > 1 else ())
 
     def validate(self) -> None:
         n = self.order
@@ -75,27 +77,20 @@ class GroupTable:
 class MatGroup:
     """A finite subgroup of GL_n(Z), stored as all elements in canonical order."""
 
-    def __init__(self, n: int, elements: tuple[np.ndarray, ...],
-                 generator_indices: tuple[int, ...]):
+    def __init__(self, n: int, keyed: dict[tuple, np.ndarray], generator_keys=None):
+        """``keyed`` maps ``mat_key(g)`` to g for every element; without
+        ``generator_keys`` a generating set is found on first use."""
         self.n = n
-        self.elements = elements
-        self.generator_indices = generator_indices
-        self._keys = tuple(mat_key(m) for m in elements)
+        self._keys = tuple(sorted(keyed))
+        self.elements = tuple(keyed[k] for k in self._keys)
         self._index = {k: i for i, k in enumerate(self._keys)}
+        self.identity_index = self._index[mat_key(identity_matrix(n))]
+        self._generator_indices = (None if generator_keys is None
+                                   else tuple(self._index[k] for k in generator_keys))
         self._table: tuple[tuple[int, ...], ...] | None = None
         self._inverses: tuple[int, ...] | None = None
         self._orders: tuple[int, ...] | None = None
         self._subgroups: list["MatGroup"] | None = None
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def _from_matrices(cls, n: int, mats: list[np.ndarray],
-                       generators: list[np.ndarray]) -> "MatGroup":
-        ordered = sorted(mats, key=mat_key)
-        keys = [mat_key(m) for m in ordered]
-        gidx = tuple(keys.index(mat_key(g)) for g in generators)
-        return cls(n, tuple(ordered), gidx)
 
     # -- basic structure ----------------------------------------------------
 
@@ -104,18 +99,17 @@ class MatGroup:
         return len(self.elements)
 
     @property
+    def generator_indices(self) -> tuple[int, ...]:
+        if self._generator_indices is None:
+            self._generator_indices = self.small_generating_indices()
+        return self._generator_indices
+
+    @property
     def generators(self) -> list[np.ndarray]:
         return [self.elements[i] for i in self.generator_indices]
 
-    def key(self, i: int) -> tuple:
-        return self._keys[i]
-
     def index_of(self, mat: np.ndarray) -> int:
         return self._index[mat_key(mat)]
-
-    @property
-    def identity_index(self) -> int:
-        return self._index[mat_key(identity_matrix(self.n))]
 
     def canonical_key(self) -> tuple:
         return self._keys
@@ -157,15 +151,13 @@ class MatGroup:
         return self._orders
 
     def to_table(self) -> GroupTable:
-        return GroupTable(self.order, self.mult_table(), self.identity_index)
+        return GroupTable(self.order, self.mult_table(), self.identity_index,
+                          self.small_generating_indices())
 
     # -- subgroup plumbing ---------------------------------------------------
 
-    def subgroup_from_indices(self, indices, generator_indices=()) -> "MatGroup":
-        idx = sorted(set(indices))
-        mats = [self.elements[i] for i in idx]
-        gens = [self.elements[i] for i in generator_indices]
-        return MatGroup._from_matrices(self.n, mats, gens or mats[:1])
+    def subgroup_from_indices(self, indices) -> "MatGroup":
+        return MatGroup(self.n, {self._keys[i]: self.elements[i] for i in indices})
 
     def closure_indices(self, seed) -> frozenset[int]:
         """Indices of the subgroup generated by the given element indices."""
@@ -235,7 +227,8 @@ class MatGroup:
 
 
 def trivial_group(n: int) -> MatGroup:
-    return MatGroup._from_matrices(n, [identity_matrix(n)], [identity_matrix(n)])
+    e = identity_matrix(n)
+    return MatGroup(n, {mat_key(e): e}, [mat_key(e)])
 
 
 def generate(gens, max_order: int = DEFAULT_MAX_ORDER) -> MatGroup:
@@ -269,7 +262,7 @@ def generate(gens, max_order: int = DEFAULT_MAX_ORDER) -> MatGroup:
                         raise BoundExceededError(
                             f"closure exceeded max_order={max_order}")
         frontier = new
-    return MatGroup._from_matrices(n, list(elements.values()), mats)
+    return MatGroup(n, elements, [mat_key(g) for g in mats])
 
 
 def subgroups(G: MatGroup, bound: int = DEFAULT_SUBGROUP_BOUND) -> list[MatGroup]:

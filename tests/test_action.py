@@ -23,7 +23,6 @@ def test_isotropy_inversion():
     report = isotropy_subgroups(G)
     assert [(H.order, w) for H, w in report.entries] == [
         (1, (1, 0, 0)), (2, (0, 0, 0))]
-    assert report.complete
 
 
 def test_isotropy_trivial_group():

@@ -75,6 +75,16 @@ def test_resource_bound_exits_3(capsys, monkeypatch):
     assert "max_order" in err
 
 
+def test_prime_bound_for_elimination(capsys, monkeypatch):
+    rot3 = [[[0, -1], [1, -1]]]
+    for p, exit_code in ((4294967311, 3), (2147483647, 0)):
+        job = {"n": 2, "p": p, "generators": rot3}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        code, out, err = run_cli(capsys, "cohomology", "--input", "-", "--depth", "4")
+        assert code == exit_code
+    assert json.loads(out)["dims"] == [1, 0, 0, 0]
+
+
 def test_parse_jobspec_applies_default_options():
     G, p, options = parse_jobspec(INV3)
     assert G.order == 2 and p == 2

@@ -21,6 +21,22 @@ def test_resolution_ranks_z2():
     assert res.is_minimal()
 
 
+# free ranks to degree 6; every corpus group not listed has rank 1 throughout
+PINNED_RANKS = {
+    "s3": {2: [1, 2, 2, 2, 2, 2, 2], 3: [1, 2, 3, 3, 2, 2, 2]},
+    "s4": {2: [1, 3, 4, 4, 5, 6, 6], 3: [1, 3, 6, 8, 7, 8, 12]},
+    "gamma": {2: [1, 2, 3, 4, 5, 6, 7], 3: [1, 2, 3, 4, 5, 6, 7]},
+}
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_resolution_ranks_pinned(name):
+    G, _ = corpus_group(name)
+    for p in (2, 3):
+        expected = PINNED_RANKS.get(name, {}).get(p, [1] * 7)
+        assert resolution(G, p, 6).ranks == expected
+
+
 def test_resolution_ranks_trivial_group():
     res = resolution(trivial_group(2), 2, 4)
     assert res.ranks == [1, 0, 0, 0, 0]

@@ -12,7 +12,7 @@ from multinv.laurent import (
     is_invariant,
     orbit_sum,
 )
-from multinv.matgroup import generate, trivial_group
+from multinv.matgroup import generate, sylow, trivial_group
 
 G1 = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
 
@@ -96,6 +96,14 @@ def test_is_invariant_examples():
     G = generate([G1])
     phi = LaurentPoly(3, 2, {(1, 1, 0): 1, (-1, 0, 1): 1})
     assert is_invariant(phi, G)
+
+
+def test_is_invariant_uses_generators_of_the_whole_subgroup():
+    s4, _ = corpus_group("s4")
+    P = sylow(s4, 2)
+    f = orbit_sum(generate([P.generators[0]]), (1, 2, 3, 4), 2)
+    assert P.order == 8
+    assert not is_invariant(f, P)
 
 
 def test_invariant_dim_examples():

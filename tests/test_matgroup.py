@@ -202,3 +202,12 @@ def test_group_table_cyclic():
     t = GroupTable.cyclic(6)
     t.validate()
     assert t.order == 6 and t.identity == 0
+    assert t.generators == (1,)
+    assert GroupTable.cyclic(1).generators == ()
+
+
+def test_table_and_subgroup_generators_generate():
+    s4, _ = corpus_group("s4")
+    assert len(s4.closure_indices(s4.to_table().generators)) == s4.order
+    for H in subgroups(s4):
+        assert len(H.closure_indices(H.generator_indices)) == H.order
