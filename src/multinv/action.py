@@ -74,15 +74,17 @@ def height_ir(H) -> int:
 
 
 def mu_action(G: MatGroup, p: int, search_limit: int = 9,
-              subgroup_bound: int = 200) -> MuValue:
+              subgroup_bound: int = 200,
+              isotropy: IsotropyReport | None = None) -> MuValue:
     """Least positive degree where the action's cohomology is nonzero.
 
     Equals the minimum of mu_p over the realizable stabilizer subgroups
     (conjugates contribute equal values, so class representatives suffice).
     The result is exact when the minimum is certified: attained by an exact
-    contribution that no inexact lower bound can undercut.
+    contribution that no inexact lower bound can undercut.  ``isotropy`` is
+    ``isotropy_subgroups(G, subgroup_bound)`` when the caller already has it.
     """
-    report = isotropy_subgroups(G, subgroup_bound)
+    report = isotropy_subgroups(G, subgroup_bound) if isotropy is None else isotropy
     values = [mu_p(H, p, search_limit) for H, _ in report.entries]
     best = min(v.value for v in values)
     if best == INFINITY:

@@ -18,18 +18,17 @@ Exit codes: 0 success (Unknown verdicts included), 2 invalid input JSON,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
 
 from .action import height_ir, isotropy_subgroups, mu_action
 from .classify import ClassifyOptions, classify
-from .cohomology import resolution, mu_p
+from .cohomology import mu_from_resolution, resolution
 from .corpus import corpus_entry, corpus_names
 from .errors import BoundExceededError, NonUnimodularError
 from .intlinalg import _to_lists, fixed_lattice
-from .laurent import invariant_dim_in_ball, orbit_sum
+from .laurent import box_orbits
 from .matgroup import (
     MatGroup,
     classify_element,
@@ -122,10 +121,6 @@ def _mu_json(mu) -> dict:
     return {"value": value, "exact": mu.exact}
 
 
-def _poly_json(f) -> list[dict]:
-    return [{"exponents": list(e), "coeff": f.terms[e]} for e in f.support()]
-
-
 def cmd_classify(args) -> tuple[int, dict]:
     G, p, options = _load_job(args)
     if args.audit:
@@ -170,7 +165,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
         })
     report_iso = isotropy_subgroups(G)
     iso = [{"order": H.order, "witness": list(w)} for H, w in report_iso.entries]
-    mu = mu_action(G, p, options["cohomology_depth"] - 1)
+    mu = mu_action(G, p, options["cohomology_depth"] - 1, isotropy=report_iso)
     report = {
         "command": "analyze",
         "group_order": G.order,
@@ -195,7 +190,7 @@ def cmd_cohomology(args) -> tuple[int, dict]:
     _require(1 <= depth <= 10, "depth must be between 1 and 10")
     res = resolution(G, p, depth)
     dims = [res.cohomology_dim(r) for r in range(depth)]
-    mu = mu_p(G, p, search_limit=depth - 1)
+    mu = mu_from_resolution(res)
     report = {
         "command": "cohomology",
         "group_order": G.order,
@@ -212,21 +207,14 @@ def cmd_invariants(args) -> tuple[int, dict]:
     G, p, options = _load_job(args)
     ball = args.ball if args.ball is not None else options["ball"]
     _require(0 <= ball <= 8, "ball must be between 0 and 8")
-    dim, burnside = invariant_dim_in_ball(G, p, ball)
-    seen: set[tuple[int, ...]] = set()
-    sums = []
-    for pt in itertools.product(range(-ball, ball + 1), repeat=G.n):
-        if pt in seen:
-            continue
-        f = orbit_sum(G, pt, p)
-        seen |= set(f.terms)
-        sums.append(_poly_json(f))
+    orbits, burnside = box_orbits(G, ball)
+    sums = [[{"exponents": e, "coeff": 1} for e in orbit] for orbit in orbits]
     report = {
         "command": "invariants",
         "group_order": G.order,
         "p": p,
         "ball": ball,
-        "dim": dim,
+        "dim": len(orbits),
         "burnside": burnside,
         "orbit_sums": sums,
     }

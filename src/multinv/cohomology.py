@@ -218,22 +218,33 @@ def h_dim(group, p: int, r: int,
 def mu_p(group, p: int, search_limit: int = DEFAULT_MU_SEARCH_LIMIT,
          max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
          max_depth: int = DEFAULT_MAX_DEPTH) -> MuValue:
-    """inf { r > 0 : H^r(G, F_p) != 0 }.
+    """inf { r > 0 : H^r(G, F_p) != 0 }, searched up to ``search_limit``.
 
-    Exactly INFINITY when p does not divide |G| (positive-degree cohomology
-    of a p'-group vanishes); otherwise the least degree up to
-    ``search_limit``, or the inexact marker ``search_limit + 1``.
+    The value is read by ``mu_from_resolution``; when p does not divide |G|
+    no resolution is built.
     """
     table = _as_table(group)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if table.order % p != 0:
         return MuValue(INFINITY, True)
-    res = resolution(table, p, search_limit + 1, max_group_order, max_depth)
-    for r in range(1, search_limit + 1):
+    return mu_from_resolution(
+        resolution(table, p, search_limit + 1, max_group_order, max_depth))
+
+
+def mu_from_resolution(res: FpResolution) -> MuValue:
+    """mu_p read from a resolution of depth d, searching degrees 1..d-1.
+
+    Exactly INFINITY when p does not divide the group order (positive-degree
+    cohomology of a p'-group vanishes); otherwise the least degree with
+    nonzero cohomology, or the inexact marker d when there is none.
+    """
+    if res.group_order % res.p != 0:
+        return MuValue(INFINITY, True)
+    for r in range(1, res.depth):
         if res.cohomology_dim(r) != 0:
             return MuValue(r, True)
-    return MuValue(search_limit + 1, False)
+    return MuValue(res.depth, False)
 
 
 def mu_p_formula(G: MatGroup, p: int) -> int:

@@ -126,8 +126,8 @@ def orbit_sum(G: MatGroup, a, p: int) -> LaurentPoly:
     pt = tuple(int(x) for x in a)
     if len(pt) != G.n:
         raise ValueError("exponent vector has wrong length")
-    orbit = {_apply_rows(rows, pt) for rows in _group_rows(G)}
-    return LaurentPoly(G.n, p, {e: 1 for e in orbit})
+    images = G.element_array() @ np.array(pt, dtype=object)
+    return LaurentPoly(G.n, p, {tuple(q): 1 for q in images.tolist()})
 
 
 def is_invariant(f: LaurentPoly, G: MatGroup) -> bool:
@@ -135,16 +135,100 @@ def is_invariant(f: LaurentPoly, G: MatGroup) -> bool:
     return all(act(g, f) == f for g in gens)
 
 
-def _group_rows(G: MatGroup) -> list[list[list[int]]]:
-    return [_to_lists(el) for el in G.elements]
+# entries of one block of the key matrix, which is never held whole: its
+# temporaries stay at a few MB however large the box and the group
+_BLOCK_ENTRIES = 1 << 18
 
 
-def _ball(n: int, radius: int):
-    return itertools.product(range(-radius, radius + 1), repeat=n)
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in a 1-d array."""
+    mask = np.empty(len(a), dtype=bool)
+    mask[:1] = True
+    np.not_equal(a[1:], a[:-1], out=mask[1:])
+    return mask
 
 
-def _norm(pt: tuple[int, ...]) -> int:
-    return max((abs(x) for x in pt), default=0)
+# every sort here is stable: the orbit order needs a stable argsort, and the
+# first call of numpy's default int64 sort adds about 0.4 MB of resident code
+def _distinct(a: np.ndarray) -> np.ndarray:
+    s = np.sort(a, axis=None, kind="stable")
+    return s[_run_starts(s)]
+
+
+def box_orbits(G: MatGroup, B: int, norm_guard: int | None = None
+               ) -> tuple[list[list[list[int]]], int]:
+    """The G-orbits of the exponent box { a : |a|_inf <= B }.
+
+    Returns the orbits, each as its sorted support (exponent vectors as
+    lists, points outside the box included), in the order of their first box
+    point in ``itertools.product`` order, and the number of orbits recounted
+    by averaging fixed points.
+
+    The largest coordinate of an image of the box is M = B * max_{g,i}
+    |row_i(g)|_1; it must not exceed the norm guard (default 8 B).  A point
+    x with |x|_inf <= M has the key w . (x + M), w = (b^(n-1), ..., b, 1),
+    b = 2M + 1, which orders keys as points lexicographically; key(g x) is
+    linear in x, so the keys of all images of the box are one matrix product
+    of shape (box size, |G|), taken in row blocks, and the orbit of a box
+    point is its row.  Keys are int64 when they fit and Python ints
+    otherwise.
+    """
+    guard = 8 * B if norm_guard is None else norm_guard
+    n, mats = G.n, G.element_array()
+    row_norms = np.abs(mats).sum(axis=2).ravel().tolist()
+    reach = B * max(row_norms)
+    if reach > guard:
+        g, i = divmod(row_norms.index(max(row_norms)), n)
+        corner = [B * ((v > 0) - (v < 0)) for v in mats[g, i].tolist()]
+        raise BoundExceededError(f"orbit point {_apply_rows(mats[g].tolist(), corner)} "
+                                 f"escapes the norm guard {guard}")
+    base = 2 * reach + 1
+    place = [base ** (n - 1 - i) for i in range(n)]
+    offset = reach * sum(place)
+    weights = np.array(place, dtype=object) @ mats   # key(g x) = weights[g] . x + offset
+    fits = base ** n < 2 ** 63 and max(map(abs, weights.flat)) < 2 ** 63
+    dtype = np.int64 if fits else object
+    weights = weights.astype(dtype)
+    place = np.array(place, dtype=dtype)
+    step = max(1, _BLOCK_ENTRIES // G.order)
+
+    def keys_of(points):
+        return points @ weights.T + offset
+
+    def decode(keys):
+        return keys[:, None] // place % base - reach
+
+    box = np.indices((2 * B + 1,) * n).reshape(n, -1).T - B
+    if not fits:
+        box = box.astype(object)
+    least, seen = [], []
+    for start in range(0, len(box), step):
+        keys = keys_of(box[start:start + step])
+        least.append(keys.min(axis=1))
+        seen.append(_distinct(keys))
+    # an orbit is named by its least key and listed at its first box point
+    least = np.concatenate(least)
+    order = np.argsort(least, kind="stable")
+    firsts = np.sort(order[_run_starts(least[order])], kind="stable")
+    supports = np.sort(keys_of(box[firsts]), axis=1, kind="stable")
+    new = np.ones(supports.shape, dtype=bool)
+    np.not_equal(supports[:, 1:], supports[:, :-1], out=new[:, 1:])
+    points = decode(supports[new]).tolist()
+    orbits, start = [], 0
+    for size in new.sum(axis=1).tolist():
+        orbits.append(points[start:start + size])
+        start += size
+
+    # recount: fixed points of every element on every visited point
+    visited = _distinct(np.concatenate(seen))
+    fixed_total = 0
+    for start in range(0, len(visited), step):
+        block = visited[start:start + step]
+        fixed_total += int((keys_of(decode(block)) == block[:, None]).sum())
+    assert fixed_total % G.order == 0
+    burnside = fixed_total // G.order
+    assert len(orbits) == burnside, (len(orbits), burnside)
+    return orbits, burnside
 
 
 def invariant_dim_in_ball(G: MatGroup, p: int, B: int,
@@ -157,27 +241,8 @@ def invariant_dim_in_ball(G: MatGroup, p: int, B: int,
     averaged fixed-point count over the group and both counts are asserted
     equal before returning the pair.
     """
-    guard = 8 * B if norm_guard is None else norm_guard
-    rows = _group_rows(G)
-    visited: set[tuple[int, ...]] = set()
-    orbit_count = 0
-    for pt in _ball(G.n, B):
-        if pt in visited:
-            continue
-        orbit = {_apply_rows(r, pt) for r in rows}
-        for q in orbit:
-            if _norm(q) > guard:
-                raise BoundExceededError(
-                    f"orbit point {q} escapes the norm guard {guard}")
-        visited |= orbit
-        orbit_count += 1
-    fixed_total = 0
-    for r in rows:
-        fixed_total += sum(1 for s in visited if _apply_rows(r, s) == s)
-    assert fixed_total % G.order == 0
-    burnside = fixed_total // G.order
-    assert orbit_count == burnside, (orbit_count, burnside)
-    return orbit_count, burnside
+    orbits, burnside = box_orbits(G, B, norm_guard)
+    return len(orbits), burnside
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +273,9 @@ class BallDecomposition:
 
 
 def _orbits_within(G: MatGroup, radius: int) -> list[list[tuple[int, ...]]]:
-    rows = _group_rows(G)
-    seen: set[tuple[int, ...]] = set()
-    orbits = []
-    for pt in _ball(G.n, radius):
-        if pt in seen:
-            continue
-        orbit = {_apply_rows(r, pt) for r in rows}
-        seen |= orbit
-        if all(_norm(q) <= radius for q in orbit):
-            orbits.append(sorted(orbit))
-    return orbits
+    orbits, _ = box_orbits(G, radius)
+    return [[tuple(q) for q in orbit] for orbit in orbits
+            if all(abs(x) <= radius for q in orbit for x in q)]
 
 
 def check_g1_decomposition(p: int, B: int) -> BallDecomposition:
@@ -243,9 +300,10 @@ def check_g1_decomposition(p: int, B: int) -> BallDecomposition:
     # ball B (extreme-exponent argument), so the margin is already generous
     source_orbits = _orbits_within(overgroup, B + 1)
     big = B + 2  # twist shifts exponents by at most 1
-    mono_index = {pt: i for i, pt in enumerate(_ball(3, big))}
-    inside = [i for pt, i in mono_index.items() if _norm(pt) <= B]
-    outside = [i for pt, i in mono_index.items() if _norm(pt) > B]
+    mono_index = {pt: i for i, pt in
+                  enumerate(itertools.product(range(-big, big + 1), repeat=3))}
+    inside = [i for pt, i in mono_index.items() if max(map(abs, pt)) <= B]
+    outside = [i for pt, i in mono_index.items() if max(map(abs, pt)) > B]
 
     prod_rows = np.zeros((len(source_orbits), len(mono_index)), dtype=np.int64)
     for k, orbit in enumerate(source_orbits):

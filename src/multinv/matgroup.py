@@ -91,6 +91,7 @@ class MatGroup:
         self._inverses: tuple[int, ...] | None = None
         self._orders: tuple[int, ...] | None = None
         self._subgroups: list["MatGroup"] | None = None
+        self._array: np.ndarray | None = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -107,6 +108,12 @@ class MatGroup:
     @property
     def generators(self) -> list[np.ndarray]:
         return [self.elements[i] for i in self.generator_indices]
+
+    def element_array(self) -> np.ndarray:
+        """All elements stacked in canonical order: shape (order, n, n), Python ints."""
+        if self._array is None:
+            self._array = np.array(self.elements, dtype=object).reshape(self.order, self.n, self.n)
+        return self._array
 
     def index_of(self, mat: np.ndarray) -> int:
         return self._index[mat_key(mat)]

@@ -1,9 +1,15 @@
+import hashlib
 import io
 import json
 
 import pytest
 
+import multinv.action
+import multinv.cli
+import multinv.cohomology
 from multinv.cli import main, parse_jobspec
+from multinv.cohomology import mu_p
+from multinv.corpus import corpus_entry, corpus_names
 
 INV3 = {"n": 3, "p": 2, "generators": [[[-1, 0, 0], [0, -1, 0], [0, 0, -1]]]}
 
@@ -151,3 +157,89 @@ def test_no_floats_anywhere(capsys):
             return True
 
         assert no_floats(json.loads(out))
+
+
+def _sha1(out: str) -> str:
+    return hashlib.sha1(out.strip().encode()).hexdigest()
+
+
+# SHA-1 of the canonical JSON of ``invariants --builtin NAME --ball 2``, taken
+# from the per-point orbit enumeration before the batched kernel
+INVARIANTS_BALL2_SHA1 = {
+    "s4": "4a1caab343e39108a012dd172862673d4076b751",
+    "rot4_nonsplit": "5e5208348e9ae8f36cc3b797317a7fe57936d098",
+    "inversion3": "8e92000df6aa3fb5c44fc483c8a90cf4a170515f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANTS_BALL2_SHA1))
+def test_invariants_output_pinned(capsys, name):
+    code, out, _ = run_cli(capsys, "invariants", "--builtin", name, "--ball", "2")
+    assert code == 0
+    assert _sha1(out) == INVARIANTS_BALL2_SHA1[name]
+
+
+def test_cohomology_builds_one_resolution_per_job(capsys, monkeypatch):
+    calls = []
+    real = multinv.cli.resolution
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multinv.cli, "resolution", counted)
+    monkeypatch.setattr(multinv.cohomology, "resolution", counted)
+    for name in corpus_names():
+        entry = corpus_entry(name)
+        G = entry.group()
+        for p in (2, 3):
+            job = {"n": entry.n, "p": p,
+                   "generators": [[list(row) for row in g] for g in entry.generators]}
+            for depth in range(1, 7):
+                monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+                calls.clear()
+                code, out, _ = run_cli(capsys, "cohomology", "--input", "-",
+                                       "--depth", str(depth))
+                assert code == 0
+                assert calls == [depth], (name, p, depth)
+                mu = mu_p(G, p, depth - 1)
+                value = "infinity" if mu.is_infinite else mu.value
+                assert json.loads(out)["mu_p"] == {"value": value, "exact": mu.exact}
+
+
+# SHA-1 of the canonical JSON of ``analyze --builtin NAME``, taken from the
+# version that computed the isotropy report twice
+ANALYZE_SHA1 = {
+    "inversion1": "024c578fdb660769100364a806e67d3f23fc577a",
+    "inversion2": "94ae2a972a9acbeaad6e4fbc6f7d4334fc87d850",
+    "inversion3": "ff7b6ffd4e53aa404f2ac552dd98dbfd6ef30570",
+    "inversion4": "3a54e323518e11ee0da18688a8290cc7190158ff",
+    "inversion5": "d7cff3ff6d3e1141fa9fe047e5bff38b11467f86",
+    "g1": "94d21c63cfd531c7e94c72bca19f36e4304816b4",
+    "g2": "5ccd04029283878c1182098a166059cc904bb4fc",
+    "gamma": "f8702b3d81a89549e5d89e57f77cb96c4296bc67",
+    "s3": "fe164284abfb2118928c7b01482381e5649beb85",
+    "s4": "dc1db1ee735d04add3790266dc597b57d0bf66ba",
+    "rot4": "eaa53d275dd35e1ec29912340f223d4cce04af37",
+    "rot4_nonsplit": "5fc44d8758952c607e397c388cc29ea73a0efb97",
+    "rot3": "19982ea6e6a93c379ca0548036edfde63d654b0a",
+}
+
+
+def test_analyze_computes_isotropy_once(capsys, monkeypatch):
+    calls = []
+    real = multinv.action.isotropy_subgroups
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].order)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multinv.action, "isotropy_subgroups", counted)
+    monkeypatch.setattr(multinv.cli, "isotropy_subgroups", counted)
+    assert sorted(ANALYZE_SHA1) == sorted(corpus_names())
+    for name, digest in ANALYZE_SHA1.items():
+        calls.clear()
+        code, out, _ = run_cli(capsys, "analyze", "--builtin", name)
+        assert code == 0
+        assert _sha1(out) == digest, name
+        assert len(calls) == 1, name

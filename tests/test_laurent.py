@@ -1,18 +1,21 @@
+import itertools
 import random
 
 import pytest
 
-from multinv.corpus import corpus_group
+import multinv.laurent as laurent
+from multinv.corpus import corpus_group, corpus_names
 from multinv.errors import BoundExceededError
 from multinv.laurent import (
     LaurentPoly,
     act,
+    box_orbits,
     check_g1_decomposition,
     invariant_dim_in_ball,
     is_invariant,
     orbit_sum,
 )
-from multinv.matgroup import generate, sylow, trivial_group
+from multinv.matgroup import generate, subgroup_conjugacy_classes, sylow, trivial_group
 
 G1 = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
 
@@ -139,3 +142,90 @@ def test_ball_decomposition_dimensions():
 def test_ball_decomposition_requires_char_two():
     with pytest.raises(ValueError):
         check_g1_decomposition(3, 1)
+
+
+# -- the batched orbit kernel against the per-point enumeration it replaced --
+
+def _reference_orbits(G, B, norm_guard=None):
+    """Orbits of the box in first-occurrence order and the Burnside recount,
+    one point and one group element at a time in Python ints."""
+    guard = 8 * B if norm_guard is None else norm_guard
+    rows = [[[int(x) for x in row] for row in g.tolist()] for g in G.elements]
+
+    def apply(r, pt):
+        return tuple(sum(a * b for a, b in zip(row, pt)) for row in r)
+
+    visited = set()
+    orbits = []
+    for pt in itertools.product(range(-B, B + 1), repeat=G.n):
+        if pt in visited:
+            continue
+        orbit = {apply(r, pt) for r in rows}
+        for q in orbit:
+            if max(abs(x) for x in q) > guard:
+                raise BoundExceededError(f"orbit point {q} escapes the norm guard {guard}")
+        visited |= orbit
+        orbits.append([list(q) for q in sorted(orbit)])
+    fixed_total = sum(1 for r in rows for s in visited if apply(r, s) == s)
+    assert fixed_total % G.order == 0
+    return orbits, fixed_total // G.order
+
+
+def _b3_class_representatives():
+    gens = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+            [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    return {f"B3c{k}": cls[0]
+            for k, cls in enumerate(subgroup_conjugacy_classes(generate(gens)))}
+
+
+ROT6 = [[[0, -1], [1, 1]]]
+# rot4 conjugated by the shear [[1, 10^6], [0, 1]]: entries near 10^12, so the
+# keys of B = 1 exceed int64
+SHEARED_ROT4 = [[[10**6, -1 - 10**12], [1, -10**6]]]
+
+KERNEL_GROUPS = {name: corpus_group(name)[0] for name in corpus_names()}
+KERNEL_GROUPS.update(_b3_class_representatives())
+KERNEL_GROUPS["rot6"] = generate(ROT6)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
+def test_box_orbits_match_reference(name):
+    G = KERNEL_GROUPS[name]
+    for B in range(3 if G.n >= 4 else 4):
+        orbits, burnside = box_orbits(G, B)
+        assert (orbits, burnside) == _reference_orbits(G, B), (name, B)
+        assert invariant_dim_in_ball(G, 2, B) == (len(orbits), burnside)
+
+
+@pytest.mark.parametrize("gens", [corpus_group("rot3")[0].generators,
+                                  corpus_group("rot4_nonsplit")[0].generators, ROT6])
+def test_box_orbits_norm_guard_trips_at_the_escape(gens):
+    G = generate(gens)
+    for B in (1, 2):
+        orbits, _ = _reference_orbits(G, B, norm_guard=10**9)
+        escape = max(abs(x) for orbit in orbits for q in orbit for x in q)
+        assert escape > B  # the orbits leave the box
+        for impl in (box_orbits, _reference_orbits):
+            with pytest.raises(BoundExceededError):
+                impl(G, B, norm_guard=escape - 1)
+        assert box_orbits(G, B, norm_guard=escape) == _reference_orbits(G, B, norm_guard=escape)
+
+
+def test_box_orbits_in_blocks(monkeypatch):
+    # blocks of 40 key entries: every group below spans many blocks
+    monkeypatch.setattr(laurent, "_BLOCK_ENTRIES", 40)
+    for name in ("s4", "rot4_nonsplit", "B3c32", "rot6"):
+        G = KERNEL_GROUPS[name]
+        for B in (1, 2):
+            assert box_orbits(G, B) == _reference_orbits(G, B), (name, B)
+
+
+def test_box_orbits_exact_beyond_int64():
+    inv3, _ = corpus_group("inversion3")
+    assert invariant_dim_in_ball(inv3, 2, 1, norm_guard=2**40) == (14, 14)
+    G = generate(SHEARED_ROT4)
+    assert G.order == 4
+    for B in (1, 2):
+        orbits, burnside = box_orbits(G, B, norm_guard=10**30)
+        assert max(abs(x) for orbit in orbits for q in orbit for x in q) > 10**12
+        assert (orbits, burnside) == _reference_orbits(G, B, norm_guard=10**30)
