@@ -43,33 +43,30 @@ def isotropy_subgroups(G: MatGroup, subgroup_bound: int = 200) -> IsotropyReport
     these sublattices fail to cover fixed(H), and the covering witness is the
     realizing point.
     """
+    lattices = G.element_fixed_lattices()
     entries = []
     for cls in subgroup_conjugacy_classes(G, subgroup_bound):
         H = cls[0]
-        ah = fixed_lattice(H.elements)
+        ah = H.fixed_lattice()
         hidx = G.indices_of_subgroup(H)
-        blocked = False
-        parts = []
-        for gi in range(G.order):
-            if gi in hidx:
-                continue
-            lg = intersect(ah, fixed_lattice([G.elements[gi]]))
+        # elements with equal fixed lattices give equal parts, and neither the
+        # answer of `covers` nor its witness depends on repeats or order
+        parts = {}
+        for L in dict.fromkeys(lattices[gi] for gi in range(G.order) if gi not in hidx):
+            lg = intersect(ah, L)
             if lg == ah:
-                blocked = True  # g fixes everything H fixes
-                break
-            parts.append(lg)
-        if blocked:
-            continue
-        covered, witness = covers(ah, parts)
-        if not covered:
-            entries.append((H, witness))
+                break  # some g outside H fixes everything H fixes
+            parts[lg] = None
+        else:
+            covered, witness = covers(ah, parts)
+            if not covered:
+                entries.append((H, witness))
     return IsotropyReport(tuple(entries))
 
 
 def height_ir(H) -> int:
     """Height of the moved-monomial ideal: n - rank(fixed lattice)."""
-    elems = H.elements if isinstance(H, MatGroup) else list(H)
-    fl = fixed_lattice(elems)
+    fl = H.fixed_lattice() if isinstance(H, MatGroup) else fixed_lattice(list(H))
     return fl.ambient_rank - fl.rank
 
 

@@ -82,14 +82,14 @@ class _Context:
     def rank_drops(self) -> list[int]:
         if self._rank_drops is None:
             n = self.G.n
-            self._rank_drops = [n - fixed_lattice([g]).rank for g in self.G.elements]
+            self._rank_drops = [n - L.rank for L in self.G.element_fixed_lattices()]
         return self._rank_drops
 
     @property
     def moved_rank(self) -> int:
         """rank of A / A^P for the chosen Sylow subgroup."""
         if self._moved_rank is None:
-            self._moved_rank = self.G.n - fixed_lattice(self.sylow.elements).rank
+            self._moved_rank = self.G.n - self.sylow.fixed_lattice().rank
         return self._moved_rank
 
 

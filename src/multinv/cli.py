@@ -18,6 +18,7 @@ Exit codes: 0 success (Unknown verdicts included), 2 invalid input JSON,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -27,11 +28,11 @@ from .classify import ClassifyOptions, classify
 from .cohomology import mu_from_resolution, resolution
 from .corpus import corpus_entry, corpus_names
 from .errors import BoundExceededError, NonUnimodularError
-from .intlinalg import _to_lists, fixed_lattice
+from .intlinalg import _to_lists
 from .laurent import box_orbits
 from .matgroup import (
     MatGroup,
-    classify_element,
+    element_profiles,
     generate,
     is_prime,
     subgroup_conjugacy_classes,
@@ -144,7 +145,7 @@ def cmd_classify(args) -> tuple[int, dict]:
 
 def cmd_analyze(args) -> tuple[int, dict]:
     G, p, options = _load_job(args)
-    profiles = [classify_element(g) for g in G.elements]
+    profiles = element_profiles(G)
     primes = sorted({q for q in range(2, G.order + 1) if is_prime(q) and G.order % q == 0})
     sylows = {}
     for q in primes:
@@ -160,7 +161,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
         heights.append({
             "order": H.order,
             "class_size": len(cls),
-            "fixed_rank": fixed_lattice(H.elements).rank,
+            "fixed_rank": H.fixed_lattice().rank,
             "height": height_ir(H),
         })
     report_iso = isotropy_subgroups(G)
@@ -271,7 +272,9 @@ def _render_human(report: dict) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="multinv",
         description="analyze finite integer matrix group actions on Laurent "

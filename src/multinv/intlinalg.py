@@ -38,11 +38,11 @@ _MAX_SEARCH_RADIUS = 64
 # matrix construction and basic helpers
 
 
-def intmat(data) -> np.ndarray:
-    """Build a validated integer matrix (2-d numpy array of Python ints).
+def _int_rows(data) -> list[list[int]]:
+    """Rows of an integer matrix given from outside, as lists of Python ints.
 
     Accepts nested sequences or an existing array.  Every entry must be an
-    integer; rows must have equal length.
+    integer (bools are refused); rows must have equal length.
     """
     if isinstance(data, np.ndarray) and data.dtype == object and data.ndim == 2:
         rows = data.tolist()
@@ -52,25 +52,27 @@ def intmat(data) -> np.ndarray:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows in matrix data")
-    else:
-        width = 0
-    out = np.empty((len(rows), width), dtype=object)
+    if all(type(x) is int for row in rows for x in row):
+        return rows
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
                 raise ValueError(f"non-integer entry {x!r} at ({i}, {j})")
-            out[i, j] = int(x)
-    out.setflags(write=False)
-    return out
+            row[j] = int(x)
+    return rows
+
+
+def intmat(data) -> np.ndarray:
+    """Build a validated integer matrix (2-d numpy array of Python ints).
+
+    Accepts nested sequences or an existing array.  Every entry must be an
+    integer; rows must have equal length.
+    """
+    return _from_lists(_int_rows(data))
 
 
 def identity_matrix(n: int) -> np.ndarray:
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = 1 if i == j else 0
-    out.setflags(write=False)
-    return out
+    return _from_lists(_eye_lists(n), n)
 
 
 def zero_matrix(rows: int, cols: int) -> np.ndarray:
@@ -85,20 +87,28 @@ def mat_key(M: np.ndarray) -> tuple:
     return (M.shape[0], M.shape[1]) + tuple(int(x) for x in M.flat)
 
 
-def mats_equal(A: np.ndarray, B: np.ndarray) -> bool:
-    return A.shape == B.shape and all(int(x) == int(y) for x, y in zip(A.flat, B.flat))
-
-
 def _to_lists(M) -> list[list[int]]:
     if isinstance(M, np.ndarray):
         return [[int(x) for x in row] for row in M.tolist()]
     return [[int(x) for x in row] for row in M]
 
 
-def _from_lists(rows: list[list[int]], width: int | None = None) -> np.ndarray:
+def _from_lists(rows: list[list[int]], width: int = 0) -> np.ndarray:
+    """Read-only object array of rows this module built (entries are not
+    re-checked); ``width`` is the column count when there are no rows."""
     if rows:
-        return intmat(rows)
-    return zero_matrix(0, width or 0)
+        out = np.array(rows, dtype=object)
+    else:
+        out = np.empty((0, width), dtype=object)
+    out.setflags(write=False)
+    return out
+
+
+def _from_columns(cols: list, n: int) -> np.ndarray:
+    """The n x len(cols) object array with the given columns."""
+    if not cols:
+        return zero_matrix(n, 0)
+    return _from_lists([list(row) for row in zip(*cols)])
 
 
 def _eye_lists(n: int) -> list[list[int]]:
@@ -182,16 +192,15 @@ def _swap_cols(A: list[list[int]], a: int, b: int) -> None:
         row[a], row[b] = row[b], row[a]
 
 
-def snf(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smith normal form.
+def _snf_lists(A: list[list[int]], n: int, track_u: bool = True):
+    """Smith form of the m x n matrix ``A`` (lists of ints, reduced in place).
 
-    Returns ``(S, U, V)`` with ``U @ M @ V == S``, ``U`` and ``V`` unimodular,
-    and ``S`` diagonal with nonnegative diagonal satisfying d1 | d2 | ...
+    Returns ``(A, U, V)`` as lists with ``U @ M @ V == A`` for the input M.
+    Without ``track_u`` (a kernel needs only ``V``) the rows of ``U`` are
+    empty, which makes every update of ``U`` a no-op.
     """
-    Mm = M if isinstance(M, np.ndarray) and M.dtype == object else intmat(M)
-    m, n = Mm.shape
-    A = _to_lists(Mm)
-    U = _eye_lists(m)
+    m = len(A)
+    U = _eye_lists(m) if track_u else [[] for _ in range(m)]
     V = _eye_lists(n)
     for t in range(min(m, n)):
         # move a smallest-magnitude nonzero of the trailing block to (t, t)
@@ -253,8 +262,19 @@ def snf(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if A[t][t] < 0:
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
-    S = _from_lists(A, n) if m else zero_matrix(0, n)
-    return S, _from_lists(U, m) if m else zero_matrix(0, 0), _from_lists(V, n)
+    return A, U, V
+
+
+def snf(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smith normal form.
+
+    Returns ``(S, U, V)`` with ``U @ M @ V == S``, ``U`` and ``V`` unimodular,
+    and ``S`` diagonal with nonnegative diagonal satisfying d1 | d2 | ...
+    """
+    Mm = M if isinstance(M, np.ndarray) and M.dtype == object else intmat(M)
+    m, n = Mm.shape
+    S, U, V = _snf_lists(_to_lists(Mm), n)
+    return _from_lists(S, n), _from_lists(U, m), _from_lists(V, n)
 
 
 def diagonal_of(S: np.ndarray) -> list[int]:
@@ -267,6 +287,13 @@ def rank(M) -> int:
     return sum(1 for d in diagonal_of(S) if d != 0)
 
 
+def _kernel_columns(rows: list[list[int]], n: int) -> list[list[int]]:
+    """Column Hermite basis of {x in Z^n : rows @ x = 0} (``rows`` is consumed)."""
+    S, _, V = _snf_lists(rows, n, track_u=False)
+    free = [j for j in range(n) if j >= len(S) or S[j][j] == 0]
+    return _hnf_columns([[V[i][j] for i in range(n)] for j in free], n)
+
+
 def kernel_basis(M) -> np.ndarray:
     """Basis of {x in Z^cols : M x = 0}, in canonical column Hermite form.
 
@@ -274,26 +301,14 @@ def kernel_basis(M) -> np.ndarray:
     image, which is torsion free), so the returned basis spans a saturated
     sublattice.
     """
-    Mm = intmat(M)
-    m, n = Mm.shape
-    S, _, V = snf(Mm)
-    diag = diagonal_of(S)
-    cols = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-    if not cols:
-        return zero_matrix(n, 0)
-    return hnf_columns(V[:, cols])
+    rows = _int_rows(M)
+    n = len(rows[0]) if rows else 0
+    return _from_columns(_kernel_columns(rows, n), n)
 
 
-def hnf_columns(M) -> np.ndarray:
-    """Canonical column Hermite form of the lattice spanned by the columns.
-
-    Zero columns are dropped; the result has one column per basis vector,
-    pivot rows strictly increasing, positive pivots, and entries left of each
-    pivot reduced into ``[0, pivot)``.
-    """
-    Mm = intmat(M) if not (isinstance(M, np.ndarray) and M.dtype == object) else M
-    n, m = Mm.shape
-    cols = [[int(Mm[i, j]) for i in range(n)] for j in range(m)]
+def _hnf_columns(cols: list[list[int]], n: int) -> list[list[int]]:
+    """Canonical column Hermite basis of the span of ``cols`` (vectors of
+    length n, reduced in place); zero columns are dropped."""
     r = 0
     for i in range(n):
         while True:
@@ -325,12 +340,21 @@ def hnf_columns(M) -> np.ndarray:
                     for t in range(n):
                         ck[t] -= q * cr[t]
             r += 1
-    out = np.empty((n, r), dtype=object)
-    for j in range(r):
-        for i in range(n):
-            out[i, j] = cols[j][i]
-    out.setflags(write=False)
-    return out
+    return cols[:r]
+
+
+def hnf_columns(M) -> np.ndarray:
+    """Canonical column Hermite form of the lattice spanned by the columns.
+
+    Zero columns are dropped; the result has one column per basis vector,
+    pivot rows strictly increasing, positive pivots, and entries left of each
+    pivot reduced into ``[0, pivot)``.
+    """
+    Mm = intmat(M) if not (isinstance(M, np.ndarray) and M.dtype == object) else M
+    n, m = Mm.shape
+    rows = _to_lists(Mm)
+    cols = [[rows[i][j] for i in range(n)] for j in range(m)]
+    return _from_columns(_hnf_columns(cols, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -341,98 +365,139 @@ class Sublattice:
     """A subgroup of Z^n presented by a canonical column-Hermite basis.
 
     ``saturated`` records whether Z^n / L is torsion free; it is computed at
-    construction from the invariant factors of the basis.
+    construction from the invariant factors of the basis.  The basis is kept
+    as a tuple of column tuples of Python ints; ``basis`` is its array view.
     """
 
-    __slots__ = ("ambient_rank", "basis", "saturated", "_snf")
+    __slots__ = ("ambient_rank", "columns", "saturated", "_basis", "_snf")
 
-    def __init__(self, ambient_rank: int, basis: np.ndarray, saturated: bool):
+    def __init__(self, ambient_rank: int, columns, saturated: bool):
+        """``columns`` must already be the canonical column Hermite basis."""
         self.ambient_rank = ambient_rank
-        self.basis = basis
+        self.columns = tuple(tuple(c) for c in columns)
         self.saturated = saturated
+        self._basis = None
         self._snf = None
 
     @classmethod
     def from_columns(cls, ambient_rank: int, columns) -> "Sublattice":
-        cols = intmat(columns)
-        if cols.shape[0] != ambient_rank:
+        rows = _int_rows(columns)
+        if len(rows) != ambient_rank:
             raise ValueError(
-                f"columns live in Z^{cols.shape[0]}, expected Z^{ambient_rank}")
-        basis = hnf_columns(cols)
-        S, _, _ = snf(basis) if basis.shape[1] else (zero_matrix(0, 0), None, None)
-        saturated = all(d == 1 for d in diagonal_of(S)) if basis.shape[1] else True
-        return cls(ambient_rank, basis, saturated)
+                f"columns live in Z^{len(rows)}, expected Z^{ambient_rank}")
+        return cls._span(ambient_rank, [list(c) for c in zip(*rows)])
+
+    @classmethod
+    def _span(cls, ambient_rank: int, cols: list[list[int]]) -> "Sublattice":
+        """The lattice spanned by integer vectors this module built."""
+        L = cls(ambient_rank, _hnf_columns(cols, ambient_rank), True)
+        L.saturated = all(d == 1 for d in L._basis_snf()[1])
+        return L
 
     @classmethod
     def zero(cls, ambient_rank: int) -> "Sublattice":
-        return cls(ambient_rank, zero_matrix(ambient_rank, 0), True)
+        return cls(ambient_rank, (), True)
 
     @classmethod
     def full(cls, ambient_rank: int) -> "Sublattice":
-        return cls(ambient_rank, identity_matrix(ambient_rank), True)
+        return cls(ambient_rank, _eye_lists(ambient_rank), True)
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
+        return len(self.columns)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The basis as an (ambient_rank, rank) array, one column per vector."""
+        if self._basis is None:
+            self._basis = _from_columns(self.columns, self.ambient_rank)
+        return self._basis
 
     def _basis_snf(self):
+        """(U, diagonal, V) of the Smith form of the basis, as lists."""
         if self._snf is None:
-            self._snf = snf(self.basis)
+            n = self.ambient_rank
+            rows = [[c[i] for c in self.columns] for i in range(n)]
+            S, U, V = _snf_lists(rows, self.rank)
+            self._snf = (U, [S[i][i] for i in range(min(n, self.rank))], V)
         return self._snf
+
+    def _reduced(self, vec) -> list[int] | None:
+        """y with S @ y == U @ vec for the Smith form U @ basis @ V == S, or
+        None when vec is outside the lattice (then basis @ V @ y == vec)."""
+        U, diag, _ = self._basis_snf()
+        y = []
+        for i, Ui in enumerate(U):
+            w = sum(a * b for a, b in zip(Ui, vec))
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if w != 0:
+                    return None
+            else:
+                if w % d:
+                    return None
+                y.append(w // d)
+        return y + [0] * (self.rank - len(y))
+
+    def _contains(self, vec) -> bool:
+        if not self.columns:
+            return not any(vec)
+        return self._reduced(vec) is not None
 
     def coordinates(self, v) -> list[int] | None:
         """x with basis @ x = v, or None when v is outside the lattice."""
         vec = [int(x) for x in v]
         if len(vec) != self.ambient_rank:
             raise ValueError("vector has wrong length")
-        r = self.rank
-        if r == 0:
-            return [] if all(x == 0 for x in vec) else None
-        S, U, V = self._basis_snf()
-        w = [sum(int(U[i, k]) * vec[k] for k in range(self.ambient_rank))
-             for i in range(self.ambient_rank)]
-        diag = diagonal_of(S)
-        y = []
-        for i in range(self.ambient_rank):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if w[i] != 0:
-                    return None
-            else:
-                if w[i] % d:
-                    return None
-                y.append(w[i] // d)
-        y += [0] * (r - len(y))
-        return [sum(int(V[i, k]) * y[k] for k in range(r)) for i in range(r)]
+        if not self.columns:
+            return [] if not any(vec) else None
+        y = self._reduced(vec)
+        if y is None:
+            return None
+        return [sum(a * b for a, b in zip(Vi, y)) for Vi in self._basis_snf()[2]]
 
     def contains(self, v) -> bool:
         return self.coordinates(v) is not None
+
+    def _point(self, coords) -> tuple[int, ...]:
+        return tuple(sum(c * col[i] for c, col in zip(coords, self.columns))
+                     for i in range(self.ambient_rank))
 
     def point(self, coords) -> tuple[int, ...]:
         """The ambient vector basis @ coords."""
         cs = [int(c) for c in coords]
         if len(cs) != self.rank:
             raise ValueError("coordinate vector has wrong length")
-        return tuple(
-            sum(int(self.basis[i, j]) * cs[j] for j in range(self.rank))
-            for i in range(self.ambient_rank))
+        return self._point(cs)
 
     def is_subset_of(self, other: "Sublattice") -> bool:
         if self.ambient_rank != other.ambient_rank:
             return False
-        return all(other.contains(self.basis[:, j]) for j in range(self.rank))
+        return all(other._contains(c) for c in self.columns)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Sublattice)
                 and self.ambient_rank == other.ambient_rank
-                and mats_equal(self.basis, other.basis))
+                and self.columns == other.columns)
 
     def __hash__(self):
-        return hash((self.ambient_rank, mat_key(self.basis)))
+        return hash((self.ambient_rank, self.columns))
 
     def __repr__(self):
-        cols = [tuple(int(x) for x in self.basis[:, j]) for j in range(self.rank)]
-        return f"Sublattice(Z^{self.ambient_rank}, basis={cols}, saturated={self.saturated})"
+        return (f"Sublattice(Z^{self.ambient_rank}, basis={list(self.columns)}, "
+                f"saturated={self.saturated})")
+
+
+def _square_rows(elems) -> tuple[int, list[list[list[int]]]]:
+    """(n, rows of each matrix) for a nonempty list of n x n integer matrices."""
+    mats = [_int_rows(h) for h in elems]
+    if not mats:
+        raise ValueError("need at least one matrix to infer the ambient rank")
+    n = len(mats[0])
+    for h in mats:
+        if len(h) != n or (h and len(h[0]) != n):
+            raise ValueError("matrices of mixed dimensions")
+    return n, mats
 
 
 def fixed_lattice(elems) -> Sublattice:
@@ -441,19 +506,12 @@ def fixed_lattice(elems) -> Sublattice:
     This is the kernel of the stacked maps (h - 1), so it depends only on the
     group the elements generate.
     """
-    mats = [intmat(h) for h in elems]
-    if not mats:
-        raise ValueError("need at least one matrix to infer the ambient rank")
-    n = mats[0].shape[0]
-    for h in mats:
-        if h.shape != (n, n):
-            raise ValueError("matrices of mixed dimensions")
-    stacked = []
-    for h in mats:
-        for i in range(n):
-            stacked.append([int(h[i, j]) - (1 if i == j else 0) for j in range(n)])
-    basis = kernel_basis(intmat(stacked))
-    return Sublattice(n, basis, True)
+    n, mats = _square_rows(elems)
+    # the kernel depends only on the set of rows; repeats and zero rows add nothing
+    rows = dict.fromkeys(tuple(x - (i == j) for j, x in enumerate(row))
+                         for h in mats for i, row in enumerate(h))
+    rows.pop((0,) * n, None)
+    return Sublattice(n, _kernel_columns([list(r) for r in rows], n), True)
 
 
 def moved_lattice(elems) -> Sublattice:
@@ -462,25 +520,16 @@ def moved_lattice(elems) -> Sublattice:
     Unlike the fixed lattice this one is in general *not* saturated
     (inversion on Z^2 moves by 2Z^2).
     """
-    mats = [intmat(h) for h in elems]
-    if not mats:
-        raise ValueError("need at least one matrix to infer the ambient rank")
-    n = mats[0].shape[0]
-    for h in mats:
-        if h.shape != (n, n):
-            raise ValueError("matrices of mixed dimensions")
-    cols = [[int(h[i, j]) - (1 if i == j else 0) for h in mats for j in range(n)]
-            for i in range(n)]
-    return Sublattice.from_columns(n, cols)
+    n, mats = _square_rows(elems)
+    return Sublattice._span(n, [[h[i][j] - (i == j) for i in range(n)]
+                                for h in mats for j in range(n)])
 
 
 def quotient_invariants(L: Sublattice) -> tuple[int, list[int]]:
     """Invariant factors of Z^n / L: (free rank, nontrivial torsion factors)."""
     if L.rank == 0:
         return L.ambient_rank, []
-    S, _, _ = snf(L.basis)
-    diag = diagonal_of(S)
-    return L.ambient_rank - L.rank, [d for d in diag if d > 1]
+    return L.ambient_rank - L.rank, [d for d in L._basis_snf()[1] if d > 1]
 
 
 def intersect(L1: Sublattice, L2: Sublattice) -> Sublattice:
@@ -490,16 +539,13 @@ def intersect(L1: Sublattice, L2: Sublattice) -> Sublattice:
     r1, r2 = L1.rank, L2.rank
     if r1 == 0 or r2 == 0:
         return Sublattice.zero(n)
-    stacked = np.empty((n, r1 + r2), dtype=object)
-    stacked[:, :r1] = L1.basis
-    for i in range(n):
-        for j in range(r2):
-            stacked[i, r1 + j] = -int(L2.basis[i, j])
-    K = kernel_basis(stacked)
-    if K.shape[1] == 0:
+    B1 = L1.columns
+    stacked = [[c[i] for c in B1] + [-c[i] for c in L2.columns] for i in range(n)]
+    K = _kernel_columns(stacked, r1 + r2)
+    if not K:
         return Sublattice.zero(n)
-    cols = L1.basis @ K[:r1, :]
-    return Sublattice.from_columns(n, cols)
+    return Sublattice._span(n, [[sum(k[j] * B1[j][i] for j in range(r1)) for i in range(n)]
+                                for k in K])
 
 
 def _coordinate_shells(r: int):
@@ -546,12 +592,12 @@ def covers(ambient: Sublattice, parts) -> tuple[bool, tuple[int, ...] | None]:
         return True, None
 
     def valid(point: tuple[int, ...]) -> bool:
-        return not any(P.contains(point) for P in parts)
+        return not any(P._contains(point) for P in parts)
 
     if not full:
         # no full-rank part: never covered; search outward for a clean point
         for shell in _coordinate_shells(ra):
-            found = [p for p in (ambient.point(c) for c in shell) if valid(p)]
+            found = [p for p in (ambient._point(c) for c in shell) if valid(p)]
             if found:
                 return False, _best_witness(found)
         raise AssertionError("unreachable")
@@ -561,9 +607,8 @@ def covers(ambient: Sublattice, parts) -> tuple[bool, tuple[int, ...] | None]:
         K = intersect(K, P)
     # coordinates of K inside the ambient basis; lower triangular with
     # positive diagonal since K has full rank
-    coord_cols = [ambient.coordinates(K.basis[:, j]) for j in range(K.rank)]
-    H = hnf_columns(intmat(coord_cols).T) if ra else zero_matrix(0, 0)
-    diag = [int(H[i, i]) for i in range(ra)]
+    H = _hnf_columns([ambient.coordinates(c) for c in K.columns], ra)
+    diag = [H[i][i] for i in range(ra)]
     index = 1
     for d in diag:
         index *= d
@@ -573,15 +618,14 @@ def covers(ambient: Sublattice, parts) -> tuple[bool, tuple[int, ...] | None]:
 
     uncovered = []
     for c in itertools.product(*(range(d) for d in diag)):
-        point = ambient.point(c)
-        if not any(P.contains(point) for P in full):
+        point = ambient._point(c)
+        if not any(P._contains(point) for P in full):
             uncovered.append(point)
     if not uncovered:
         return True, None
 
     # perturb uncovered coset representatives by K to dodge the thin parts
-    kcols = [tuple(int(K.basis[i, j]) for i in range(K.ambient_rank))
-             for j in range(K.rank)]
+    kcols = K.columns
     for shell in _coordinate_shells(K.rank):
         found = []
         for c in shell:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import BoundExceededError, NonUnimodularError
 from .intlinalg import (
+    Sublattice,
     fixed_lattice,
     identity_matrix,
     intmat,
@@ -52,6 +53,10 @@ class ElementProfile:
     is_reflection: bool
     is_bireflection: bool
 
+    @classmethod
+    def of(cls, order: int, rank_drop: int) -> "ElementProfile":
+        return cls(order, rank_drop, rank_drop <= 1, rank_drop <= 2)
+
 
 @dataclass(frozen=True)
 class GroupTable:
@@ -90,6 +95,8 @@ class MatGroup:
         self._table: tuple[tuple[int, ...], ...] | None = None
         self._inverses: tuple[int, ...] | None = None
         self._orders: tuple[int, ...] | None = None
+        self._element_lattices: tuple[Sublattice, ...] | None = None
+        self._lattice: Sublattice | None = None
         self._subgroups: list["MatGroup"] | None = None
         self._array: np.ndarray | None = None
 
@@ -157,6 +164,19 @@ class MatGroup:
             self._orders = tuple(orders)
         return self._orders
 
+    def element_fixed_lattices(self) -> tuple[Sublattice, ...]:
+        """The fixed lattice of each element, in canonical element order."""
+        if self._element_lattices is None:
+            self._element_lattices = tuple(fixed_lattice([g]) for g in self.elements)
+        return self._element_lattices
+
+    def fixed_lattice(self) -> Sublattice:
+        """The lattice fixed by every element of the group."""
+        if self._lattice is None:
+            self._lattice = (fixed_lattice(self.elements) if self.order > 1
+                             else Sublattice.full(self.n))
+        return self._lattice
+
     def to_table(self) -> GroupTable:
         return GroupTable(self.order, self.mult_table(), self.identity_index,
                           self.small_generating_indices())
@@ -164,7 +184,11 @@ class MatGroup:
     # -- subgroup plumbing ---------------------------------------------------
 
     def subgroup_from_indices(self, indices) -> "MatGroup":
-        return MatGroup(self.n, {self._keys[i]: self.elements[i] for i in indices})
+        H = MatGroup(self.n, {self._keys[i]: self.elements[i] for i in indices})
+        if self._element_lattices is not None:
+            H._element_lattices = tuple(self._element_lattices[self._index[k]]
+                                        for k in H._keys)
+        return H
 
     def closure_indices(self, seed) -> frozenset[int]:
         """Indices of the subgroup generated by the given element indices."""
@@ -446,16 +470,17 @@ def classify_element(g, max_order: int = DEFAULT_MAX_ORDER) -> ElementProfile:
     n = mat.shape[0]
     order = element_order(mat, max_order)
     diff = [[int(mat[i, j]) - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    drop = rank(intmat(diff))
-    return ElementProfile(order, drop, drop <= 1, drop <= 2)
+    return ElementProfile.of(order, rank(intmat(diff)))
+
+
+def element_profiles(G: MatGroup) -> list[ElementProfile]:
+    """``classify_element`` of every element of G, in canonical order, read
+    from the group's element orders and fixed lattices."""
+    return [ElementProfile.of(o, G.n - L.rank)
+            for o, L in zip(G.element_orders(), G.element_fixed_lattices())]
 
 
 def is_fixed_point_free(H: MatGroup) -> bool:
     """True when no nonidentity element fixes a nonzero lattice vector."""
     e = H.identity_index
-    for i, h in enumerate(H.elements):
-        if i == e:
-            continue
-        if fixed_lattice([h]).rank != 0:
-            return False
-    return True
+    return all(L.rank == 0 for i, L in enumerate(H.element_fixed_lattices()) if i != e)

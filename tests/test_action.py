@@ -1,5 +1,10 @@
+import io
+import json
+import sys
+
 import pytest
 
+import multinv.intlinalg
 from multinv.action import (
     height_ir,
     isotropy_subgroups,
@@ -8,8 +13,10 @@ from multinv.action import (
     trace_ideal_height,
 )
 from multinv.cohomology import INFINITY, mu_p
+from multinv.cli import main
 from multinv.corpus import corpus_group, corpus_names
-from multinv.matgroup import generate, subgroups, trivial_group
+from multinv.intlinalg import covers, fixed_lattice, intersect, intmat, mat_key
+from multinv.matgroup import generate, subgroup_conjugacy_classes, subgroups, trivial_group
 
 G1 = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
 
@@ -127,3 +134,91 @@ def _is_p_power(m, p):
     while m % p == 0:
         m //= p
     return m == 1
+
+
+def _reference_isotropy(G):
+    """The stabilizer search with one `covers` part per (class, g) pair and
+    every lattice recomputed, as it ran before the per-group cache."""
+    entries = []
+    for cls in subgroup_conjugacy_classes(G):
+        H = cls[0]
+        ah = fixed_lattice(H.elements)
+        hidx = G.indices_of_subgroup(H)
+        blocked = False
+        parts = []
+        for gi in range(G.order):
+            if gi in hidx:
+                continue
+            lg = intersect(ah, fixed_lattice([G.elements[gi]]))
+            if lg == ah:
+                blocked = True
+                break
+            parts.append(lg)
+        if blocked:
+            continue
+        covered, witness = covers(ah, parts)
+        if not covered:
+            entries.append((H, witness))
+    return entries
+
+
+B3_GENERATORS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+                 [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+# the four maximal finite subgroups of GL_3(Z): the cubic groups P (B3), F and
+# I (B3 in the face- and body-centred bases) and the hexagonal group H
+CENSUS_MAXIMAL = {
+    "P": B3_GENERATORS,
+    "F": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+          [[1, 1, 1], [0, 0, -1], [0, -1, 0]]],
+    "I": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+          [[1, 0, 0], [1, 0, -1], [1, -1, 0]]],
+    "H": [[[1, -1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+          [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]],
+}
+
+
+def _differential_groups():
+    groups = {name: corpus_group(name)[0] for name in corpus_names()}
+    for k, cls in enumerate(subgroup_conjugacy_classes(generate(B3_GENERATORS))):
+        groups[f"B3c{k}"] = cls[0]
+    groups.update((name, generate(gens)) for name, gens in CENSUS_MAXIMAL.items())
+    return groups
+
+
+def test_isotropy_matches_reference():
+    groups = _differential_groups()
+    assert len(groups) == 13 + 33 + 4
+    assert [groups[name].order for name in CENSUS_MAXIMAL] == [48, 48, 48, 24]
+    for name, G in groups.items():
+        expected = _reference_isotropy(G)
+        got = isotropy_subgroups(G).entries
+        assert [(H.canonical_key(), w) for H, w in got] == \
+            [(H.canonical_key(), w) for H, w in expected], name
+
+
+# -(3-cycle) generates a group of order 6 whose Sylow 2-subgroup {I, -I} acts
+# fixed-point-freely, so its audit at p = 2 runs the stabilizer search (R6)
+COUNT_GROUPS = dict(CENSUS_MAXIMAL, C6=[[[0, 0, -1], [-1, 0, 0], [0, -1, 0]]])
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_GROUPS))
+@pytest.mark.parametrize("p", (2, 3))
+def test_audit_computes_each_element_lattice_once(capsys, monkeypatch, name, p):
+    calls = []
+    real = multinv.intlinalg.fixed_lattice
+
+    def counted(elems):
+        elems = list(elems)
+        if len(elems) == 1:
+            calls.append(mat_key(intmat(elems[0])))
+        return real(elems)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("multinv.") and getattr(module, "fixed_lattice", None) is real:
+            monkeypatch.setattr(module, "fixed_lattice", counted)
+    job = {"n": 3, "p": p, "generators": COUNT_GROUPS[name]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+    assert main(["classify", "--audit", "--input", "-"]) == 0
+    capsys.readouterr()
+    assert calls, "the audit never computed an element lattice"
+    assert len(calls) == len(set(calls))

@@ -10,6 +10,8 @@ import multinv.cohomology
 from multinv.cli import main, parse_jobspec
 from multinv.cohomology import mu_p
 from multinv.corpus import corpus_entry, corpus_names
+from multinv.intlinalg import _to_lists
+from multinv.matgroup import generate, subgroups
 
 INV3 = {"n": 3, "p": 2, "generators": [[[-1, 0, 0], [0, -1, 0], [0, 0, -1]]]}
 
@@ -243,3 +245,66 @@ def test_analyze_computes_isotropy_once(capsys, monkeypatch):
         assert code == 0
         assert _sha1(out) == digest, name
         assert len(calls) == 1, name
+
+
+B3_GENERATORS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+                 [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+
+
+def _audit_reports(capsys, monkeypatch):
+    """Canonical ``classify --audit`` reports without ``timings_ms`` for every
+    subgroup of B3 at p = 2 and 3, one line each in subgroup order."""
+    lines = []
+    for H in subgroups(generate(B3_GENERATORS)):
+        gens = [_to_lists(H.elements[i])
+                for i in H.small_generating_indices() or (H.identity_index,)]
+        for p in (2, 3):
+            job = {"n": 3, "p": p, "generators": gens}
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+            code, out, _ = run_cli(capsys, "classify", "--audit", "--input", "-")
+            assert code == 0
+            report = json.loads(out)
+            del report["timings_ms"]
+            lines.append(json.dumps(report, sort_keys=True))
+    return lines
+
+
+# SHA-1 over the lines of ``_audit_reports``, taken before the fixed lattices
+# of group elements were cached
+B3_AUDIT_SHA1 = "b427a4e3dfbbbe6163d2ae61e638d9deb58cb081"
+
+
+def test_classify_audit_reports_pinned(capsys, monkeypatch):
+    lines = _audit_reports(capsys, monkeypatch)
+    assert len(lines) == 2 * 98
+    assert _sha1("\n".join(lines)) == B3_AUDIT_SHA1
+
+
+def test_parser_built_once_and_flags_do_not_carry_over(tmp_path, capsys):
+    # with a mu search limit of 0, audit mode (which also evaluates R6 after
+    # R5 fired) adds a note that a plain classify does not
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(dict(INV3, options={"cohomology_depth": 1})))
+    calls = [("classify", "--audit", "--input", str(path)),
+             ("classify", "--input", str(path)),
+             ("analyze", "--input", str(path)),
+             ("cohomology", "--input", str(path), "--depth", "3"),
+             ("invariants", "--input", str(path), "--ball", "1")]
+
+    def report(argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        data.pop("timings_ms", None)
+        return data
+
+    fresh = []
+    for argv in calls:
+        multinv.cli.build_parser.cache_clear()
+        fresh.append(report(argv))
+    multinv.cli.build_parser.cache_clear()
+    reused = [report(argv) for argv in calls]
+    assert multinv.cli.build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert fresh[0]["notes"] and not fresh[1]["notes"]
+    assert fresh[3]["depth"] == 3 and fresh[4]["ball"] == 1

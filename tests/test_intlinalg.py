@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from multinv.errors import NonUnimodularError
@@ -250,6 +251,27 @@ def test_intmat_validation():
         intmat([[1, 2], [3]])
     with pytest.raises(ValueError):
         intmat([[1.5, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("bad", [1.0, True, 1.5, np.float64(2.0), np.bool_(True)])
+def test_outside_entries_are_validated(bad):
+    rows = [[1, 0, 0], [0, bad, 0], [0, 0, 1]]
+    builders = [intmat, kernel_basis, hnf_columns,
+                lambda m: Sublattice.from_columns(3, m),
+                lambda m: fixed_lattice([m]),
+                lambda m: fixed_lattice([G1, m])]
+    for build in builders:
+        with pytest.raises(ValueError):
+            build(rows)
+    obj = np.empty((3, 3), dtype=object)
+    obj[...] = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    obj[1, 1] = bad
+    for build in (intmat, kernel_basis, lambda m: fixed_lattice([m])):
+        with pytest.raises(ValueError):
+            build(obj)
+    # integer numpy scalars are accepted and come back as Python ints
+    M = intmat([[np.int64(2), 0], [0, np.int8(1)]])
+    assert all(type(x) is int for x in M.flat)
 
 
 def test_fixed_lattices_always_saturated():

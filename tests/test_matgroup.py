@@ -6,6 +6,7 @@ from multinv.intlinalg import fixed_lattice, intmat
 from multinv.matgroup import (
     GroupTable,
     classify_element,
+    element_profiles,
     generate,
     is_fixed_point_free,
     op_core,
@@ -168,6 +169,19 @@ def test_rank_drop_matches_fixed_lattice():
         for g in G.elements:
             pr = classify_element(g)
             assert pr.rank_drop == G.n - fixed_lattice([g]).rank
+        assert element_profiles(G) == [classify_element(g) for g in G.elements]
+
+
+def test_subgroups_inherit_element_lattices_in_their_own_order():
+    for gens in ([SWAP12, SWAP23, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]], [ROT6]):
+        G = generate(gens)
+        G.element_fixed_lattices()
+        for H in subgroups(G):
+            idx = sorted(G.indices_of_subgroup(H), reverse=True)
+            K = G.subgroup_from_indices(idx)
+            assert K._element_lattices is not None
+            assert K.element_fixed_lattices() == tuple(fixed_lattice([g]) for g in K.elements)
+            assert K.fixed_lattice() == fixed_lattice(K.elements)
 
 
 def test_fixed_point_free_examples():
