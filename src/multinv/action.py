@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cohomology import INFINITY, MuValue, mu_p
 from .intlinalg import covers, fixed_lattice, intersect
 from .matgroup import MatGroup, is_prime, subgroup_conjugacy_classes, subgroups
@@ -28,10 +30,8 @@ class IsotropyReport:
 
 def stabilizer(G: MatGroup, point) -> MatGroup:
     pt = [int(x) for x in point]
-    idx = [i for i, g in enumerate(G.elements)
-           if all(sum(int(g[r, c]) * pt[c] for c in range(G.n)) == pt[r]
-                  for r in range(G.n))]
-    return G.subgroup_from_indices(idx)
+    images = (G.elements @ np.array(pt, dtype=object)).tolist()
+    return G.subgroup_from_indices([i for i, q in enumerate(images) if q == pt])
 
 
 def isotropy_subgroups(G: MatGroup, subgroup_bound: int = 200) -> IsotropyReport:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .action import mu_action
-from .intlinalg import _to_lists, fixed_lattice, intmat
+from .intlinalg import fixed_lattice, intmat
 from .matgroup import (
     MatGroup,
     is_fixed_point_free,
@@ -113,7 +113,7 @@ def _rule_r2(ctx: _Context):
             chosen.append(i)
             if len(ctx.G.closure_indices(chosen)) == ctx.G.order:
                 break
-        cert = {"reflection_generators": [_to_lists(ctx.G.elements[i]) for i in chosen]}
+        cert = {"reflection_generators": ctx.G.elements[chosen].tolist()}
         return (CM, cert), None
     return None, (f"reflections generate a subgroup of order {len(span)} "
                   f"inside order {ctx.G.order}")
@@ -125,8 +125,7 @@ def _rule_r3(ctx: _Context):
         cert = {
             "sylow_order": P.order,
             "moved_rank": ctx.moved_rank,
-            "sylow_generators": [_to_lists(P.elements[i])
-                                 for i in P.small_generating_indices()],
+            "sylow_generators": P.elements[list(P.small_generating_indices())].tolist(),
         }
         return (CM, cert), None
     return None, f"rank A/A^P = {ctx.moved_rank} > 2"
@@ -169,7 +168,7 @@ def _rule_r5(ctx: _Context):
         return None, "the Sylow generator is a bireflection"
     cert = {
         "sylow_order": P.order,
-        "sylow_generator": _to_lists(P.elements[gens[0]]),
+        "sylow_generator": P.elements[gens[0]].tolist(),
         "generator_rank_drop": drop,
         "p_quotient_order": ctx.G.order // core.order,
     }
@@ -271,6 +270,8 @@ def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
         if any(n - fixed_lattice([g]).rank > 1 for g in gens):
             return False
         idx = [G.index_of(g) for g in gens]
+        if None in idx:
+            return False
         return len(G.closure_indices(idx)) == G.order and verdict.status == CM
     if verdict.rule == "R3":
         P = sylow(G, p)
@@ -287,6 +288,9 @@ def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
         g = intmat(cert["sylow_generator"])
         P = sylow(G, p)
         if P.order != cert["sylow_order"] or cert["p_quotient_order"] <= 1:
+            return False
+        gi = P.index_of(g)
+        if gi is None or P.element_orders()[gi] != P.order:
             return False
         drop = G.n - fixed_lattice([g]).rank
         core = op_core(G, p)

@@ -28,7 +28,6 @@ from .classify import ClassifyOptions, classify
 from .cohomology import mu_from_resolution, resolution
 from .corpus import corpus_entry, corpus_names
 from .errors import BoundExceededError, NonUnimodularError
-from .intlinalg import _to_lists
 from .laurent import box_orbits
 from .matgroup import (
     MatGroup,
@@ -101,7 +100,11 @@ def _load_job(args) -> tuple[MatGroup, int, dict]:
         entry = corpus_entry(args.builtin)
         options = dict(_OPTION_DEFAULTS)
         return entry.group(), entry.p, options
-    raw = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
+    if args.input in (None, "-"):
+        raw = sys.stdin.read()
+    else:
+        with open(args.input) as fh:
+            raw = fh.read()
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -152,8 +155,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
         P = sylow(G, q)
         sylows[str(q)] = {
             "order": P.order,
-            "generators": [_to_lists(P.elements[i])
-                           for i in P.small_generating_indices()],
+            "generators": P.elements[list(P.small_generating_indices())].tolist(),
         }
     heights = []
     for cls in subgroup_conjugacy_classes(G):
@@ -173,9 +175,9 @@ def cmd_analyze(args) -> tuple[int, dict]:
         "n": G.n,
         "p": p,
         "element_profiles": [
-            {"matrix": _to_lists(g), "order": pr.order, "rank_drop": pr.rank_drop,
+            {"matrix": g, "order": pr.order, "rank_drop": pr.rank_drop,
              "is_reflection": pr.is_reflection, "is_bireflection": pr.is_bireflection}
-            for g, pr in zip(G.elements, profiles)
+            for g, pr in zip(G.elements.tolist(), profiles)
         ],
         "sylow": sylows,
         "subgroup_heights": heights,

@@ -82,11 +82,6 @@ def zero_matrix(rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def mat_key(M: np.ndarray) -> tuple:
-    """Hashable row-major key; also the canonical comparison order."""
-    return (M.shape[0], M.shape[1]) + tuple(int(x) for x in M.flat)
-
-
 def _to_lists(M) -> list[list[int]]:
     if isinstance(M, np.ndarray):
         return [[int(x) for x in row] for row in M.tolist()]

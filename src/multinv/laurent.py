@@ -126,7 +126,7 @@ def orbit_sum(G: MatGroup, a, p: int) -> LaurentPoly:
     pt = tuple(int(x) for x in a)
     if len(pt) != G.n:
         raise ValueError("exponent vector has wrong length")
-    images = G.element_array() @ np.array(pt, dtype=object)
+    images = G.elements @ np.array(pt, dtype=object)
     return LaurentPoly(G.n, p, {tuple(q): 1 for q in images.tolist()})
 
 
@@ -174,7 +174,7 @@ def box_orbits(G: MatGroup, B: int, norm_guard: int | None = None
     otherwise.
     """
     guard = 8 * B if norm_guard is None else norm_guard
-    n, mats = G.n, G.element_array()
+    n, mats = G.n, G.elements
     row_norms = np.abs(mats).sum(axis=2).ravel().tolist()
     reach = B * max(row_norms)
     if reach > guard:

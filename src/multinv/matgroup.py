@@ -1,13 +1,17 @@
 """Finite subgroups of GL_n(Z): closure, subgroup lattice, Sylow theory.
 
-Groups are materialized as the full set of elements in a canonical order
-(lexicographic on row-major entries), which makes every "first subgroup"
-style choice deterministic and reproducible.
+A group is one read-only (order, n, n) array of Python ints (``dtype=object``,
+as in ``intlinalg``), ``MatGroup.elements``: every element once, in canonical
+order (lexicographic on the row-major entries, whose tuple is the element's
+key), which makes every "first subgroup" style choice deterministic.  A
+subgroup is its parent's array at sorted indices, so it keeps that order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +22,6 @@ from .intlinalg import (
     identity_matrix,
     intmat,
     is_unimodular,
-    mat_key,
     rank,
 )
 
@@ -82,29 +85,30 @@ class GroupTable:
 class MatGroup:
     """A finite subgroup of GL_n(Z), stored as all elements in canonical order."""
 
-    def __init__(self, n: int, keyed: dict[tuple, np.ndarray], generator_keys=None):
-        """``keyed`` maps ``mat_key(g)`` to g for every element; without
-        ``generator_keys`` a generating set is found on first use."""
+    def __init__(self, n: int, elements: np.ndarray, generator_indices=None):
+        """``elements``: the (order, n, n) object array of all elements in canonical
+        order; without ``generator_indices`` a generating set is found on first use."""
         self.n = n
-        self._keys = tuple(sorted(keyed))
-        self.elements = tuple(keyed[k] for k in self._keys)
-        self._index = {k: i for i, k in enumerate(self._keys)}
-        self.identity_index = self._index[mat_key(identity_matrix(n))]
-        self._generator_indices = (None if generator_keys is None
-                                   else tuple(self._index[k] for k in generator_keys))
+        self.elements = elements
+        elements.setflags(write=False)
+        self._generator_indices = (None if generator_indices is None
+                                   else tuple(generator_indices))
         self._table: tuple[tuple[int, ...], ...] | None = None
         self._inverses: tuple[int, ...] | None = None
         self._orders: tuple[int, ...] | None = None
         self._element_lattices: tuple[Sublattice, ...] | None = None
         self._lattice: Sublattice | None = None
         self._subgroups: list["MatGroup"] | None = None
-        self._array: np.ndarray | None = None
 
     # -- basic structure ----------------------------------------------------
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def identity_index(self) -> int:
+        return self.index_of(identity_matrix(self.n))
 
     @property
     def generator_indices(self) -> tuple[int, ...]:
@@ -116,38 +120,34 @@ class MatGroup:
     def generators(self) -> list[np.ndarray]:
         return [self.elements[i] for i in self.generator_indices]
 
-    def element_array(self) -> np.ndarray:
-        """All elements stacked in canonical order: shape (order, n, n), Python ints."""
-        if self._array is None:
-            self._array = np.array(self.elements, dtype=object).reshape(self.order, self.n, self.n)
-        return self._array
+    @cached_property
+    def _keys(self) -> tuple[tuple, ...]:
+        return tuple(_keys_of(self.elements))
 
-    def index_of(self, mat: np.ndarray) -> int:
-        return self._index[mat_key(mat)]
+    @cached_property
+    def _index(self) -> dict[tuple, int]:
+        return {k: i for i, k in enumerate(self._keys)}
 
-    def canonical_key(self) -> tuple:
+    def canonical_key(self) -> tuple[tuple, ...]:
+        """The row-major entries of each element, in canonical order."""
         return self._keys
+
+    def index_of(self, mat) -> int | None:
+        """The index of the element ``mat``; None when G does not hold it."""
+        m = intmat(mat)
+        return self._index.get(_keys_of(m[None])[0]) if m.shape == (self.n, self.n) else None
 
     def mult_table(self) -> tuple[tuple[int, ...], ...]:
         if self._table is None:
-            idx = self._index
-            table = []
-            for a in self.elements:
-                row = []
-                for b in self.elements:
-                    row.append(idx[mat_key(a @ b)])
-                table.append(tuple(row))
-            self._table = tuple(table)
+            index = self._index.__getitem__
+            self._table = tuple(tuple(map(index, _keys_of(a @ self.elements)))
+                                for a in self.elements)
         return self._table
 
     def inverse_indices(self) -> tuple[int, ...]:
         if self._inverses is None:
-            table = self.mult_table()
             e = self.identity_index
-            inv = [0] * self.order
-            for i in range(self.order):
-                inv[i] = table[i].index(e)
-            self._inverses = tuple(inv)
+            self._inverses = tuple(row.index(e) for row in self.mult_table())
         return self._inverses
 
     def element_orders(self) -> tuple[int, ...]:
@@ -184,10 +184,13 @@ class MatGroup:
     # -- subgroup plumbing ---------------------------------------------------
 
     def subgroup_from_indices(self, indices) -> "MatGroup":
-        H = MatGroup(self.n, {self._keys[i]: self.elements[i] for i in indices})
+        """The subgroup with the given element indices.  G's canonical order
+        restricted to them is H's, so H takes G's keys and element lattices."""
+        idx = sorted(set(indices))
+        H = MatGroup(self.n, self.elements[idx])
+        H._keys = tuple(map(self._keys.__getitem__, idx))
         if self._element_lattices is not None:
-            H._element_lattices = tuple(self._element_lattices[self._index[k]]
-                                        for k in H._keys)
+            H._element_lattices = tuple(self._element_lattices[i] for i in idx)
         return H
 
     def closure_indices(self, seed) -> frozenset[int]:
@@ -208,10 +211,10 @@ class MatGroup:
         return frozenset(found)
 
     def contains_subgroup(self, H: "MatGroup") -> bool:
-        return self.n == H.n and all(k in self._index for k in H._keys)
+        return self.n == H.n and self._index.keys() >= set(H._keys)
 
     def indices_of_subgroup(self, H: "MatGroup") -> frozenset[int]:
-        return frozenset(self._index[k] for k in H._keys)
+        return frozenset(map(self._index.__getitem__, H._keys))
 
     def conjugate_indices(self, g: int, indices) -> frozenset[int]:
         table = self.mult_table()
@@ -246,20 +249,21 @@ class MatGroup:
     def validate(self) -> None:
         """Re-check the group axioms and element invariants (used in tests)."""
         table = self.mult_table()
-        assert len(set(self._keys)) == self.order, "duplicate elements"
+        assert list(self._keys) == sorted(set(self._keys)), "elements repeated or out of order"
         assert all(is_unimodular(m) for m in self.elements), "non-unimodular element"
-        found = set()
-        for row in table:
-            found.update(row)
-        assert found <= set(range(self.order)), "not closed under products"
+        assert set().union(*table) <= set(range(self.order)), "not closed under products"
         self.inverse_indices()
         for o in self.element_orders():
             assert self.order % o == 0, "element order does not divide group order"
 
 
+def _keys_of(mats: np.ndarray) -> list[tuple]:
+    """The key of each matrix in an (m, n, n) stack: its row-major entries."""
+    return list(map(tuple, mats.reshape(len(mats), -1).tolist()))
+
+
 def trivial_group(n: int) -> MatGroup:
-    e = identity_matrix(n)
-    return MatGroup(n, {mat_key(e): e}, [mat_key(e)])
+    return MatGroup(n, identity_matrix(n)[None], (0,))
 
 
 def generate(gens, max_order: int = DEFAULT_MAX_ORDER) -> MatGroup:
@@ -278,22 +282,22 @@ def generate(gens, max_order: int = DEFAULT_MAX_ORDER) -> MatGroup:
             raise ValueError("generators of mixed dimensions")
         if not is_unimodular(g):
             raise NonUnimodularError("generator has |det| != 1")
-    elements = {mat_key(identity_matrix(n)): identity_matrix(n)}
-    frontier = [identity_matrix(n)]
-    while frontier:
+    frontier = identity_matrix(n)[None]
+    found = set(_keys_of(frontier))
+    while len(frontier):
         new = []
         for g in mats:
-            for b in frontier:
-                c = g @ b
-                k = mat_key(c)
-                if k not in elements:
-                    elements[k] = c
-                    new.append(c)
-                    if len(elements) > max_order:
+            for k in _keys_of(g @ frontier):
+                if k not in found:
+                    found.add(k)
+                    new.append(k)
+                    if len(found) > max_order:
                         raise BoundExceededError(
                             f"closure exceeded max_order={max_order}")
-        frontier = new
-    return MatGroup(n, elements, [mat_key(g) for g in mats])
+        frontier = np.array(new, dtype=object).reshape(-1, n, n)
+    keys = sorted(found)
+    return MatGroup(n, np.array(keys, dtype=object).reshape(-1, n, n),
+                    [bisect_left(keys, k) for k in _keys_of(np.stack(mats))])
 
 
 def subgroups(G: MatGroup, bound: int = DEFAULT_SUBGROUP_BOUND) -> list[MatGroup]:
@@ -329,8 +333,8 @@ def subgroups(G: MatGroup, bound: int = DEFAULT_SUBGROUP_BOUND) -> list[MatGroup
             if J not in found:
                 found.add(J)
                 work.append(J)
-    subs = [G.subgroup_from_indices(s) for s in found]
-    subs.sort(key=lambda H: (H.order, H.canonical_key()))
+    # sorted index sets order subgroups of equal order as their canonical keys do
+    subs = [G.subgroup_from_indices(s) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
     G._subgroups = subs
     return list(subs)
 
@@ -351,8 +355,7 @@ def subgroup_conjugacy_classes(G: MatGroup,
             continue
         orbit = {G.conjugate_indices(g, idx) for g in range(G.order)}
         seen |= orbit
-        cls = sorted((by_indices[o] for o in orbit),
-                     key=lambda K: (K.order, K.canonical_key()))
+        cls = [by_indices[o] for o in sorted(orbit, key=sorted)]
         classes.append(cls)
     return classes
 
@@ -412,9 +415,7 @@ def sylow(G: MatGroup, p: int) -> MatGroup:
         if not grown:  # cannot happen for a correct table
             raise AssertionError("Sylow growth stalled")
     conjugates = {G.conjugate_indices(g, P) for g in range(G.order)}
-    best = min((G.subgroup_from_indices(c) for c in conjugates),
-               key=lambda H: H.canonical_key())
-    return best
+    return G.subgroup_from_indices(min(conjugates, key=sorted))
 
 
 def subgroup_structure(G: MatGroup, H: MatGroup) -> tuple[MatGroup, MatGroup, int]:
@@ -450,11 +451,10 @@ def op_core(G: MatGroup, p: int) -> MatGroup:
 
 def element_order(g: np.ndarray, max_order: int = DEFAULT_MAX_ORDER) -> int:
     mat = intmat(g)
-    n = mat.shape[0]
-    ident = identity_matrix(n)
+    ident = identity_matrix(mat.shape[0])
     power = mat
     for o in range(1, max_order + 1):
-        if mat_key(power) == mat_key(ident):
+        if np.array_equal(power, ident):
             return o
         if any(abs(int(x)) > _ENTRY_GUARD for x in power.flat):
             raise BoundExceededError("entry growth certifies infinite order")
@@ -467,10 +467,8 @@ def classify_element(g, max_order: int = DEFAULT_MAX_ORDER) -> ElementProfile:
     mat = intmat(g)
     if not is_unimodular(mat):
         raise NonUnimodularError("element has |det| != 1")
-    n = mat.shape[0]
     order = element_order(mat, max_order)
-    diff = [[int(mat[i, j]) - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return ElementProfile.of(order, rank(intmat(diff)))
+    return ElementProfile.of(order, rank(mat - identity_matrix(len(mat))))
 
 
 def element_profiles(G: MatGroup) -> list[ElementProfile]:

@@ -2,13 +2,15 @@ import pytest
 
 from multinv.classify import (
     ClassifyOptions,
+    Verdict,
     applicable_rules,
     classify,
     verify_certificate,
 )
 from multinv.corpus import classification_cases, corpus_group
 from multinv.intlinalg import fixed_lattice
-from multinv.matgroup import generate, op_core, sylow
+from multinv.matgroup import generate, op_core, subgroups, sylow
+from test_action import B3_GENERATORS
 
 
 def _verdict(name, p=None):
@@ -179,3 +181,36 @@ def test_non_prime_p_rejected():
     G, _ = corpus_group("g1")
     with pytest.raises(ValueError):
         classify(G, 6)
+
+
+def test_r2_certificate_citing_a_foreign_reflection_is_rejected():
+    G, p = corpus_group("s4")
+    v = classify(G, p)
+    assert v.rule == "R2" and verify_certificate(G, p, v)
+    foreign = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+    for cited in ([foreign], v.certificate["reflection_generators"] + [foreign]):
+        forged = Verdict(v.status, "R2", {"reflection_generators": cited})
+        assert not verify_certificate(G, p, forged)
+
+
+NEG3 = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+
+
+def test_r5_certificates_cite_a_generator_of_the_sylow_subgroup():
+    cases = list(classification_cases())
+    cases += [(f"B3 subgroup {k}", H, p)
+              for k, H in enumerate(subgroups(generate(B3_GENERATORS))) for p in (2, 3)]
+    genuine = forged = 0
+    for name, G, p in cases:
+        v = classify(G, p)
+        if v.rule != "R5":
+            continue
+        assert verify_certificate(G, p, v), name
+        genuine += 1
+        # -I_3 moves rank 3 like a genuine generator, but lies outside P
+        P = sylow(G, p)
+        if G.n == 3 and P.order == 4 and P.index_of(NEG3) is None:
+            cert = dict(v.certificate, sylow_generator=NEG3)
+            assert not verify_certificate(G, p, Verdict(v.status, "R5", cert)), name
+            forged += 1
+    assert genuine > forged > 0

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import io
 import json
+import warnings
 
 import pytest
 
@@ -308,3 +310,14 @@ def test_parser_built_once_and_flags_do_not_carry_over(tmp_path, capsys):
     assert reused == fresh
     assert fresh[0]["notes"] and not fresh[1]["notes"]
     assert fresh[3]["depth"] == 3 and fresh[4]["ball"] == 1
+
+
+def test_input_file_is_closed(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(INV3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["classify", "--input", str(path)]) == 0
+        gc.collect()
+    capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -1,11 +1,16 @@
+import itertools
+
+import numpy as np
 import pytest
 
-from multinv.corpus import corpus_group
+from multinv.action import stabilizer
+from multinv.corpus import corpus_entry, corpus_group, corpus_names
 from multinv.errors import BoundExceededError, NonUnimodularError
-from multinv.intlinalg import fixed_lattice, intmat
+from multinv.intlinalg import fixed_lattice, identity_matrix, intmat
 from multinv.matgroup import (
     GroupTable,
     classify_element,
+    element_order,
     element_profiles,
     generate,
     is_fixed_point_free,
@@ -16,6 +21,7 @@ from multinv.matgroup import (
     sylow,
     trivial_group,
 )
+from test_action import B3_GENERATORS, CENSUS_MAXIMAL
 
 G1 = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
 NEG3 = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
@@ -225,3 +231,119 @@ def test_table_and_subgroup_generators_generate():
     assert len(s4.closure_indices(s4.to_table().generators)) == s4.order
     for H in subgroups(s4):
         assert len(H.closure_indices(H.generator_indices)) == H.order
+
+
+# -- differential test of the stacked element array --------------------------
+
+
+def _old_key(M):
+    """The element key of the per-element representation: shape, then the
+    row-major entries."""
+    return M.shape + tuple(int(x) for x in M.flat)
+
+
+def _reference_group(gens):
+    """Closure and table as they ran before the stacked element array: one
+    product and one key at a time.  Returns the sorted keys, the elements in
+    that order, the table and the generator indices."""
+    mats = [intmat(g) for g in gens]
+    e = identity_matrix(mats[0].shape[0])
+    elements = {_old_key(e): e}
+    frontier = [e]
+    while frontier:
+        new = []
+        for g in mats:
+            for b in frontier:
+                c = g @ b
+                k = _old_key(c)
+                if k not in elements:
+                    elements[k] = c
+                    new.append(c)
+        frontier = new
+    keys = sorted(elements)
+    index = {k: i for i, k in enumerate(keys)}
+    table = tuple(tuple(index[_old_key(elements[a] @ elements[b])] for b in keys)
+                  for a in keys)
+    return keys, [elements[k] for k in keys], table, tuple(index[_old_key(g)] for g in mats)
+
+
+def _assert_matches(G, keys, mats, table):
+    """G against the reference keys, elements (canonical order) and table."""
+    N, n = len(keys), G.n
+    assert G.elements.shape == (N, n, n) and G.elements.dtype == object
+    assert not G.elements.flags.writeable
+    assert all(type(x) is int for x in G.elements.flat)
+    assert G.canonical_key() == tuple(k[2:] for k in keys)
+    assert all(np.array_equal(G.elements[i], m) for i, m in enumerate(mats))
+    assert G.mult_table() == table
+    e = keys.index(_old_key(identity_matrix(n)))
+    assert G.identity_index == e
+    assert G.inverse_indices() == tuple(next(j for j in range(N) if table[i][j] == e)
+                                        for i in range(N))
+    assert G.element_orders() == tuple(element_order(m) for m in mats)
+
+
+def _assert_slice_matches(G, keys, mats, table, H):
+    """The subgroup H of G against G's reference restricted to H's elements."""
+    index = {k: i for i, k in enumerate(keys)}
+    idx = sorted(index[_old_key(h)] for h in H.elements)
+    pos = {i: j for j, i in enumerate(idx)}
+    sub_table = tuple(tuple(pos[table[a][b]] for b in idx) for a in idx)
+    _assert_matches(H, [keys[i] for i in idx], [mats[i] for i in idx], sub_table)
+    assert G.indices_of_subgroup(H) == frozenset(idx)
+
+
+def _reference_stabilizer(mats, pt):
+    return [i for i, g in enumerate(mats)
+            if all(sum(int(g[r, c]) * pt[c] for c in range(len(pt))) == pt[r]
+                   for r in range(len(pt)))]
+
+
+def _differential_cases():
+    cases = {name: corpus_entry(name).generators for name in corpus_names()}
+    cases.update(CENSUS_MAXIMAL)
+    for k, H in enumerate(subgroups(generate(B3_GENERATORS))):
+        cases[f"B3 subgroup {k}"] = [H.elements[i] for i in
+                                     H.generator_indices or (H.identity_index,)]
+    cases["B4"] = [[[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                   [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+                   [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                   [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
+    # rot4 conjugated by [[1, 10**6], [0, 1]]: entries near 10**12, products
+    # of entries near 10**24, past any fixed-width integer
+    c = 10**6
+    cases["rot4 conjugate"] = [[[-c, -1 - c * c], [1, c]]]
+    return cases
+
+
+def test_stacked_elements_match_per_pair_reference():
+    cases = _differential_cases()
+    assert len(cases) == 13 + 4 + 98 + 2
+    for name, gens in cases.items():
+        G = generate(gens)
+        keys, mats, table, gen_idx = _reference_group(gens)
+        _assert_matches(G, keys, mats, table)
+        assert G.generator_indices == gen_idx, name
+        if name == "B4":
+            assert G.order == 384
+            slices = [sylow(G, 2), sylow(G, 3), op_core(G, 2), op_core(G, 3)]
+        elif G.order <= 48:
+            slices = subgroups(G)
+        else:
+            slices = []
+        if name == "rot4 conjugate":
+            assert G.order == 4 and max(abs(x) for x in G.elements.flat) > 10**12
+        for pt in itertools.product((-1, 0, 2), repeat=G.n):
+            S = stabilizer(G, pt)
+            assert G.indices_of_subgroup(S) == frozenset(_reference_stabilizer(mats, pt))
+            slices.append(S)
+        for H in slices:
+            _assert_slice_matches(G, keys, mats, table, H)
+
+
+def test_index_of_finds_elements_only():
+    G = generate([ROT4])
+    assert [G.index_of(g) for g in G.elements] == list(range(G.order))
+    assert G.index_of([[0, 1], [1, 0]]) is None
+    # a 1 x 4 matrix with the entries of an element is not that element
+    assert G.index_of([G.elements[0].ravel().tolist()]) is None
