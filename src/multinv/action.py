@@ -1,8 +1,8 @@
 """Analytics of the lattice action: realizable stabilizers, heights, and mu.
 
 The height of the ideal generated by (h - 1)(R) over the Laurent polynomial
-ring equals n - rank(fixed lattice of H), which turns every height question
-into exact integer linear algebra.
+ring equals n - rank(fixed lattice of H), and that rank is tr(S_H)/|H| for
+the Reynolds sum S_H = Σ_{h∈H} h, the transfer map on the lattice.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import INFINITY, MuValue, mu_p
-from .intlinalg import covers, fixed_lattice, intersect
+from .intlinalg import Sublattice, _best_witness, _coordinate_shells, fixed_lattice
 from .matgroup import MatGroup, is_prime, subgroup_conjugacy_classes, subgroups
 
 
@@ -34,39 +34,60 @@ def stabilizer(G: MatGroup, point) -> MatGroup:
     return G.subgroup_from_indices([i for i, q in enumerate(images) if q == pt])
 
 
-def isotropy_subgroups(G: MatGroup, subgroup_bound: int = 200) -> IsotropyReport:
-    """Conjugacy-class representatives of subgroups realized as stabilizers.
+def _realizable_classes(G: MatGroup, subgroup_bound: int):
+    """Yield (H, elements of G outside H) for each conjugacy-class
+    representative H that is the stabilizer of some lattice point.
 
-    A subgroup H is realizable iff some point of the fixed lattice of H is
-    moved by every element outside H.  For each g outside H the points of
-    fixed(H) also fixed by g form a sublattice; H is realizable exactly when
-    these sublattices fail to cover fixed(H), and the covering witness is the
-    realizing point.
+    H is realizable iff some point of Fix(H) is moved by every g outside H,
+    that is, iff the parts Fix(H) ∩ Fix(g) fail to cover Fix(H).  Each part
+    is saturated (a kernel), so a part of full rank equals Fix(H), and a
+    finite union of lower-rank parts never covers it.  Hence H is realizable
+    iff no g outside H fixes Fix(H) pointwise.  The columns of the Reynolds
+    sum S_H span Fix(H) over Q (S_H is |H| times the projection onto it), so
+    g fixes Fix(H) pointwise iff g·S_H = S_H.
     """
-    lattices = G.element_fixed_lattices()
-    entries = []
     for cls in subgroup_conjugacy_classes(G, subgroup_bound):
         H = cls[0]
-        ah = H.fixed_lattice()
         hidx = G.indices_of_subgroup(H)
-        # elements with equal fixed lattices give equal parts, and neither the
-        # answer of `covers` nor its witness depends on repeats or order
-        parts = {}
-        for L in dict.fromkeys(lattices[gi] for gi in range(G.order) if gi not in hidx):
-            lg = intersect(ah, L)
-            if lg == ah:
-                break  # some g outside H fixes everything H fixes
-            parts[lg] = None
-        else:
-            covered, witness = covers(ah, parts)
-            if not covered:
-                entries.append((H, witness))
-    return IsotropyReport(tuple(entries))
+        outside = G.elements[[i for i in range(G.order) if i not in hidx]]
+        reynolds = H.elements.sum(axis=0)
+        if not (outside @ reynolds == reynolds).all(axis=(1, 2)).any():
+            yield H, outside
+
+
+def _witness(ambient: Sublattice, outside: np.ndarray) -> tuple[int, ...]:
+    """The best point (as `_best_witness` ranks them) of the first coordinate
+    shell of ``ambient`` that holds a point no matrix of ``outside`` fixes."""
+    basis_t = ambient.basis.T
+    for shell in _coordinate_shells(ambient.rank):
+        points = np.array(shell, dtype=object) @ basis_t
+        fixed = (outside @ points.T == points.T).all(axis=1).any(axis=0)
+        found = [tuple(pt) for pt, f in zip(points.tolist(), fixed) if not f]
+        if found:
+            return _best_witness(found)
+    raise AssertionError("unreachable")
+
+
+def realizable_subgroups(G: MatGroup, subgroup_bound: int = 200) -> list[MatGroup]:
+    """The groups of ``isotropy_subgroups(G, subgroup_bound)``, without witnesses."""
+    return [H for H, _ in _realizable_classes(G, subgroup_bound)]
+
+
+def isotropy_subgroups(G: MatGroup, subgroup_bound: int = 200) -> IsotropyReport:
+    """Conjugacy-class representatives of subgroups realized as stabilizers,
+    each with the witness that ``covers(Fix(H), [Fix(H) ∩ Fix(g) for g ∉ H])``
+    returns: no part has full rank, so it is the best point of the first
+    coordinate shell of Fix(H) that no g outside H fixes.
+    """
+    return IsotropyReport(tuple((H, _witness(H.fixed_lattice(), outside))
+                                for H, outside in _realizable_classes(G, subgroup_bound)))
 
 
 def height_ir(H) -> int:
     """Height of the moved-monomial ideal: n - rank(fixed lattice)."""
-    fl = H.fixed_lattice() if isinstance(H, MatGroup) else fixed_lattice(list(H))
+    if isinstance(H, MatGroup):
+        return H.n - H.fixed_rank()
+    fl = fixed_lattice(list(H))
     return fl.ambient_rank - fl.rank
 
 
@@ -79,10 +100,12 @@ def mu_action(G: MatGroup, p: int, search_limit: int = 9,
     (conjugates contribute equal values, so class representatives suffice).
     The result is exact when the minimum is certified: attained by an exact
     contribution that no inexact lower bound can undercut.  ``isotropy`` is
-    ``isotropy_subgroups(G, subgroup_bound)`` when the caller already has it.
+    ``isotropy_subgroups(G, subgroup_bound)`` when the caller already has it;
+    without it the witness-free ``realizable_subgroups`` gives the groups.
     """
-    report = isotropy_subgroups(G, subgroup_bound) if isotropy is None else isotropy
-    values = [mu_p(H, p, search_limit) for H, _ in report.entries]
+    groups = (realizable_subgroups(G, subgroup_bound) if isotropy is None
+              else [H for H, _ in isotropy.entries])
+    values = [mu_p(H, p, search_limit) for H in groups]
     best = min(v.value for v in values)
     if best == INFINITY:
         return MuValue(INFINITY, True)

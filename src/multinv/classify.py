@@ -82,14 +82,14 @@ class _Context:
     def rank_drops(self) -> list[int]:
         if self._rank_drops is None:
             n = self.G.n
-            self._rank_drops = [n - L.rank for L in self.G.element_fixed_lattices()]
+            self._rank_drops = [n - r for r in self.G.element_fixed_ranks()]
         return self._rank_drops
 
     @property
     def moved_rank(self) -> int:
-        """rank of A / A^P for the chosen Sylow subgroup."""
+        """rank of A / A^P for the chosen Sylow subgroup: n - tr(S_P)/|P|."""
         if self._moved_rank is None:
-            self._moved_rank = self.G.n - self.sylow.fixed_lattice().rank
+            self._moved_rank = self.G.n - self.sylow.fixed_rank()
         return self._moved_rank
 
 

@@ -163,7 +163,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
         heights.append({
             "order": H.order,
             "class_size": len(cls),
-            "fixed_rank": H.fixed_lattice().rank,
+            "fixed_rank": H.fixed_rank(),
             "height": height_ir(H),
         })
     report_iso = isotropy_subgroups(G)

@@ -96,7 +96,7 @@ class MatGroup:
         self._table: tuple[tuple[int, ...], ...] | None = None
         self._inverses: tuple[int, ...] | None = None
         self._orders: tuple[int, ...] | None = None
-        self._element_lattices: tuple[Sublattice, ...] | None = None
+        self._fixed_ranks: tuple[int, ...] | None = None
         self._lattice: Sublattice | None = None
         self._subgroups: list["MatGroup"] | None = None
 
@@ -150,25 +150,46 @@ class MatGroup:
             self._inverses = tuple(row.index(e) for row in self.mult_table())
         return self._inverses
 
+    @cached_property
+    def _traces(self) -> tuple[int, ...]:
+        step = self.n + 1  # the diagonal of a row-major key
+        return tuple(sum(k[::step]) for k in self._keys)
+
     def element_orders(self) -> tuple[int, ...]:
         if self._orders is None:
-            table = self.mult_table()
-            e = self.identity_index
-            orders = []
-            for i in range(self.order):
-                k, o = i, 1
-                while k != e:
-                    k = table[k][i]
-                    o += 1
-                orders.append(o)
-            self._orders = tuple(orders)
+            self._walk_powers()
         return self._orders
 
-    def element_fixed_lattices(self) -> tuple[Sublattice, ...]:
-        """The fixed lattice of each element, in canonical element order."""
-        if self._element_lattices is None:
-            self._element_lattices = tuple(fixed_lattice([g]) for g in self.elements)
-        return self._element_lattices
+    def element_fixed_ranks(self) -> tuple[int, ...]:
+        """rank Fix(g) for each element g, in canonical element order.
+
+        (1/|g|)·Σ_k g^k projects Q^n onto Fix(g) ⊗ Q, so its trace
+        (1/|g|)·Σ_k tr(g^k) is the rank of the fixed lattice."""
+        if self._fixed_ranks is None:
+            self._walk_powers()
+        return self._fixed_ranks
+
+    def _walk_powers(self) -> None:
+        """Walk the powers g, g^2, ..., g^|g| = 1 of every element through the
+        table, counting them for the order and summing their traces."""
+        table = self.mult_table()
+        e = self.identity_index
+        traces = self._traces
+        orders, ranks = [], []
+        for i in range(self.order):
+            k, o, t = i, 1, traces[i]
+            while k != e:
+                k = table[k][i]
+                o += 1
+                t += traces[k]
+            orders.append(o)
+            ranks.append(t // o)
+        self._orders, self._fixed_ranks = tuple(orders), tuple(ranks)
+
+    def fixed_rank(self) -> int:
+        """rank of the lattice fixed by every element: tr(S)/|G| for the
+        Reynolds sum S = Σ_g g, which is |G| times the projection onto it."""
+        return sum(self._traces) // self.order
 
     def fixed_lattice(self) -> Sublattice:
         """The lattice fixed by every element of the group."""
@@ -185,12 +206,10 @@ class MatGroup:
 
     def subgroup_from_indices(self, indices) -> "MatGroup":
         """The subgroup with the given element indices.  G's canonical order
-        restricted to them is H's, so H takes G's keys and element lattices."""
+        restricted to them is H's, so H takes G's keys."""
         idx = sorted(set(indices))
         H = MatGroup(self.n, self.elements[idx])
         H._keys = tuple(map(self._keys.__getitem__, idx))
-        if self._element_lattices is not None:
-            H._element_lattices = tuple(self._element_lattices[i] for i in idx)
         return H
 
     def closure_indices(self, seed) -> frozenset[int]:
@@ -248,10 +267,11 @@ class MatGroup:
 
     def validate(self) -> None:
         """Re-check the group axioms and element invariants (used in tests)."""
-        table = self.mult_table()
         assert list(self._keys) == sorted(set(self._keys)), "elements repeated or out of order"
         assert all(is_unimodular(m) for m in self.elements), "non-unimodular element"
-        assert set().union(*table) <= set(range(self.order)), "not closed under products"
+        # checked before mult_table, whose lookups would raise KeyError instead
+        assert all(k in self._index for a in self.elements for k in _keys_of(a @ self.elements)), \
+            "not closed under products"
         self.inverse_indices()
         for o in self.element_orders():
             assert self.order % o == 0, "element order does not divide group order"
@@ -473,12 +493,12 @@ def classify_element(g, max_order: int = DEFAULT_MAX_ORDER) -> ElementProfile:
 
 def element_profiles(G: MatGroup) -> list[ElementProfile]:
     """``classify_element`` of every element of G, in canonical order, read
-    from the group's element orders and fixed lattices."""
-    return [ElementProfile.of(o, G.n - L.rank)
-            for o, L in zip(G.element_orders(), G.element_fixed_lattices())]
+    from the group's element orders and fixed ranks."""
+    return [ElementProfile.of(o, G.n - r)
+            for o, r in zip(G.element_orders(), G.element_fixed_ranks())]
 
 
 def is_fixed_point_free(H: MatGroup) -> bool:
     """True when no nonidentity element fixes a nonzero lattice vector."""
     e = H.identity_index
-    return all(L.rank == 0 for i, L in enumerate(H.element_fixed_lattices()) if i != e)
+    return all(r == 0 for i, r in enumerate(H.element_fixed_ranks()) if i != e)

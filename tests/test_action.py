@@ -9,6 +9,7 @@ from multinv.action import (
     height_ir,
     isotropy_subgroups,
     mu_action,
+    realizable_subgroups,
     stabilizer,
     trace_ideal_height,
 )
@@ -177,23 +178,44 @@ CENSUS_MAXIMAL = {
 }
 
 
+# the Weyl group W(A4) on its root lattice, from the simple reflections
+# s_i(α_j) = α_j - A_ij α_i for the Cartan matrix A (order 120)
+CARTAN_A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+W_A4_GENERATORS = [[[int(r == j) - (r == i) * CARTAN_A4[i][j] for j in range(4)]
+                    for r in range(4)] for i in range(4)]
+# rot4 conjugated by [[1, 10^6], [0, 1]]: entries near 10^12
+ROT4_FAR = [[10**6, -(10**12 + 1)], [1, -10**6]]
+
+
 def _differential_groups():
     groups = {name: corpus_group(name)[0] for name in corpus_names()}
     for k, cls in enumerate(subgroup_conjugacy_classes(generate(B3_GENERATORS))):
         groups[f"B3c{k}"] = cls[0]
     groups.update((name, generate(gens)) for name, gens in CENSUS_MAXIMAL.items())
+    groups["W(A4)"] = generate(W_A4_GENERATORS)
+    groups["rot4_far"] = generate([ROT4_FAR])
     return groups
 
 
 def test_isotropy_matches_reference():
     groups = _differential_groups()
-    assert len(groups) == 13 + 33 + 4
+    assert len(groups) == 13 + 33 + 4 + 2
     assert [groups[name].order for name in CENSUS_MAXIMAL] == [48, 48, 48, 24]
+    assert [(groups[name].n, groups[name].order) for name in ("W(A4)", "rot4_far")] == \
+        [(4, 120), (2, 4)]
     for name, G in groups.items():
         expected = _reference_isotropy(G)
         got = isotropy_subgroups(G).entries
         assert [(H.canonical_key(), w) for H, w in got] == \
             [(H.canonical_key(), w) for H, w in expected], name
+        assert [H.canonical_key() for H in realizable_subgroups(G)] == \
+            [H.canonical_key() for H, _ in expected], name
+
+
+def test_element_fixed_ranks_match_fixed_lattices():
+    for name, G in _differential_groups().items():
+        assert G.element_fixed_ranks() == tuple(fixed_lattice([g]).rank for g in G.elements), name
+        assert G.fixed_rank() == fixed_lattice(G.elements).rank, name
 
 
 # -(3-cycle) generates a group of order 6 whose Sylow 2-subgroup {I, -I} acts
@@ -204,22 +226,26 @@ COUNT_GROUPS = dict(CENSUS_MAXIMAL, C6=[[[0, 0, -1], [-1, 0, 0], [0, -1, 0]]])
 @pytest.mark.parametrize("name", sorted(COUNT_GROUPS))
 @pytest.mark.parametrize("p", (2, 3))
 def test_audit_computes_each_element_lattice_once(capsys, monkeypatch, name, p):
+    """The audit takes every rank from traces and every stabilizer from
+    Reynolds sums, so it computes no lattice at all: no Smith form, and no
+    `intersect` or `covers` call."""
     calls = []
-    real = multinv.intlinalg.fixed_lattice
 
-    def counted(elems):
-        elems = list(elems)
-        if len(elems) == 1:
-            m = intmat(elems[0])
-            calls.append(m.shape + tuple(m.flat))
-        return real(elems)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("multinv.") and getattr(module, "fixed_lattice", None) is real:
-            monkeypatch.setattr(module, "fixed_lattice", counted)
+    for fn in (multinv.intlinalg._snf_lists, multinv.intlinalg.intersect,
+               multinv.intlinalg.covers):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("multinv") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted(fn))
     job = {"n": 3, "p": p, "generators": COUNT_GROUPS[name]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
     assert main(["classify", "--audit", "--input", "-"]) == 0
-    capsys.readouterr()
-    assert calls, "the audit never computed an element lattice"
-    assert len(calls) == len(set(calls))
+    assert json.loads(capsys.readouterr().out)["status"] in ("CM", "NotCM", "Unknown")
+    assert calls == []
+    multinv.intlinalg.fixed_lattice([[[0, 1], [1, 0]]])
+    assert calls == ["_snf_lists"], "the counter is not live"

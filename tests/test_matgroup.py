@@ -9,6 +9,7 @@ from multinv.errors import BoundExceededError, NonUnimodularError
 from multinv.intlinalg import fixed_lattice, identity_matrix, intmat
 from multinv.matgroup import (
     GroupTable,
+    MatGroup,
     classify_element,
     element_order,
     element_profiles,
@@ -179,15 +180,27 @@ def test_rank_drop_matches_fixed_lattice():
 
 
 def test_subgroups_inherit_element_lattices_in_their_own_order():
+    """A subgroup taken from its parent, at indices in any order, has the
+    element fixed ranks and fixed lattice of the same group built afresh."""
     for gens in ([SWAP12, SWAP23, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]], [ROT6]):
         G = generate(gens)
-        G.element_fixed_lattices()
+        G.element_fixed_ranks()
         for H in subgroups(G):
             idx = sorted(G.indices_of_subgroup(H), reverse=True)
             K = G.subgroup_from_indices(idx)
-            assert K._element_lattices is not None
-            assert K.element_fixed_lattices() == tuple(fixed_lattice([g]) for g in K.elements)
-            assert K.fixed_lattice() == fixed_lattice(K.elements)
+            fresh = generate(K.elements.tolist())
+            assert K.element_fixed_ranks() == fresh.element_fixed_ranks() == \
+                tuple(fixed_lattice([g]).rank for g in K.elements)
+            assert K.fixed_lattice() == fresh.fixed_lattice() == fixed_lattice(K.elements)
+            assert K.fixed_rank() == fresh.fixed_rank() == K.fixed_lattice().rank
+
+
+def test_validate_reports_a_set_not_closed_under_products():
+    rot4, eye = intmat(ROT4), identity_matrix(2)
+    with pytest.raises(AssertionError, match="not closed under products"):
+        MatGroup(2, np.array([rot4, eye], dtype=object)).validate()
+    with pytest.raises(AssertionError, match="out of order"):
+        MatGroup(2, np.array([eye, rot4], dtype=object)).validate()
 
 
 def test_fixed_point_free_examples():
