@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import INFINITY, MuValue, mu_p
+from .errors import MAX_RESOLUTION_DEPTH
 from .intlinalg import Sublattice, _best_witness, _coordinate_shells, fixed_lattice
 from .matgroup import MatGroup, is_prime, subgroup_conjugacy_classes, subgroups
 
@@ -34,7 +35,7 @@ def stabilizer(G: MatGroup, point) -> MatGroup:
     return G.subgroup_from_indices([i for i, q in enumerate(images) if q == pt])
 
 
-def _realizable_classes(G: MatGroup, subgroup_bound: int):
+def _realizable_classes(G: MatGroup):
     """Yield (H, elements of G outside H) for each conjugacy-class
     representative H that is the stabilizer of some lattice point.
 
@@ -46,7 +47,7 @@ def _realizable_classes(G: MatGroup, subgroup_bound: int):
     sum S_H span Fix(H) over Q (S_H is |H| times the projection onto it), so
     g fixes Fix(H) pointwise iff g·S_H = S_H.
     """
-    for cls in subgroup_conjugacy_classes(G, subgroup_bound):
+    for cls in subgroup_conjugacy_classes(G):
         H = cls[0]
         hidx = G.indices_of_subgroup(H)
         outside = G.elements[[i for i in range(G.order) if i not in hidx]]
@@ -68,19 +69,19 @@ def _witness(ambient: Sublattice, outside: np.ndarray) -> tuple[int, ...]:
     raise AssertionError("unreachable")
 
 
-def realizable_subgroups(G: MatGroup, subgroup_bound: int = 200) -> list[MatGroup]:
-    """The groups of ``isotropy_subgroups(G, subgroup_bound)``, without witnesses."""
-    return [H for H, _ in _realizable_classes(G, subgroup_bound)]
+def realizable_subgroups(G: MatGroup) -> list[MatGroup]:
+    """The groups of ``isotropy_subgroups(G)``, without witnesses."""
+    return [H for H, _ in _realizable_classes(G)]
 
 
-def isotropy_subgroups(G: MatGroup, subgroup_bound: int = 200) -> IsotropyReport:
+def isotropy_subgroups(G: MatGroup) -> IsotropyReport:
     """Conjugacy-class representatives of subgroups realized as stabilizers,
     each with the witness that ``covers(Fix(H), [Fix(H) ∩ Fix(g) for g ∉ H])``
     returns: no part has full rank, so it is the best point of the first
     coordinate shell of Fix(H) that no g outside H fixes.
     """
     return IsotropyReport(tuple((H, _witness(H.fixed_lattice(), outside))
-                                for H, outside in _realizable_classes(G, subgroup_bound)))
+                                for H, outside in _realizable_classes(G)))
 
 
 def height_ir(H) -> int:
@@ -91,8 +92,7 @@ def height_ir(H) -> int:
     return fl.ambient_rank - fl.rank
 
 
-def mu_action(G: MatGroup, p: int, search_limit: int = 9,
-              subgroup_bound: int = 200,
+def mu_action(G: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1,
               isotropy: IsotropyReport | None = None) -> MuValue:
     """Least positive degree where the action's cohomology is nonzero.
 
@@ -100,10 +100,10 @@ def mu_action(G: MatGroup, p: int, search_limit: int = 9,
     (conjugates contribute equal values, so class representatives suffice).
     The result is exact when the minimum is certified: attained by an exact
     contribution that no inexact lower bound can undercut.  ``isotropy`` is
-    ``isotropy_subgroups(G, subgroup_bound)`` when the caller already has it;
+    ``isotropy_subgroups(G)`` when the caller already has it;
     without it the witness-free ``realizable_subgroups`` gives the groups.
     """
-    groups = (realizable_subgroups(G, subgroup_bound) if isotropy is None
+    groups = (realizable_subgroups(G) if isotropy is None
               else [H for H, _ in isotropy.entries])
     values = [mu_p(H, p, search_limit) for H in groups]
     best = min(v.value for v in values)
@@ -113,8 +113,7 @@ def mu_action(G: MatGroup, p: int, search_limit: int = 9,
     return MuValue(best, exact)
 
 
-def trace_ideal_height(G: MatGroup, p: int, excluded,
-                       subgroup_bound: int = 200) -> int | float:
+def trace_ideal_height(G: MatGroup, p: int, excluded) -> int | float:
     """Infimum of height_ir over p-subgroups outside the ``excluded`` family.
 
     ``excluded`` is a predicate on subgroups; it must be closed under
@@ -123,7 +122,7 @@ def trace_ideal_height(G: MatGroup, p: int, excluded,
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    subs = subgroups(G, subgroup_bound)
+    subs = subgroups(G)
     by_indices = {G.indices_of_subgroup(H): H for H in subs}
     flagged = {G.indices_of_subgroup(H) for H in subs if excluded(H)}
     for idx in flagged:

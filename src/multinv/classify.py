@@ -18,14 +18,16 @@ The decision procedure fires the first applicable rule in a fixed order:
 
 The criteria overlap; audit mode evaluates every rule and raises
 InconsistentRulesError if a CM rule and a NotCM rule ever both apply, which
-turns the overlap into a correctness check.
+turns the overlap into a correctness check.  A rule that passes a resource
+limit is inapplicable, and a note names the limit and the skipped rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .action import mu_action
+from .errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from .intlinalg import fixed_lattice, intmat
 from .matgroup import (
     MatGroup,
@@ -47,9 +49,7 @@ class InconsistentRulesError(RuntimeError):
 
 @dataclass
 class ClassifyOptions:
-    max_group_order: int = 10000
-    subgroup_bound: int = 200
-    mu_search_limit: int = 9
+    mu_search_limit: int = MAX_RESOLUTION_DEPTH - 1
     audit: bool = False
 
 
@@ -179,7 +179,7 @@ def _rule_r6(ctx: _Context):
     P = ctx.sylow
     if not is_fixed_point_free(P):
         return None, "Sylow subgroup does not act fixed-point-freely"
-    mu = mu_action(ctx.G, ctx.p, ctx.opts.mu_search_limit, ctx.opts.subgroup_bound)
+    mu = mu_action(ctx.G, ctx.p, ctx.opts.mu_search_limit)
     if not mu.exact:
         ctx.notes.append(
             f"mu undetermined: H^r nonzero first occurs above degree {mu.value - 1}")
@@ -214,6 +214,22 @@ _RULES = [
 ]
 
 
+def _evaluate(G: MatGroup, p: int, opts: ClassifyOptions):
+    """The rule evaluations up to the first hit (all when auditing), and the notes."""
+    ctx = _Context(G, p, opts)
+    evaluations: list[tuple[str, tuple | None, str | None]] = []
+    for rule_id, fn in _RULES:
+        try:
+            outcome, reason = fn(ctx)
+        except BoundExceededError as exc:
+            outcome, reason = None, f"bound exceeded: {exc}"
+            ctx.notes.append(f"{rule_id} skipped: {reason}")
+        evaluations.append((rule_id, outcome, reason))
+        if outcome is not None and not opts.audit:
+            break
+    return evaluations, tuple(ctx.notes)
+
+
 def classify(G: MatGroup, p: int, opts: ClassifyOptions | None = None) -> Verdict:
     """Render the Cohen-Macaulay verdict for F_p[Z^n]^G.
 
@@ -223,15 +239,7 @@ def classify(G: MatGroup, p: int, opts: ClassifyOptions | None = None) -> Verdic
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     opts = opts or ClassifyOptions()
-    if G.order > opts.max_group_order:
-        raise ValueError(f"group order {G.order} exceeds max_group_order")
-    ctx = _Context(G, p, opts)
-    evaluations: list[tuple[str, tuple | None, str | None]] = []
-    for rule_id, fn in _RULES:
-        outcome, reason = fn(ctx)
-        evaluations.append((rule_id, outcome, reason))
-        if outcome is not None and not opts.audit:
-            break
+    evaluations, notes = _evaluate(G, p, opts)
     if opts.audit:
         statuses = {out[0] for _, out, _ in evaluations if out is not None}
         if CM in statuses and NOT_CM in statuses:
@@ -240,22 +248,16 @@ def classify(G: MatGroup, p: int, opts: ClassifyOptions | None = None) -> Verdic
     for rule_id, outcome, _ in evaluations:
         if outcome is not None:
             status, cert = outcome
-            return Verdict(status, rule_id, cert, tuple(ctx.notes))
+            return Verdict(status, rule_id, cert, notes)
     inapplicable = [{"rule": rid, "reason": reason} for rid, _, reason in evaluations]
-    return Verdict(UNKNOWN, "R8", {"inapplicable": inapplicable}, tuple(ctx.notes))
+    return Verdict(UNKNOWN, "R8", {"inapplicable": inapplicable}, notes)
 
 
 def applicable_rules(G: MatGroup, p: int,
                      opts: ClassifyOptions | None = None) -> dict[str, str]:
     """Map rule id -> status for every applicable rule (audit helper)."""
-    opts = opts or ClassifyOptions()
-    ctx = _Context(G, p, opts)
-    out = {}
-    for rule_id, fn in _RULES:
-        outcome, _ = fn(ctx)
-        if outcome is not None:
-            out[rule_id] = outcome[0]
-    return out
+    evaluations, _ = _evaluate(G, p, replace(opts or ClassifyOptions(), audit=True))
+    return {rid: out[0] for rid, out, _ in evaluations if out is not None}
 
 
 def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
@@ -298,10 +300,17 @@ def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
                 and G.order // core.order == cert["p_quotient_order"]
                 and verdict.status == NOT_CM)
     if verdict.rule == "R6":
+        # searching exactly to the claimed mu finds a smaller mu and misses a larger one
+        limit = 0 if cert["mu"] == "infinity" else cert["mu"]
+        if type(limit) is not int or not 0 <= limit < MAX_RESOLUTION_DEPTH:
+            return False
         P = sylow(G, p)
         if not is_fixed_point_free(P):
             return False
-        mu = mu_action(G, p)
+        try:
+            mu = mu_action(G, p, search_limit=limit)
+        except BoundExceededError:  # no R6 verdict is made past a limit
+            return False
         if not mu.exact:
             return False
         mu_repr = "infinity" if mu.is_infinite else int(mu.value)

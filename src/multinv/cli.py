@@ -12,7 +12,9 @@ built-in corpus via --builtin NAME.  Reports are emitted as canonical JSON
 (sorted keys, integers only, no floats); --human renders a table instead.
 
 Exit codes: 0 success (Unknown verdicts included), 2 invalid input JSON,
-3 resource bound exceeded, 1 failed selftest.
+3 resource bound exceeded, 1 failed selftest.  A resource limit (a constant
+in ``errors``) exits 3 when it trips, except inside ``classify``, where it
+makes a rule inapplicable with a note; a depth or ball past its limit exits 2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ from .action import height_ir, isotropy_subgroups, mu_action
 from .classify import ClassifyOptions, classify
 from .cohomology import mu_from_resolution, resolution
 from .corpus import corpus_entry, corpus_names
-from .errors import BoundExceededError, NonUnimodularError
+from .errors import (
+    MAX_BOX_RADIUS,
+    MAX_GROUP_ORDER,
+    MAX_RESOLUTION_DEPTH,
+    BoundExceededError,
+    NonUnimodularError,
+)
 from .laurent import box_orbits
 from .matgroup import (
     MatGroup,
@@ -45,8 +53,8 @@ EXIT_BAD_INPUT = 2
 EXIT_BOUND = 3
 
 _OPTION_DEFAULTS = {
-    "max_group_order": 10000,
-    "cohomology_depth": 10,
+    "max_group_order": MAX_GROUP_ORDER,
+    "cohomology_depth": MAX_RESOLUTION_DEPTH,
     "ball": 2,
     "audit": False,
 }
@@ -59,6 +67,11 @@ class InputError(ValueError):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InputError(message)
+
+
+def _check_depth(depth: int) -> None:
+    _require(1 <= depth <= MAX_RESOLUTION_DEPTH,
+             f"cohomology depth must be between 1 and {MAX_RESOLUTION_DEPTH}")
 
 
 def parse_jobspec(data: dict) -> tuple[MatGroup, int, dict]:
@@ -84,10 +97,10 @@ def parse_jobspec(data: dict) -> tuple[MatGroup, int, dict]:
         if key == "audit":
             _require(isinstance(value, bool), "audit must be a boolean")
         else:
-            _require(isinstance(value, int) and value >= 0,
+            _require(type(value) is int and value >= 0,
                      f"option {key!r} must be a nonnegative integer")
         options[key] = value
-    _require(options["cohomology_depth"] <= 10, "cohomology_depth is capped at 10")
+    _check_depth(options["cohomology_depth"])
     try:
         G = generate(gens, max_order=options["max_group_order"])
     except NonUnimodularError as exc:
@@ -98,8 +111,7 @@ def parse_jobspec(data: dict) -> tuple[MatGroup, int, dict]:
 def _load_job(args) -> tuple[MatGroup, int, dict]:
     if args.builtin is not None:
         entry = corpus_entry(args.builtin)
-        options = dict(_OPTION_DEFAULTS)
-        return entry.group(), entry.p, options
+        return entry.group(), entry.p, dict(_OPTION_DEFAULTS)
     if args.input in (None, "-"):
         raw = sys.stdin.read()
     else:
@@ -112,14 +124,6 @@ def _load_job(args) -> tuple[MatGroup, int, dict]:
     return parse_jobspec(data)
 
 
-def _classify_opts(options: dict) -> ClassifyOptions:
-    return ClassifyOptions(
-        max_group_order=options["max_group_order"],
-        mu_search_limit=options["cohomology_depth"] - 1,
-        audit=options["audit"],
-    )
-
-
 def _mu_json(mu) -> dict:
     value = "infinity" if mu.is_infinite else int(mu.value)
     return {"value": value, "exact": mu.exact}
@@ -127,10 +131,9 @@ def _mu_json(mu) -> dict:
 
 def cmd_classify(args) -> tuple[int, dict]:
     G, p, options = _load_job(args)
-    if args.audit:
-        options["audit"] = True
+    opts = ClassifyOptions(options["cohomology_depth"] - 1, args.audit or options["audit"])
     start = time.perf_counter()
-    verdict = classify(G, p, _classify_opts(options))
+    verdict = classify(G, p, opts)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     report = {
         "command": "classify",
@@ -190,7 +193,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
 def cmd_cohomology(args) -> tuple[int, dict]:
     G, p, options = _load_job(args)
     depth = args.depth if args.depth is not None else options["cohomology_depth"]
-    _require(1 <= depth <= 10, "depth must be between 1 and 10")
+    _check_depth(depth)
     res = resolution(G, p, depth)
     dims = [res.cohomology_dim(r) for r in range(depth)]
     mu = mu_from_resolution(res)
@@ -209,7 +212,7 @@ def cmd_cohomology(args) -> tuple[int, dict]:
 def cmd_invariants(args) -> tuple[int, dict]:
     G, p, options = _load_job(args)
     ball = args.ball if args.ball is not None else options["ball"]
-    _require(0 <= ball <= 8, "ball must be between 0 and 8")
+    _require(0 <= ball <= MAX_BOX_RADIUS, f"ball must be between 0 and {MAX_BOX_RADIUS}")
     orbits, burnside = box_orbits(G, ball)
     sums = [[{"exponents": e, "coeff": 1} for e in orbit] for orbit in orbits]
     report = {
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", dest="builtin", choices=corpus_names(),
                     help="built-in corpus group")
     sp.add_argument("--input", help="jobspec JSON file, or - for stdin")
-    sp.add_argument("--depth", type=int, help="truncation depth (<= 10)")
+    sp.add_argument("--depth", type=int, help=f"truncation depth (<= {MAX_RESOLUTION_DEPTH})")
     sp.set_defaults(func=cmd_cohomology)
 
     sp = sub.add_parser("invariants", help="orbit-sum basis in a box of exponents")
@@ -330,9 +333,6 @@ def main(argv=None) -> int:
     try:
         code, report = args.func(args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BoundExceededError as exc:

@@ -30,15 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundExceededError
+from .errors import MAX_RESOLUTION_DEPTH, MAX_RESOLUTION_ORDER, BoundExceededError
 from .fparith import SpanFp, matmul_fp, nullspace_fp, rank_fp, rref_fp
 from .matgroup import GroupTable, MatGroup, _p_part, is_prime, subgroup_structure, sylow
 
 INFINITY = math.inf
-
-DEFAULT_MAX_GROUP_ORDER = 48
-DEFAULT_MAX_DEPTH = 10
-DEFAULT_MU_SEARCH_LIMIT = 9
 
 
 @dataclass(frozen=True)
@@ -165,10 +161,7 @@ def _module_generators(kernel_rows: np.ndarray, perms: np.ndarray,
     return kernel_rows[picks]
 
 
-def resolution(group, p: int, depth: int,
-               max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
-               max_depth: int = DEFAULT_MAX_DEPTH,
-               _reverse_pivots: bool = False) -> FpResolution:
+def resolution(group, p: int, depth: int, _reverse_pivots: bool = False) -> FpResolution:
     """Free resolution of the trivial F_p[G]-module, truncated at ``depth``.
 
     ``_reverse_pivots`` flips the pivoting order of the kernel computations;
@@ -177,11 +170,11 @@ def resolution(group, p: int, depth: int,
     table = _as_table(group)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if table.order > max_group_order:
-        raise BoundExceededError(
-            f"group order {table.order} exceeds bound {max_group_order}")
-    if depth > max_depth:
-        raise BoundExceededError(f"depth {depth} exceeds bound {max_depth}")
+    if table.order > MAX_RESOLUTION_ORDER:
+        raise BoundExceededError(f"group order {table.order} exceeds the resolution "
+                                 f"order bound {MAX_RESOLUTION_ORDER}")
+    if depth > MAX_RESOLUTION_DEPTH:
+        raise BoundExceededError(f"depth {depth} exceeds the resolution bound {MAX_RESOLUTION_DEPTH}")
     n = table.order
     perms = np.array(table.mult, dtype=np.intp)
     gen_perms = perms[list(table.generators)]
@@ -207,17 +200,13 @@ def resolution(group, p: int, depth: int,
     return FpResolution(p, table, ranks, boundaries, generator_images)
 
 
-def h_dim(group, p: int, r: int,
-          max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
-          max_depth: int = DEFAULT_MAX_DEPTH) -> int:
+def h_dim(group, p: int, r: int) -> int:
     """dim_{F_p} H^r(G, F_p)."""
-    res = resolution(group, p, r + 1, max_group_order, max_depth)
+    res = resolution(group, p, r + 1)
     return res.cohomology_dim(r)
 
 
-def mu_p(group, p: int, search_limit: int = DEFAULT_MU_SEARCH_LIMIT,
-         max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
-         max_depth: int = DEFAULT_MAX_DEPTH) -> MuValue:
+def mu_p(group, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1) -> MuValue:
     """inf { r > 0 : H^r(G, F_p) != 0 }, searched up to ``search_limit``.
 
     The value is read by ``mu_from_resolution``; when p does not divide |G|
@@ -228,8 +217,7 @@ def mu_p(group, p: int, search_limit: int = DEFAULT_MU_SEARCH_LIMIT,
         raise ValueError(f"{p} is not prime")
     if table.order % p != 0:
         return MuValue(INFINITY, True)
-    return mu_from_resolution(
-        resolution(table, p, search_limit + 1, max_group_order, max_depth))
+    return mu_from_resolution(resolution(table, p, search_limit + 1))
 
 
 def mu_from_resolution(res: FpResolution) -> MuValue:

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the resource limits."""
+
+MAX_GROUP_ORDER = 10000  # closure size in generate, element order in element_order
+MAX_SUBGROUP_ENUMERATION = 200  # group order for subgroups
+MAX_RESOLUTION_ORDER = 48  # group order for resolution
+MAX_RESOLUTION_DEPTH = 10  # depth for resolution; mu is searched up to depth - 1
+MAX_BOX_RADIUS = 8  # infinity-norm radius of the invariants box in the CLI
+MAX_QUOTIENT_INDEX = 1_000_000  # lattice index whose cosets covers enumerates
 
 
 class NonUnimodularError(ValueError):
@@ -6,5 +13,5 @@ class NonUnimodularError(ValueError):
 
 
 class BoundExceededError(RuntimeError):
-    """A configured resource bound was passed (group order, closure size,
-    resolution depth, orbit norm guard, quotient enumeration size)."""
+    """A resource limit was passed (one of the limits above, an orbit norm
+    guard, or the int64 prime bound of F_p elimination)."""

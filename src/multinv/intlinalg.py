@@ -23,11 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BoundExceededError, NonUnimodularError
-
-# Quotient enumeration inside `covers` visits one representative per coset;
-# refuse lattices of larger index rather than looping for minutes.
-MAX_QUOTIENT_ENUMERATION = 1_000_000
+from .errors import MAX_QUOTIENT_INDEX, BoundExceededError, NonUnimodularError
 
 # Shell-by-shell witness searches are dense (they always succeed at a small
 # radius); this guard only trips on internal errors.
@@ -607,9 +603,9 @@ def covers(ambient: Sublattice, parts) -> tuple[bool, tuple[int, ...] | None]:
     index = 1
     for d in diag:
         index *= d
-    if index > MAX_QUOTIENT_ENUMERATION:
+    if index > MAX_QUOTIENT_INDEX:
         raise BoundExceededError(
-            f"quotient of index {index} is too large to enumerate")
+            f"quotient of index {index} exceeds the enumeration bound {MAX_QUOTIENT_INDEX}")
 
     uncovered = []
     for c in itertools.product(*(range(d) for d in diag)):

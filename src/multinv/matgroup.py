@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundExceededError, NonUnimodularError
+from .errors import MAX_GROUP_ORDER, MAX_SUBGROUP_ENUMERATION, BoundExceededError, NonUnimodularError
 from .intlinalg import (
     Sublattice,
     fixed_lattice,
@@ -25,8 +25,6 @@ from .intlinalg import (
     rank,
 )
 
-DEFAULT_MAX_ORDER = 10000
-DEFAULT_SUBGROUP_BOUND = 200
 # finite-order integer matrices have bounded powers; runaway growth is a
 # fast certificate of infinite order
 _ENTRY_GUARD = 10**60
@@ -286,7 +284,7 @@ def trivial_group(n: int) -> MatGroup:
     return MatGroup(n, identity_matrix(n)[None], (0,))
 
 
-def generate(gens, max_order: int = DEFAULT_MAX_ORDER) -> MatGroup:
+def generate(gens, max_order: int = MAX_GROUP_ORDER) -> MatGroup:
     """Close a list of unimodular matrices under multiplication.
 
     Raises NonUnimodularError for a generator outside GL_n(Z) and
@@ -320,14 +318,15 @@ def generate(gens, max_order: int = DEFAULT_MAX_ORDER) -> MatGroup:
                     [bisect_left(keys, k) for k in _keys_of(np.stack(mats))])
 
 
-def subgroups(G: MatGroup, bound: int = DEFAULT_SUBGROUP_BOUND) -> list[MatGroup]:
+def subgroups(G: MatGroup) -> list[MatGroup]:
     """All subgroups of G, canonically ordered by (order, element keys).
 
     Enumeration closes unions of cyclic subgroups, which is feasible well past
     the group orders this package targets.
     """
-    if G.order > bound:
-        raise BoundExceededError(f"subgroup enumeration bound {bound} exceeded")
+    if G.order > MAX_SUBGROUP_ENUMERATION:
+        raise BoundExceededError(f"group order {G.order} exceeds the subgroup "
+                                 f"enumeration bound {MAX_SUBGROUP_ENUMERATION}")
     if G._subgroups is not None:
         return list(G._subgroups)
     table = G.mult_table()
@@ -359,13 +358,12 @@ def subgroups(G: MatGroup, bound: int = DEFAULT_SUBGROUP_BOUND) -> list[MatGroup
     return list(subs)
 
 
-def subgroup_conjugacy_classes(G: MatGroup,
-                               bound: int = DEFAULT_SUBGROUP_BOUND) -> list[list[MatGroup]]:
+def subgroup_conjugacy_classes(G: MatGroup) -> list[list[MatGroup]]:
     """Partition of the subgroup list into conjugacy classes.
 
     Each class is sorted canonically, classes ordered by their first member.
     """
-    subs = subgroups(G, bound)
+    subs = subgroups(G)
     by_indices = {G.indices_of_subgroup(H): H for H in subs}
     seen = set()
     classes = []
@@ -469,25 +467,25 @@ def op_core(G: MatGroup, p: int) -> MatGroup:
     return G.subgroup_from_indices(core)
 
 
-def element_order(g: np.ndarray, max_order: int = DEFAULT_MAX_ORDER) -> int:
+def element_order(g: np.ndarray) -> int:
     mat = intmat(g)
     ident = identity_matrix(mat.shape[0])
     power = mat
-    for o in range(1, max_order + 1):
+    for o in range(1, MAX_GROUP_ORDER + 1):
         if np.array_equal(power, ident):
             return o
         if any(abs(int(x)) > _ENTRY_GUARD for x in power.flat):
             raise BoundExceededError("entry growth certifies infinite order")
         power = power @ mat
-    raise BoundExceededError(f"element order exceeds {max_order}")
+    raise BoundExceededError(f"element order exceeds the bound {MAX_GROUP_ORDER}")
 
 
-def classify_element(g, max_order: int = DEFAULT_MAX_ORDER) -> ElementProfile:
+def classify_element(g) -> ElementProfile:
     """Order and rank(g - 1) of a finite-order unimodular matrix."""
     mat = intmat(g)
     if not is_unimodular(mat):
         raise NonUnimodularError("element has |det| != 1")
-    order = element_order(mat, max_order)
+    order = element_order(mat)
     return ElementProfile.of(order, rank(mat - identity_matrix(len(mat))))
 
 

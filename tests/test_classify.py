@@ -125,6 +125,11 @@ def test_fixed_point_free_equivalence_fires():
     assert (v.status, v.rule) == ("NotCM", "R6")
     assert v.certificate == {"mu": 1, "dim": 4, "fixed_point_free": True}
     assert verify_certificate(Q8, 2, v)
+    # the check searches exactly to the claimed mu and rejects, without
+    # raising, a value outside 1..MAX_RESOLUTION_DEPTH - 1 or "infinity"
+    for forged in (0, 2, 10, "infinity", "1"):
+        cert = dict(v.certificate, mu=forged)
+        assert not verify_certificate(Q8, 2, Verdict(v.status, "R6", cert)), forged
 
 
 def test_inexact_mu_downgrades_to_unknown_with_note():

@@ -67,6 +67,10 @@ def test_schema_violations_exit_2(capsys, monkeypatch):
         {"n": 3, "p": 2, "generators": INV3["generators"],
          "options": {"bogus": 1}},                                    # unknown option
         {"n": 2, "p": 2, "generators": [[[2, 0], [0, 1]]]},           # |det| != 1
+        {"n": 3, "p": 2, "generators": INV3["generators"],
+         "options": {"cohomology_depth": 0}},                         # depth below 1
+        {"n": 3, "p": 2, "generators": INV3["generators"],
+         "options": {"cohomology_depth": True}},                      # not an integer
     ]
     for job in bad:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
@@ -83,6 +87,15 @@ def test_resource_bound_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "classify", "--input", "-")
     assert code == 3
     assert "max_order" in err
+
+
+def test_internal_key_error_is_not_reported_as_bad_input(monkeypatch):
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(multinv.cli, "classify", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["classify", "--builtin", "s3"])
 
 
 def test_prime_bound_for_elimination(capsys, monkeypatch):

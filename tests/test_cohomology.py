@@ -11,6 +11,7 @@ from multinv.cohomology import (
 from multinv.corpus import corpus_group, corpus_names
 from multinv.errors import BoundExceededError
 from multinv.matgroup import generate, sylow, trivial_group
+from test_limits import F54_GENERATORS
 
 
 def test_resolution_ranks_z2():
@@ -141,7 +142,7 @@ def test_h_dim_independent_of_pivot_order():
 def test_resolution_bounds():
     s3, _ = corpus_group("s3")
     with pytest.raises(BoundExceededError):
-        resolution(s3, 3, 4, max_group_order=4)
+        resolution(generate(F54_GENERATORS), 3, 4)
     with pytest.raises(BoundExceededError):
         resolution(s3, 3, 11)
     with pytest.raises(ValueError):

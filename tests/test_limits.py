@@ -1,0 +1,141 @@
+"""The resource limits of ``multinv.errors``: where each one trips, and what a
+tripped limit does to a command and to a classify rule."""
+
+import dataclasses
+import json
+
+import pytest
+
+from multinv.classify import (
+    ClassifyOptions,
+    Verdict,
+    applicable_rules,
+    classify,
+    verify_certificate,
+)
+from multinv.cli import main
+from multinv.cohomology import resolution
+from multinv.errors import (
+    MAX_BOX_RADIUS,
+    MAX_GROUP_ORDER,
+    MAX_QUOTIENT_INDEX,
+    MAX_RESOLUTION_DEPTH,
+    MAX_RESOLUTION_ORDER,
+    MAX_SUBGROUP_ENUMERATION,
+    BoundExceededError,
+)
+from multinv.intlinalg import Sublattice, covers
+from multinv.matgroup import classify_element, generate, subgroups
+from test_action import B3_GENERATORS
+from test_classify import QUAT_I, QUAT_J
+
+
+def _block_diag(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return out
+
+
+ROT3 = [[0, -1], [1, -1]]
+EYE2 = [[1, 0], [0, 1]]
+# F54 = <-I_6, rot3 in block k for k = 0, 1, 2>: C2 x C3^3 on Z^6
+F54_GENERATORS = [_block_diag([[[-1, 0], [0, -1]]] * 3)] + [
+    _block_diag([ROT3 if j == k else EYE2 for j in range(3)]) for k in range(3)]
+# B4: signed permutation matrices of rank 4 (order 384)
+B4_GENERATORS = [[[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                 [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                 [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
+SHEAR = [[1, 1], [0, 1]]  # infinite order
+S3_GENERATORS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]]]
+Z2_GENERATORS = [[[-1]]]
+
+# (limit, call at the limit or None where that is slow, call one step past it)
+LIMITS = {
+    "generate max_order": (
+        5, lambda: generate(S3_GENERATORS, max_order=6),
+        lambda: generate(S3_GENERATORS, max_order=5)),
+    "MAX_GROUP_ORDER in element_order": (
+        MAX_GROUP_ORDER, None, lambda: classify_element(SHEAR)),
+    "MAX_SUBGROUP_ENUMERATION": (
+        MAX_SUBGROUP_ENUMERATION, None, lambda: subgroups(generate(B4_GENERATORS))),
+    "MAX_RESOLUTION_ORDER": (
+        MAX_RESOLUTION_ORDER, lambda: resolution(generate(B3_GENERATORS), 2, 1),
+        lambda: resolution(generate(F54_GENERATORS), 2, 1)),
+    "MAX_RESOLUTION_DEPTH": (
+        MAX_RESOLUTION_DEPTH, lambda: resolution(generate(Z2_GENERATORS), 2, 10),
+        lambda: resolution(generate(Z2_GENERATORS), 2, 11)),
+    "MAX_QUOTIENT_INDEX": (
+        MAX_QUOTIENT_INDEX, None,
+        lambda: covers(Sublattice.from_columns(1, [[1]]),
+                       [Sublattice.from_columns(1, [[1000003]])])),
+}
+
+
+@pytest.mark.parametrize("name", LIMITS)
+def test_each_limit_trips_one_step_past_it(name):
+    limit, at_limit, past = LIMITS[name]
+    if at_limit is not None:
+        at_limit()
+    with pytest.raises(BoundExceededError, match=str(limit)):
+        past()
+
+
+def test_cli_caps_exit_2_one_step_past_them(tmp_path, capsys):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"n": 1, "p": 2, "generators": Z2_GENERATORS}))
+    for flag, ok, bad in (("--depth", MAX_RESOLUTION_DEPTH, MAX_RESOLUTION_DEPTH + 1),
+                          ("--depth", 1, 0),
+                          ("--ball", MAX_BOX_RADIUS, MAX_BOX_RADIUS + 1)):
+        command = "cohomology" if flag == "--depth" else "invariants"
+        assert main([command, "--input", str(path), flag, str(ok)]) == 0
+        assert main([command, "--input", str(path), flag, str(bad)]) == 2
+    capsys.readouterr()
+
+
+def test_a_tripped_limit_makes_the_rule_inapplicable(tmp_path, capsys):
+    # plain classify stops at R5; audit goes on to R6, whose resolution of
+    # the whole group passes MAX_RESOLUTION_ORDER
+    G = generate(F54_GENERATORS)
+    assert G.order == 54
+    note = (f"R6 skipped: bound exceeded: group order 54 exceeds the "
+            f"resolution order bound {MAX_RESOLUTION_ORDER}")
+    v = classify(G, 2, ClassifyOptions(audit=True))
+    assert (v.status, v.rule, v.notes) == ("NotCM", "R5", (note,))
+    assert verify_certificate(G, 2, v)
+    assert classify(G, 2) == dataclasses.replace(v, notes=())
+    # no R6 verdict is made past the limit, so a forged one is refused
+    forged = Verdict("NotCM", "R6", {"mu": 1, "dim": 6, "fixed_point_free": True})
+    assert not verify_certificate(G, 2, forged)
+    assert applicable_rules(G, 2) == {"R5": "NotCM", "R7": "NotCM"}
+
+    path = tmp_path / "f54.json"
+    path.write_text(json.dumps({"n": 6, "p": 2, "generators": F54_GENERATORS}))
+    assert main(["classify", "--audit", "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["rule"], report["notes"]) == ("NotCM", "R5", [note])
+    # outside classify the same limit still fails the command
+    for argv in (["analyze", "--input", str(path)],
+                 ["cohomology", "--input", str(path), "--depth", "2"]):
+        assert main(argv) == 3
+        assert "resolution order bound" in capsys.readouterr().err
+
+
+def test_a_tripped_limit_is_listed_in_an_unknown_verdict():
+    # mu searched to degree 10 needs a resolution of depth 11; R7 does not
+    # apply to Q8 either, so the verdict is Unknown and names the limit
+    Q8 = generate([QUAT_I, QUAT_J])
+    opts = ClassifyOptions(mu_search_limit=MAX_RESOLUTION_DEPTH)
+    v = classify(Q8, 2, opts)
+    reason = (f"bound exceeded: depth {MAX_RESOLUTION_DEPTH + 1} exceeds the "
+              f"resolution bound {MAX_RESOLUTION_DEPTH}")
+    assert (v.status, v.rule) == ("Unknown", "R8")
+    assert {"rule": "R6", "reason": reason} in v.certificate["inapplicable"]
+    assert v.notes == (f"R6 skipped: {reason}",)
+    assert verify_certificate(Q8, 2, v)
+    assert applicable_rules(Q8, 2, opts) == {}

@@ -23,6 +23,7 @@ from multinv.matgroup import (
     trivial_group,
 )
 from test_action import B3_GENERATORS, CENSUS_MAXIMAL
+from test_limits import B4_GENERATORS
 
 G1 = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
 NEG3 = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
@@ -78,9 +79,8 @@ def test_subgroup_orders_divide_group_order():
 
 
 def test_subgroups_bound():
-    G, _ = corpus_group("s4")
     with pytest.raises(BoundExceededError):
-        subgroups(generate(G.generators), bound=10)
+        subgroups(generate(B4_GENERATORS))
 
 
 def test_sylow_examples():
@@ -162,7 +162,7 @@ def test_classify_element_examples():
 
 def test_classify_element_infinite_order():
     with pytest.raises(BoundExceededError):
-        classify_element([[1, 1], [0, 1]], max_order=100)
+        classify_element([[1, 1], [0, 1]])
 
 
 def test_classify_element_rejects_non_unimodular():
@@ -318,10 +318,7 @@ def _differential_cases():
     for k, H in enumerate(subgroups(generate(B3_GENERATORS))):
         cases[f"B3 subgroup {k}"] = [H.elements[i] for i in
                                      H.generator_indices or (H.identity_index,)]
-    cases["B4"] = [[[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-                   [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                   [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                   [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
+    cases["B4"] = B4_GENERATORS
     # rot4 conjugated by [[1, 10**6], [0, 1]]: entries near 10**12, products
     # of entries near 10**24, past any fixed-width integer
     c = 10**6
