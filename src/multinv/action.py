@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import INFINITY, MuValue, mu_p
+from .cohomology import INFINITY, MuValue, _check_resolution_bounds, has_p_quotient, mu_p
 from .errors import MAX_RESOLUTION_DEPTH
 from .intlinalg import Sublattice, _best_witness, _coordinate_shells, fixed_lattice
 from .matgroup import MatGroup, is_prime, subgroup_conjugacy_classes, subgroups
@@ -102,15 +102,44 @@ def mu_action(G: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1,
     contribution that no inexact lower bound can undercut.  ``isotropy`` is
     ``isotropy_subgroups(G)`` when the caller already has it;
     without it the witness-free ``realizable_subgroups`` gives the groups.
+
+    The search stops at its answer and gives what the full search gives, the
+    minimum over ``mu_p(H, p, search_limit)`` for every stabilizer H, with
+    its exactness and its errors.  A stabilizer of order prime to p adds the
+    exact INFINITY; for one of order divisible by p, ``mu_p`` with limit L
+    returns its mu exactly when mu <= L, else the inexact marker L + 1.
+    - Errors: the resolution limits are checked on every stabilizer of order
+      divisible by p, in order, before any is searched, so the first one past
+      a limit raises as the full search would.
+    - Shortcut: for L >= 1, a stabilizer with a p-quotient has the exact
+      mu = 1, and no contribution is below 1, so the minimum is exact 1.
+    - Otherwise stabilizer i is searched to L_i = min(L, b - 1), where b is
+      the least exact value found before it (L_i = L while there is none).
+      If mu(H_i) <= L_i, it is found exactly, as with limit L.  If not,
+      either mu(H_i) > L, and the full search gets the marker L + 1 too, or
+      mu(H_i) >= b, and H_i cannot lower the least exact value.  So the
+      final b is the least exact value of the full search.  Every exact
+      value is at most L, below the marker, so the minimum is the exact b;
+      with no exact value it is the inexact L + 1 if some order is
+      divisible by p, else the exact INFINITY.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     groups = (realizable_subgroups(G) if isotropy is None
               else [H for H, _ in isotropy.entries])
-    values = [mu_p(H, p, search_limit) for H in groups]
-    best = min(v.value for v in values)
-    if best == INFINITY:
-        return MuValue(INFINITY, True)
-    exact = any(v.exact and v.value == best for v in values)
-    return MuValue(best, exact)
+    dividing = [H for H in groups if H.order % p == 0]
+    for H in dividing:
+        _check_resolution_bounds(H.order, search_limit + 1)
+    if search_limit >= 1 and any(has_p_quotient(H, p) for H in dividing):
+        return MuValue(1, True)
+    best, limit = MuValue(INFINITY, True), search_limit
+    for H in dividing:
+        value = mu_p(H, p, limit)
+        if value.exact:
+            best, limit = value, value.value - 1
+        elif best.is_infinite:
+            best = value
+    return best
 
 
 def trace_ideal_height(G: MatGroup, p: int, excluded) -> int | float:

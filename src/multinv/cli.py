@@ -14,7 +14,8 @@ built-in corpus via --builtin NAME.  Reports are emitted as canonical JSON
 Exit codes: 0 success (Unknown verdicts included), 2 invalid input JSON,
 3 resource bound exceeded, 1 failed selftest.  A resource limit (a constant
 in ``errors``) exits 3 when it trips, except inside ``classify``, where it
-makes a rule inapplicable with a note; a depth or ball past its limit exits 2.
+makes a rule inapplicable with a note; a depth, ball or ``max_group_order``
+past its limit exits 2.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ def parse_jobspec(data: dict) -> tuple[MatGroup, int, dict]:
                      f"option {key!r} must be a nonnegative integer")
         options[key] = value
     _check_depth(options["cohomology_depth"])
+    _require(options["max_group_order"] <= MAX_GROUP_ORDER,
+             f"max_group_order must be at most {MAX_GROUP_ORDER}")
     try:
         G = generate(gens, max_order=options["max_group_order"])
     except NonUnimodularError as exc:

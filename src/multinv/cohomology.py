@@ -20,7 +20,16 @@ matrices, so dim H^r is computed from the free ranks and the F_p ranks of two
 augmented boundaries.  For p-groups the augmented boundaries vanish and the
 dimensions coincide with the free ranks; for groups that are not p-groups a
 free resolution with that property does not exist (projective covers are not
-free), and the Hom complex is the honest route.
+free), and the Hom complex is the honest route.  Each augmented boundary is
+ranked once per resolution.
+
+mu_p, the least r > 0 with H^r(G, F_p) != 0, stops at its answer.
+H^1(G, F_p) = Hom(G, F_p) is nonzero exactly when G has a quotient of order
+p, that is when O^p(G) != G (Brown, ch. III), so mu_p = 1 is read from the
+closure that ``op_core`` uses, with no resolution.  Otherwise the resolution
+is extended one degree at a time (``FpResolution.extend``, the step
+``resolution`` repeats) until the first nonzero H^r.  The order and depth
+limits are checked before either route, so they trip as for a full search.
 """
 
 from __future__ import annotations
@@ -32,7 +41,15 @@ import numpy as np
 
 from .errors import MAX_RESOLUTION_DEPTH, MAX_RESOLUTION_ORDER, BoundExceededError
 from .fparith import SpanFp, matmul_fp, nullspace_fp, rank_fp, rref_fp
-from .matgroup import GroupTable, MatGroup, _p_part, is_prime, subgroup_structure, sylow
+from .matgroup import (
+    GroupTable,
+    MatGroup,
+    _op_core_indices,
+    _p_part,
+    is_prime,
+    subgroup_structure,
+    sylow,
+)
 
 INFINITY = math.inf
 
@@ -62,6 +79,15 @@ def _as_table(group) -> GroupTable:
     raise TypeError("expected a MatGroup or a GroupTable")
 
 
+def _check_resolution_bounds(order: int, depth: int) -> None:
+    """Refuse a resolution past ``MAX_RESOLUTION_ORDER`` or ``MAX_RESOLUTION_DEPTH``."""
+    if order > MAX_RESOLUTION_ORDER:
+        raise BoundExceededError(f"group order {order} exceeds the resolution "
+                                 f"order bound {MAX_RESOLUTION_ORDER}")
+    if depth > MAX_RESOLUTION_DEPTH:
+        raise BoundExceededError(f"depth {depth} exceeds the resolution bound {MAX_RESOLUTION_DEPTH}")
+
+
 class FpResolution:
     """Truncated free resolution of the trivial module over F_p[G].
 
@@ -69,21 +95,42 @@ class FpResolution:
     ``boundaries[r-1]`` is the full F_p matrix of the boundary map from degree
     r to degree r-1 in the group-element basis; ``generator_images[r-1]``
     holds only the columns for the module generators (the images of the free
-    basis before translation by group elements).
+    basis before translation by group elements).  A new resolution has depth
+    0 (F_0 = F_p[G] with the augmentation); ``extend`` adds one degree.
+    ``_reverse_pivots`` is that of ``resolution``.
     """
 
-    def __init__(self, p: int, table: GroupTable, ranks: list[int],
-                 boundaries: list[np.ndarray], generator_images: list[np.ndarray]):
+    def __init__(self, p: int, table: GroupTable, _reverse_pivots: bool = False):
         self.p = p
         self.group_order = table.order
         self.table = table
-        self.ranks = ranks
-        self.boundaries = boundaries
-        self.generator_images = generator_images
+        self.ranks = [1]
+        self.boundaries: list[np.ndarray] = []
+        self.generator_images: list[np.ndarray] = []
+        self._augmented_ranks: list[int | None] = []
+        self._perms = np.array(table.mult, dtype=np.intp)
+        self._gen_perms = self._perms[list(table.generators)]
+        self._reverse_pivots = _reverse_pivots
 
     @property
     def depth(self) -> int:
         return len(self.ranks) - 1
+
+    def extend(self) -> None:
+        """Add degree depth + 1: module generators of the kernel of the last
+        map (the augmentation at depth 0) and the boundary onto them."""
+        n, p = self.group_order, self.p
+        last = self.boundaries[-1] if self.boundaries else np.ones((1, n), dtype=np.int64)
+        width = last.shape[1]
+        order = list(range(width - 1, -1, -1)) if self._reverse_pivots else None
+        kernel = nullspace_fp(last, p, order)
+        gens = _module_generators(kernel, self._perms, self._gen_perms, p)
+        t = len(gens)
+        self.ranks.append(t)
+        self.boundaries.append(
+            _translates(gens, self._perms).transpose(2, 1, 0).reshape(gens.shape[1], t * n))
+        self.generator_images.append(gens.T)
+        self._augmented_ranks.append(None)
 
     def augmented_boundary(self, r: int) -> np.ndarray:
         """Entry-wise augmentation of the degree-r boundary map.
@@ -97,15 +144,22 @@ class FpResolution:
         shape = (self.ranks[r - 1], self.group_order, self.ranks[r])
         return gi.reshape(shape).sum(axis=1) % self.p
 
+    def augmented_rank(self, r: int) -> int:
+        """F_p rank of ``augmented_boundary(r)``, computed once per degree."""
+        rank = self._augmented_ranks[r - 1] if 1 <= r <= self.depth else None
+        if rank is None:
+            rank = rank_fp(self.augmented_boundary(r), self.p)
+            self._augmented_ranks[r - 1] = rank
+        return rank
+
     def cohomology_dim(self, r: int) -> int:
         """dim H^r(G, F_p); requires depth >= r + 1."""
         if r < 0:
             raise ValueError("negative degree")
         if self.depth < r + 1:
             raise ValueError(f"resolution depth {self.depth} too shallow for H^{r}")
-        rk_out = rank_fp(self.augmented_boundary(r + 1), self.p)
-        rk_in = rank_fp(self.augmented_boundary(r), self.p) if r >= 1 else 0
-        return self.ranks[r] - rk_out - rk_in
+        rk_in = self.augmented_rank(r) if r >= 1 else 0
+        return self.ranks[r] - self.augmented_rank(r + 1) - rk_in
 
     def is_minimal(self) -> bool:
         """All boundary entries lie in the augmentation ideal."""
@@ -170,34 +224,11 @@ def resolution(group, p: int, depth: int, _reverse_pivots: bool = False) -> FpRe
     table = _as_table(group)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if table.order > MAX_RESOLUTION_ORDER:
-        raise BoundExceededError(f"group order {table.order} exceeds the resolution "
-                                 f"order bound {MAX_RESOLUTION_ORDER}")
-    if depth > MAX_RESOLUTION_DEPTH:
-        raise BoundExceededError(f"depth {depth} exceeds the resolution bound {MAX_RESOLUTION_DEPTH}")
-    n = table.order
-    perms = np.array(table.mult, dtype=np.intp)
-    gen_perms = perms[list(table.generators)]
-
-    def order_for(width: int):
-        return list(range(width - 1, -1, -1)) if _reverse_pivots else None
-
-    ranks = [1]
-    boundaries: list[np.ndarray] = []
-    generator_images: list[np.ndarray] = []
-    # degree 0: F_0 = F_p[G] with the augmentation onto the trivial module
-    augmentation = np.ones((1, n), dtype=np.int64)
-    kernel = nullspace_fp(augmentation, p, order_for(n))
-    for r in range(1, depth + 1):
-        gens = _module_generators(kernel, perms, gen_perms, p)
-        t = len(gens)
-        ranks.append(t)
-        big = _translates(gens, perms).transpose(2, 1, 0).reshape(gens.shape[1], t * n)
-        boundaries.append(big)
-        generator_images.append(gens.T)
-        if r < depth:
-            kernel = nullspace_fp(big, p, order_for(t * n))
-    return FpResolution(p, table, ranks, boundaries, generator_images)
+    _check_resolution_bounds(table.order, depth)
+    res = FpResolution(p, table, _reverse_pivots)
+    for _ in range(depth):
+        res.extend()
+    return res
 
 
 def h_dim(group, p: int, r: int) -> int:
@@ -206,18 +237,30 @@ def h_dim(group, p: int, r: int) -> int:
     return res.cohomology_dim(r)
 
 
+def has_p_quotient(group, p: int) -> bool:
+    """O^p(G) != G, that is H^1(G, F_p) = Hom(G, F_p) != 0."""
+    return len(_op_core_indices(group, p)) < group.order
+
+
 def mu_p(group, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1) -> MuValue:
     """inf { r > 0 : H^r(G, F_p) != 0 }, searched up to ``search_limit``.
 
-    The value is read by ``mu_from_resolution``; when p does not divide |G|
-    no resolution is built.
+    Equal to ``mu_from_resolution(resolution(G, p, search_limit + 1))``, and
+    the same limits trip, but it stops at the answer: 1 with no resolution
+    when G has a p-quotient, else the first degree with nonzero cohomology as
+    the resolution is extended.  When p does not divide |G| no resolution is
+    built and no limit applies.
     """
-    table = _as_table(group)
+    if not isinstance(group, (MatGroup, GroupTable)):
+        raise TypeError("expected a MatGroup or a GroupTable")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if table.order % p != 0:
+    if group.order % p != 0:
         return MuValue(INFINITY, True)
-    return mu_from_resolution(resolution(table, p, search_limit + 1))
+    _check_resolution_bounds(group.order, search_limit + 1)
+    if search_limit >= 1 and has_p_quotient(group, p):
+        return MuValue(1, True)
+    return _first_nonzero_degree(FpResolution(p, _as_table(group)), max(search_limit + 1, 0))
 
 
 def mu_from_resolution(res: FpResolution) -> MuValue:
@@ -229,10 +272,18 @@ def mu_from_resolution(res: FpResolution) -> MuValue:
     """
     if res.group_order % res.p != 0:
         return MuValue(INFINITY, True)
-    for r in range(1, res.depth):
+    return _first_nonzero_degree(res, res.depth)
+
+
+def _first_nonzero_degree(res: FpResolution, depth: int) -> MuValue:
+    """The least r in 1..depth-1 with H^r != 0, extending ``res`` one degree
+    at a time as far as it needs; the inexact marker ``depth`` if none."""
+    for r in range(1, depth):
+        while res.depth <= r:
+            res.extend()
         if res.cohomology_dim(r) != 0:
             return MuValue(r, True)
-    return MuValue(res.depth, False)
+    return MuValue(depth, False)
 
 
 def mu_p_formula(G: MatGroup, p: int) -> int:

@@ -79,6 +79,39 @@ class GroupTable:
         assert all(self.mult[self.identity][j] == j for j in range(n))
         assert all(self.mult[i][self.identity] == i for i in range(n))
 
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of each element, by walking its powers through the table."""
+        orders = []
+        for i in range(self.order):
+            k, o = i, 1
+            while k != self.identity:
+                k = self.mult[k][i]
+                o += 1
+            orders.append(o)
+        return tuple(orders)
+
+    def closure_indices(self, seed) -> frozenset[int]:
+        """Indices of the subgroup generated by the given element indices."""
+        return _closure(self.mult, self.identity, seed)
+
+
+def _closure(table, identity: int, seed) -> frozenset[int]:
+    """Indices of the subgroup generated by ``seed`` in the multiplication
+    table ``table`` (a finite group, so products alone close it)."""
+    found = {identity} | set(seed)
+    frontier = list(found)
+    gens = list(set(seed))
+    while frontier:
+        new = []
+        for g in gens:
+            for b in frontier:
+                c = table[g][b]
+                if c not in found:
+                    found.add(c)
+                    new.append(c)
+        frontier = new
+    return frozenset(found)
+
 
 class MatGroup:
     """A finite subgroup of GL_n(Z), stored as all elements in canonical order."""
@@ -212,20 +245,7 @@ class MatGroup:
 
     def closure_indices(self, seed) -> frozenset[int]:
         """Indices of the subgroup generated by the given element indices."""
-        table = self.mult_table()
-        found = {self.identity_index} | set(seed)
-        frontier = list(found)
-        gens = list(set(seed))
-        while frontier:
-            new = []
-            for g in gens:
-                for b in frontier:
-                    c = table[g][b]
-                    if c not in found:
-                        found.add(c)
-                        new.append(c)
-            frontier = new
-        return frozenset(found)
+        return _closure(self.mult_table(), self.identity_index, seed)
 
     def contains_subgroup(self, H: "MatGroup") -> bool:
         return self.n == H.n and self._index.keys() >= set(H._keys)
@@ -451,20 +471,25 @@ def subgroup_structure(G: MatGroup, H: MatGroup) -> tuple[MatGroup, MatGroup, in
     return N, C, N.order // C.order
 
 
-def op_core(G: MatGroup, p: int) -> MatGroup:
-    """The smallest normal subgroup with p-group quotient.
+def _op_core_indices(G: MatGroup | GroupTable, p: int) -> frozenset[int]:
+    """The element indices of O^p(G), the smallest normal subgroup with
+    p-group quotient.
 
     It is generated by the elements of order prime to p; the p-power index is
     re-checked after closure.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     orders = G.element_orders()
-    seeds = [i for i in range(G.order) if orders[i] % p != 0]
-    core = G.closure_indices(seeds)
+    core = G.closure_indices([i for i in range(G.order) if orders[i] % p != 0])
     quotient = G.order // len(core)
     assert quotient == _p_part(quotient, p), "core index is not a p-power"
-    return G.subgroup_from_indices(core)
+    return core
+
+
+def op_core(G: MatGroup, p: int) -> MatGroup:
+    """O^p(G), the smallest normal subgroup with p-group quotient."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return G.subgroup_from_indices(_op_core_indices(G, p))
 
 
 def element_order(g: np.ndarray) -> int:

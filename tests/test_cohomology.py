@@ -4,12 +4,13 @@ from multinv.cohomology import (
     GroupTable,
     MuValue,
     h_dim,
+    mu_from_resolution,
     mu_p,
     mu_p_formula,
     resolution,
 )
 from multinv.corpus import corpus_group, corpus_names
-from multinv.errors import BoundExceededError
+from multinv.errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from multinv.matgroup import generate, sylow, trivial_group
 from test_limits import F54_GENERATORS
 
@@ -127,7 +128,10 @@ def test_mu_formula_matches_resolution_on_corpus():
         G, p = corpus_group(name)
         if sylow(G, p).order != p:
             continue
-        assert mu_p(G, p).value == mu_p_formula(G, p)
+        # mu_p may stop before any resolution, so the full resolution is read too
+        formula = mu_p_formula(G, p)
+        assert mu_from_resolution(resolution(G, p, MAX_RESOLUTION_DEPTH)) == MuValue(formula, True)
+        assert mu_p(G, p) == MuValue(formula, True)
 
 
 def test_h_dim_independent_of_pivot_order():

@@ -95,6 +95,10 @@ def test_cli_caps_exit_2_one_step_past_them(tmp_path, capsys):
         command = "cohomology" if flag == "--depth" else "invariants"
         assert main([command, "--input", str(path), flag, str(ok)]) == 0
         assert main([command, "--input", str(path), flag, str(bad)]) == 2
+    for order, code in ((MAX_GROUP_ORDER, 0), (MAX_GROUP_ORDER + 1, 2)):
+        path.write_text(json.dumps({"n": 1, "p": 2, "generators": Z2_GENERATORS,
+                                    "options": {"max_group_order": order}}))
+        assert main(["cohomology", "--input", str(path), "--depth", "1"]) == code
     capsys.readouterr()
 
 
