@@ -12,7 +12,9 @@ The decision procedure fires the first applicable rule in a fixed order:
              generator of P is a bireflection (rank(g-1) <= 2).
   R6  CM/NotCM  P acts fixed-point-freely; then CM holds iff n <= mu + 1,
              where mu is the least positive degree with nonvanishing
-             action cohomology.
+             action cohomology.  G is then the only realizable stabilizer
+             of order divisible by p, so mu = mu_p(G), read with no
+             subgroup lattice.
   R7  NotCM  |P| = p and n - rank A^P exceeds 2*[N_G(P):C_G(P)].
   R8  Unknown, listing why each rule was inapplicable.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .action import mu_action
+from .cohomology import mu_p
 from .errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from .intlinalg import fixed_lattice, intmat
 from .matgroup import (
@@ -176,10 +179,19 @@ def _rule_r5(ctx: _Context):
 
 
 def _rule_r6(ctx: _Context):
+    """mu of the action is mu_p(G) here, with the same value, exactness,
+    limit checks and messages as ``mu_action(G)``, which takes the minimum of
+    mu_p over the realizable stabilizers of order divisible by p.
+
+    Lemma: if P acts fixed-point-freely, G = Stab(0) is the only such
+    stabilizer.  Suppose H = Stab(x) with x != 0 had p dividing |H|.  Then H
+    holds an element h of order p, which lies in a conjugate gPg^-1 of P, so
+    g^-1 h g, a nonidentity element of P, would fix g^-1 x != 0.
+    """
     P = ctx.sylow
     if not is_fixed_point_free(P):
         return None, "Sylow subgroup does not act fixed-point-freely"
-    mu = mu_action(ctx.G, ctx.p, ctx.opts.mu_search_limit)
+    mu = mu_p(ctx.G, ctx.p, ctx.opts.mu_search_limit)
     if not mu.exact:
         ctx.notes.append(
             f"mu undetermined: H^r nonzero first occurs above degree {mu.value - 1}")
@@ -300,7 +312,8 @@ def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
                 and G.order // core.order == cert["p_quotient_order"]
                 and verdict.status == NOT_CM)
     if verdict.rule == "R6":
-        # searching exactly to the claimed mu finds a smaller mu and misses a larger one
+        # searching exactly to the claimed mu finds a smaller mu and misses a
+        # larger one; mu_action, not the mu_p that _rule_r6 reads, re-checks it
         limit = 0 if cert["mu"] == "infinity" else cert["mu"]
         if type(limit) is not int or not 0 <= limit < MAX_RESOLUTION_DEPTH:
             return False

@@ -14,8 +14,8 @@ built-in corpus via --builtin NAME.  Reports are emitted as canonical JSON
 Exit codes: 0 success (Unknown verdicts included), 2 invalid input JSON,
 3 resource bound exceeded, 1 failed selftest.  A resource limit (a constant
 in ``errors``) exits 3 when it trips, except inside ``classify``, where it
-makes a rule inapplicable with a note; a depth, ball or ``max_group_order``
-past its limit exits 2.
+makes a rule inapplicable with a note; a depth, ball, ``max_group_order``
+or p past its limit exits 2.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .corpus import corpus_entry, corpus_names
 from .errors import (
     MAX_BOX_RADIUS,
     MAX_GROUP_ORDER,
+    MAX_PRIMALITY,
     MAX_RESOLUTION_DEPTH,
     BoundExceededError,
     NonUnimodularError,
@@ -81,14 +82,17 @@ def parse_jobspec(data: dict) -> tuple[MatGroup, int, dict]:
     for key in ("n", "p", "generators"):
         _require(key in data, f"jobspec is missing {key!r}")
     n, p = data["n"], data["p"]
-    _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
-    _require(isinstance(p, int) and is_prime(p), "p must be a prime")
+    # type() rather than isinstance(): JSON true and false are not integers here
+    _require(type(n) is int and n >= 1, "n must be a positive integer")
+    _require(type(p) is int and p < MAX_PRIMALITY,
+             f"p must be an integer below {MAX_PRIMALITY}")
+    _require(is_prime(p), "p must be a prime")
     gens = data["generators"]
     _require(isinstance(gens, list) and gens, "generators must be a nonempty list")
     for g in gens:
         _require(isinstance(g, list) and len(g) == n
                  and all(isinstance(row, list) and len(row) == n for row in g)
-                 and all(isinstance(x, int) for row in g for x in row),
+                 and all(type(x) is int for row in g for x in row),
                  f"each generator must be an {n}x{n} integer matrix")
     options = dict(_OPTION_DEFAULTS)
     extra = data.get("options", {})

@@ -6,6 +6,7 @@ MAX_RESOLUTION_ORDER = 48  # group order for resolution
 MAX_RESOLUTION_DEPTH = 10  # depth for resolution; mu is searched up to depth - 1
 MAX_BOX_RADIUS = 8  # infinity-norm radius of the invariants box in the CLI
 MAX_QUOTIENT_INDEX = 1_000_000  # lattice index whose cosets covers enumerates
+MAX_PRIMALITY = 3_317_044_064_679_887_385_961_981  # is_prime is exact below it
 
 
 class NonUnimodularError(ValueError):

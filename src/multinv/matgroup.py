@@ -4,18 +4,26 @@ A group is one read-only (order, n, n) array of Python ints (``dtype=object``,
 as in ``intlinalg``), ``MatGroup.elements``: every element once, in canonical
 order (lexicographic on the row-major entries, whose tuple is the element's
 key), which makes every "first subgroup" style choice deterministic.  A
-subgroup is its parent's array at sorted indices, so it keeps that order.
+subgroup is its parent's array at sorted indices, so it keeps that order, and
+it reads its keys, and on first use its multiplication table, off its parent.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import MAX_GROUP_ORDER, MAX_SUBGROUP_ENUMERATION, BoundExceededError, NonUnimodularError
+from .errors import (
+    MAX_GROUP_ORDER,
+    MAX_PRIMALITY,
+    MAX_SUBGROUP_ENUMERATION,
+    BoundExceededError,
+    NonUnimodularError,
+)
 from .intlinalg import (
     Sublattice,
     fixed_lattice,
@@ -30,18 +38,38 @@ from .intlinalg import (
 _ENTRY_GUARD = 10**60
 
 
+# strong-probable-prime bases: together they admit no composite below MAX_PRIMALITY
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin on the first 13 prime bases.
+
+    Exact below ``MAX_PRIMALITY``, the least composite that is a strong
+    probable prime to every base 2..41 (Sorenson and Webster, 2015); from
+    there on it raises BoundExceededError rather than guess.
+    """
+    if p >= MAX_PRIMALITY:
+        raise BoundExceededError(f"p = {p} is past the primality bound {MAX_PRIMALITY}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -130,6 +158,8 @@ class MatGroup:
         self._fixed_ranks: tuple[int, ...] | None = None
         self._lattice: Sublattice | None = None
         self._subgroups: list["MatGroup"] | None = None
+        # (weak reference to G, sorted indices) for a subgroup of G
+        self._parent: tuple[weakref.ref, list[int]] | None = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -170,10 +200,22 @@ class MatGroup:
 
     def mult_table(self) -> tuple[tuple[int, ...], ...]:
         if self._table is None:
-            index = self._index.__getitem__
-            self._table = tuple(tuple(map(index, _keys_of(a @ self.elements)))
-                                for a in self.elements)
+            parent = self._parent[0]() if self._parent is not None else None
+            if parent is not None and parent._table is not None:
+                self._restrict_parent_table(parent, self._parent[1])
+            else:
+                index = self._index.__getitem__
+                self._table = tuple(tuple(map(index, _keys_of(a @ self.elements)))
+                                    for a in self.elements)
         return self._table
+
+    def _restrict_parent_table(self, parent: "MatGroup", idx: list[int]) -> None:
+        """Take the parent's table on the rows and columns ``idx``, renumbered
+        to this group's indices, and the identity's index with it."""
+        at = dict(zip(idx, range(len(idx)))).__getitem__
+        rows = map(parent._table.__getitem__, idx)
+        self._table = tuple(tuple(map(at, [row[j] for j in idx])) for row in rows)
+        self.__dict__.setdefault("identity_index", at(parent.identity_index))
 
     def inverse_indices(self) -> tuple[int, ...]:
         if self._inverses is None:
@@ -237,10 +279,14 @@ class MatGroup:
 
     def subgroup_from_indices(self, indices) -> "MatGroup":
         """The subgroup with the given element indices.  G's canonical order
-        restricted to them is H's, so H takes G's keys."""
+        restricted to them is H's, so H takes G's keys.  H also records where
+        it sits in G: its first ``mult_table`` call restricts G's table when
+        G has one by then.  That stays lazy, since most subgroups made (by
+        ``subgroups``, say) never need a table."""
         idx = sorted(set(indices))
         H = MatGroup(self.n, self.elements[idx])
         H._keys = tuple(map(self._keys.__getitem__, idx))
+        H._parent = (weakref.ref(self), idx)
         return H
 
     def closure_indices(self, seed) -> frozenset[int]:

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+import multinv.action
 import multinv.intlinalg
+import multinv.matgroup
 from multinv.action import (
     height_ir,
     isotropy_subgroups,
@@ -219,16 +221,13 @@ def test_element_fixed_ranks_match_fixed_lattices():
 
 
 # -(3-cycle) generates a group of order 6 whose Sylow 2-subgroup {I, -I} acts
-# fixed-point-freely, so its audit at p = 2 runs the stabilizer search (R6)
+# fixed-point-freely, so its audit at p = 2 evaluates R6 on mu_p of the group
 COUNT_GROUPS = dict(CENSUS_MAXIMAL, C6=[[[0, 0, -1], [-1, 0, 0], [0, -1, 0]]])
 
 
-@pytest.mark.parametrize("name", sorted(COUNT_GROUPS))
-@pytest.mark.parametrize("p", (2, 3))
-def test_audit_computes_each_element_lattice_once(capsys, monkeypatch, name, p):
-    """The audit takes every rank from traces and every stabilizer from
-    Reynolds sums, so it computes no lattice at all: no Smith form, and no
-    `intersect` or `covers` call."""
+def _count_calls(monkeypatch, fns) -> list[str]:
+    """Wrap ``fns`` wherever a multinv module holds them; returns the list
+    each call appends its function's name to."""
     calls = []
 
     def counted(fn):
@@ -237,15 +236,45 @@ def test_audit_computes_each_element_lattice_once(capsys, monkeypatch, name, p):
             return fn(*args, **kwargs)
         return wrapper
 
-    for fn in (multinv.intlinalg._snf_lists, multinv.intlinalg.intersect,
-               multinv.intlinalg.covers):
+    for fn in fns:
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("multinv") and getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counted(fn))
+    return calls
+
+
+def _audit(capsys, monkeypatch, name, p):
     job = {"n": 3, "p": p, "generators": COUNT_GROUPS[name]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
     assert main(["classify", "--audit", "--input", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] in ("CM", "NotCM", "Unknown")
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_GROUPS))
+@pytest.mark.parametrize("p", (2, 3))
+def test_audit_computes_each_element_lattice_once(capsys, monkeypatch, name, p):
+    """The audit takes every rank from traces and every stabilizer from
+    Reynolds sums, so it computes no lattice at all: no Smith form, and no
+    `intersect` or `covers` call."""
+    calls = _count_calls(monkeypatch, (multinv.intlinalg._snf_lists,
+                                       multinv.intlinalg.intersect,
+                                       multinv.intlinalg.covers))
+    _audit(capsys, monkeypatch, name, p)
     assert calls == []
     multinv.intlinalg.fixed_lattice([[[0, 1], [1, 0]]])
     assert calls == ["_snf_lists"], "the counter is not live"
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_GROUPS))
+@pytest.mark.parametrize("p", (2, 3))
+def test_audit_enumerates_no_subgroup_lattice(capsys, monkeypatch, name, p):
+    """R6 reads mu from the whole group, so no rule lists subgroups or
+    their conjugacy classes, or searches for realizable stabilizers."""
+    calls = _count_calls(monkeypatch, (multinv.matgroup.subgroups,
+                                       multinv.matgroup.subgroup_conjugacy_classes,
+                                       multinv.action._realizable_classes))
+    _audit(capsys, monkeypatch, name, p)
+    assert calls == []
+    realizable_subgroups(generate(COUNT_GROUPS[name]))
+    assert set(calls) == {"subgroups", "subgroup_conjugacy_classes",
+                          "_realizable_classes"}, "the counter is not live"

@@ -71,6 +71,11 @@ def test_schema_violations_exit_2(capsys, monkeypatch):
          "options": {"cohomology_depth": 0}},                         # depth below 1
         {"n": 3, "p": 2, "generators": INV3["generators"],
          "options": {"cohomology_depth": True}},                      # not an integer
+        {"n": True, "p": 2, "generators": [[[-1]]]},                  # n not an integer
+        {"n": 1, "p": True, "generators": [[[-1]]]},                  # p not an integer
+        {"n": 1, "p": 2, "generators": [[[True]]]},                   # entry not an integer
+        {"n": 2, "p": 2, "generators": [[[False, True], [True, False]]]},
+        {"n": 1, "p": 2**89 - 1, "generators": [[[-1]]]},             # p past MAX_PRIMALITY
     ]
     for job in bad:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))

@@ -9,6 +9,7 @@ import pytest
 from multinv.classify import (
     ClassifyOptions,
     Verdict,
+    _evaluate,
     applicable_rules,
     classify,
     verify_certificate,
@@ -18,6 +19,7 @@ from multinv.cohomology import resolution
 from multinv.errors import (
     MAX_BOX_RADIUS,
     MAX_GROUP_ORDER,
+    MAX_PRIMALITY,
     MAX_QUOTIENT_INDEX,
     MAX_RESOLUTION_DEPTH,
     MAX_RESOLUTION_ORDER,
@@ -25,7 +27,7 @@ from multinv.errors import (
     BoundExceededError,
 )
 from multinv.intlinalg import Sublattice, covers
-from multinv.matgroup import classify_element, generate, subgroups
+from multinv.matgroup import classify_element, generate, is_prime, subgroups
 from test_action import B3_GENERATORS
 from test_classify import QUAT_I, QUAT_J
 
@@ -74,6 +76,10 @@ LIMITS = {
         MAX_QUOTIENT_INDEX, None,
         lambda: covers(Sublattice.from_columns(1, [[1]]),
                        [Sublattice.from_columns(1, [[1000003]])])),
+    # is_prime is exact below its bound, so the bound itself is one step past
+    "MAX_PRIMALITY": (
+        MAX_PRIMALITY, lambda: is_prime(MAX_PRIMALITY - 1),
+        lambda: is_prime(MAX_PRIMALITY)),
 }
 
 
@@ -99,6 +105,9 @@ def test_cli_caps_exit_2_one_step_past_them(tmp_path, capsys):
         path.write_text(json.dumps({"n": 1, "p": 2, "generators": Z2_GENERATORS,
                                     "options": {"max_group_order": order}}))
         assert main(["cohomology", "--input", str(path), "--depth", "1"]) == code
+    for p, code in ((10**18 + 3, 0), (MAX_PRIMALITY, 2)):
+        path.write_text(json.dumps({"n": 1, "p": p, "generators": Z2_GENERATORS}))
+        assert main(["classify", "--audit", "--input", str(path)]) == code
     capsys.readouterr()
 
 
@@ -143,3 +152,19 @@ def test_a_tripped_limit_is_listed_in_an_unknown_verdict():
     assert v.notes == (f"R6 skipped: {reason}",)
     assert verify_certificate(Q8, 2, v)
     assert applicable_rules(Q8, 2, opts) == {}
+
+
+def test_r6_reads_mu_from_the_group_past_the_subgroup_bound():
+    # B4 (order 384 > MAX_SUBGROUP_ENUMERATION) at p = 5: the Sylow subgroup
+    # is trivial, so fixed-point-free, and R6 reads mu_p(B4, 5) = infinity
+    # without the subgroup lattice
+    B4 = generate(B4_GENERATORS)
+    assert B4.order > MAX_SUBGROUP_ENUMERATION
+    evaluations, notes = _evaluate(B4, 5, ClassifyOptions(audit=True))
+    outcomes = {rule: outcome for rule, outcome, _ in evaluations}
+    assert outcomes["R6"] == ("CM", {"mu": "infinity", "dim": 4, "fixed_point_free": True})
+    assert notes == ()
+    v = classify(B4, 5, ClassifyOptions(audit=True))
+    assert (v.status, v.rule, v.notes) == ("CM", "R1", ())
+    assert applicable_rules(B4, 5) == {"R1": "CM", "R2": "CM", "R3": "CM",
+                                       "R4": "CM", "R6": "CM"}

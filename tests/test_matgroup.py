@@ -5,7 +5,7 @@ import pytest
 
 from multinv.action import stabilizer
 from multinv.corpus import corpus_entry, corpus_group, corpus_names
-from multinv.errors import BoundExceededError, NonUnimodularError
+from multinv.errors import MAX_PRIMALITY, BoundExceededError, NonUnimodularError
 from multinv.intlinalg import fixed_lattice, identity_matrix, intmat
 from multinv.matgroup import (
     GroupTable,
@@ -15,6 +15,7 @@ from multinv.matgroup import (
     element_profiles,
     generate,
     is_fixed_point_free,
+    is_prime,
     op_core,
     subgroup_conjugacy_classes,
     subgroup_structure,
@@ -357,3 +358,81 @@ def test_index_of_finds_elements_only():
     assert G.index_of([[0, 1], [1, 0]]) is None
     # a 1 x 4 matrix with the entries of an element is not that element
     assert G.index_of([G.elements[0].ravel().tolist()]) is None
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-5, 10**5) if is_prime(n)] == \
+        [n for n in range(-5, 10**5) if _trial_division_is_prime(n)]
+
+
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    # Chernick's (6k+1)(12k+1)(18k+1) is a Carmichael number when all three
+    # factors are prime; past the first two none has a factor up to 41, so
+    # only the Miller-Rabin rounds can reject them
+    factors = [(6 * k + 1, 12 * k + 1, 18 * k + 1) for k in range(1, 400)]
+    chernick = [a * b * c for a, b, c in factors
+                if all(_trial_division_is_prime(q) for q in (a, b, c))]
+    assert chernick[:3] == [1729, 294409, 56052361] and len(chernick) > 10
+    others = [561, 1105, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    for n in others:  # Korselt: n squarefree, and q - 1 divides n - 1 for each prime q | n
+        primes, m, q = [], n, 2
+        while m > 1:
+            if m % q == 0:
+                primes.append(q)
+                m //= q
+            else:
+                q += 1
+        assert len(primes) == len(set(primes)) >= 3
+        assert all((n - 1) % (q - 1) == 0 for q in primes)
+    assert not any(is_prime(n) for n in chernick + others)
+    # the least strong pseudoprime to every prime base up to 37; base 41 rejects it
+    assert not is_prime(399165290221 * 798330580441)
+    assert MAX_PRIMALITY == 1287836182261 * 2575672364521
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    assert not is_prime(193707721 * 761838257287)  # 2**67 - 1
+
+
+def test_is_prime_refuses_to_guess_past_its_bound():
+    assert is_prime(MAX_PRIMALITY - 1) is False  # even
+    for p in (MAX_PRIMALITY, 2**89 - 1):
+        with pytest.raises(BoundExceededError, match=str(MAX_PRIMALITY)):
+            is_prime(p)
+
+
+def _table_facts(H):
+    return H.mult_table(), H.identity_index, H.inverse_indices(), H.element_orders()
+
+
+def test_subgroup_tables_read_off_the_parent_match_fresh_ones():
+    """Every B3 subgroup and the B4 Sylow subgroups, made before and after
+    the parent's table exists, against the same elements with no parent."""
+    cases = []
+    for gens in (B3_GENERATORS, B4_GENERATORS):
+        G = generate(gens)
+        subs = subgroups(G) if G.order <= 48 else [sylow(G, 2), sylow(G, 3)]
+        cases.append((gens, [sorted(G.indices_of_subgroup(H)) for H in subs]))
+    assert [len(c[1]) for c in cases] == [98, 2]
+    for gens, index_lists in cases:
+        before_parent = generate(gens)
+        before = [before_parent.subgroup_from_indices(idx) for idx in index_lists]
+        assert before_parent._table is None
+        after_parent = generate(gens)
+        after_parent.mult_table()
+        after = [after_parent.subgroup_from_indices(idx) for idx in index_lists]
+        for Ha in after:
+            fresh = MatGroup(Ha.n, Ha.elements.copy())
+            assert _table_facts(Ha) == _table_facts(fresh)
+            assert "_index" not in vars(Ha), "looked up keys instead of reading the parent"
+        before_parent.mult_table()
+        for Hb, Ha in zip(before, after):
+            assert _table_facts(Hb) == _table_facts(Ha)
+            assert "_index" not in vars(Hb)
+    # lazy: a subgroup's table does not make its parent build one
+    G = generate(B3_GENERATORS)
+    H = G.subgroup_from_indices(cases[0][1][-2])
+    assert _table_facts(H) == _table_facts(MatGroup(H.n, H.elements.copy()))
+    assert G._table is None

@@ -7,8 +7,16 @@ from multinv.action import mu_action, realizable_subgroups
 from multinv.cohomology import INFINITY, FpResolution, GroupTable, MuValue, mu_p, resolution
 from multinv.corpus import corpus_group, corpus_names
 from multinv.errors import MAX_RESOLUTION_DEPTH, BoundExceededError
-from multinv.matgroup import generate, is_prime, subgroup_conjugacy_classes
-from test_action import B3_GENERATORS
+from multinv.matgroup import (
+    generate,
+    is_fixed_point_free,
+    is_prime,
+    subgroup_conjugacy_classes,
+    subgroups,
+    sylow,
+)
+from test_action import B3_GENERATORS, CENSUS_MAXIMAL
+from test_classify import QUAT_I, QUAT_J
 from test_limits import F54_GENERATORS
 
 LIMITS = range(5)
@@ -100,3 +108,39 @@ def test_mu_action_b3_builds_no_resolution_degree(monkeypatch):
     s3, _ = corpus_group("s3")
     assert mu_p(s3, 3) == MuValue(3, True)
     assert len(degrees) == 4  # H^3 needs a resolution of depth 4
+
+
+def _fixed_point_free_families():
+    """Per family, the (name, G, p) with p in {2, 3} whose Sylow p-subgroup
+    acts fixed-point-freely: the corpus, the B3 class representatives, every
+    census subgroup, and Q8 and F54, where the limits raise."""
+    families = {"corpus": {name: corpus_group(name)[0] for name in corpus_names()},
+                "B3 classes": {f"B3c{k}": cls[0] for k, cls in
+                               enumerate(subgroup_conjugacy_classes(generate(B3_GENERATORS)))},
+                "limits": {"Q8": generate([QUAT_I, QUAT_J]), "F54": generate(F54_GENERATORS)}}
+    for name, gens in CENSUS_MAXIMAL.items():
+        families[f"census {name}"] = {f"{name}.{k}": H
+                                      for k, H in enumerate(subgroups(generate(gens)))}
+    return {family: [(name, G, p) for name, G in groups.items() for p in (2, 3)
+                     if is_fixed_point_free(sylow(G, p))]
+            for family, groups in families.items()}
+
+
+FIXED_POINT_FREE = _fixed_point_free_families()
+
+
+@pytest.mark.parametrize("family", FIXED_POINT_FREE)
+def test_mu_of_the_group_is_mu_of_the_action_when_sylow_is_fixed_point_free(family):
+    """R6 reads mu_p(G) for mu_action(G): value, exactness and errors agree,
+    since G is the only realizable stabilizer of order divisible by p."""
+    cases = FIXED_POINT_FREE[family]
+    assert cases
+    limits = [*LIMITS, MAX_RESOLUTION_DEPTH] if family == "limits" else LIMITS
+    for name, G, p in cases:
+        dividing = [H for H in realizable_subgroups(G) if H.order % p == 0]
+        assert dividing == ([G] if G.order % p == 0 else []), (name, p)
+        for limit in limits:
+            assert _outcome(mu_p, G, p, limit) == _outcome(mu_action, G, p, limit), \
+                (name, p, limit)
+    if family == "limits":
+        assert {(name, p) for name, _, p in cases} == {("Q8", 2), ("Q8", 3), ("F54", 2)}
