@@ -92,12 +92,12 @@ class FpResolution:
     """Truncated free resolution of the trivial module over F_p[G].
 
     ``ranks[r]`` is the rank of the free module in homological degree r;
-    ``boundaries[r-1]`` is the full F_p matrix of the boundary map from degree
-    r to degree r-1 in the group-element basis; ``generator_images[r-1]``
-    holds only the columns for the module generators (the images of the free
-    basis before translation by group elements).  A new resolution has depth
-    0 (F_0 = F_p[G] with the augmentation); ``extend`` adds one degree.
-    ``_reverse_pivots`` is that of ``resolution``.
+    ``generator_images[r-1]`` holds the images of the free basis of degree r
+    in degree r-1, one column per module generator, in the group-element
+    basis.  Only these are stored: ``boundary(r)``, the full F_p matrix of the
+    boundary map, is rebuilt from them by translation when needed.  A new
+    resolution has depth 0 (F_0 = F_p[G] with the augmentation); ``extend``
+    adds one degree.  ``_reverse_pivots`` is that of ``resolution``.
     """
 
     def __init__(self, p: int, table: GroupTable, _reverse_pivots: bool = False):
@@ -105,7 +105,6 @@ class FpResolution:
         self.group_order = table.order
         self.table = table
         self.ranks = [1]
-        self.boundaries: list[np.ndarray] = []
         self.generator_images: list[np.ndarray] = []
         self._augmented_ranks: list[int | None] = []
         self._perms = np.array(table.mult, dtype=np.intp)
@@ -118,19 +117,25 @@ class FpResolution:
 
     def extend(self) -> None:
         """Add degree depth + 1: module generators of the kernel of the last
-        map (the augmentation at depth 0) and the boundary onto them."""
+        map (the augmentation at depth 0), which the new free basis maps onto."""
         n, p = self.group_order, self.p
-        last = self.boundaries[-1] if self.boundaries else np.ones((1, n), dtype=np.int64)
+        last = self.boundary(self.depth) if self.depth else np.ones((1, n), dtype=np.int64)
         width = last.shape[1]
         order = list(range(width - 1, -1, -1)) if self._reverse_pivots else None
         kernel = nullspace_fp(last, p, order)
         gens = _module_generators(kernel, self._perms, self._gen_perms, p)
-        t = len(gens)
-        self.ranks.append(t)
-        self.boundaries.append(
-            _translates(gens, self._perms).transpose(2, 1, 0).reshape(gens.shape[1], t * n))
+        self.ranks.append(len(gens))
         self.generator_images.append(gens.T)
         self._augmented_ranks.append(None)
+
+    def boundary(self, r: int) -> np.ndarray:
+        """The full boundary map from degree r to degree r-1: the translates
+        g * v of every generator image v, in columns ordered (generator, g)."""
+        if not 1 <= r <= self.depth:
+            raise ValueError(f"no boundary in degree {r}")
+        gens = self.generator_images[r - 1].T
+        k, width = gens.shape
+        return _translates(gens, self._perms).transpose(2, 1, 0).reshape(width, k * self.group_order)
 
     def augmented_boundary(self, r: int) -> np.ndarray:
         """Entry-wise augmentation of the degree-r boundary map.
@@ -168,7 +173,7 @@ class FpResolution:
     def check_complex(self) -> None:
         """Assert that consecutive boundaries compose to zero."""
         for r in range(1, self.depth):
-            prod = matmul_fp(self.boundaries[r - 1], self.boundaries[r], self.p)
+            prod = matmul_fp(self.boundary(r), self.boundary(r + 1), self.p)
             assert not prod.any(), f"d_{r} . d_{r + 1} != 0"
 
 

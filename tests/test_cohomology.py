@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from multinv import cohomology
 from multinv.cohomology import (
     GroupTable,
     MuValue,
@@ -11,7 +13,9 @@ from multinv.cohomology import (
 )
 from multinv.corpus import corpus_group, corpus_names
 from multinv.errors import MAX_RESOLUTION_DEPTH, BoundExceededError
-from multinv.matgroup import generate, sylow, trivial_group
+from multinv.matgroup import generate, subgroup_conjugacy_classes, sylow, trivial_group
+from test_action import B3_GENERATORS
+from test_fparith import ReferenceSpan
 from test_limits import F54_GENERATORS
 
 
@@ -166,3 +170,26 @@ def test_augmentation_is_degree_zero_rank_one():
         G, _ = corpus_group(name)
         res = resolution(G, p, 3)
         assert res.ranks[0] == 1
+
+
+DIFFERENTIAL_GROUPS = {name: corpus_group(name)[0] for name in corpus_names()}
+DIFFERENTIAL_GROUPS.update(
+    (f"B3c{k}", cls[0])
+    for k, cls in enumerate(subgroup_conjugacy_classes(generate(B3_GENERATORS))))
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GROUPS))
+def test_resolution_matches_reference_span(name, monkeypatch):
+    """The incremental span builds the same resolution as the span that
+    re-eliminates everything on each insert."""
+    G = DIFFERENTIAL_GROUPS[name]
+    for p in (2, 3):
+        res = resolution(G, p, 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(cohomology, "SpanFp", ReferenceSpan)
+            ref = resolution(G, p, 5)
+        assert res.ranks == ref.ranks
+        for mine, theirs in zip(res.generator_images, ref.generator_images, strict=True):
+            assert np.array_equal(mine, theirs)
+        assert ([res.cohomology_dim(r) for r in range(5)]
+                == [ref.cohomology_dim(r) for r in range(5)])
