@@ -5,14 +5,15 @@ one-dimensional cohomology in every degree, while for S3 mod 3 the
 dimensions are periodic of period 4 with pattern 1,0,0,1.
 """
 
-from multinv import GroupTable, corpus_group, mu_p, mu_p_formula, resolution
+from multinv import corpus_group, mu_p, mu_p_formula, resolution
 
 z2, _ = corpus_group("inversion1")
 res = resolution(z2, 2, 9)
 print("Z/2 mod 2, free ranks:", res.ranks)
 print("Z/2 mod 2, dims H^r  :", [res.cohomology_dim(r) for r in range(9)])
 
-res = resolution(GroupTable.cyclic(3), 3, 9)
+rot3, _ = corpus_group("rot3")
+res = resolution(rot3, 3, 9)
 print("Z/3 mod 3, dims H^r  :", [res.cohomology_dim(r) for r in range(9)])
 
 s3, _ = corpus_group("s3")

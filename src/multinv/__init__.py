@@ -26,7 +26,6 @@ from .classify import (
 from .cohomology import (
     INFINITY,
     FpResolution,
-    GroupTable,
     MuValue,
     h_dim,
     mu_p,
@@ -78,7 +77,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallDecomposition", "BoundExceededError", "ClassifyOptions", "CorpusEntry",
-    "ElementProfile", "FpResolution", "GroupTable", "INFINITY",
+    "ElementProfile", "FpResolution", "INFINITY",
     "InconsistentRulesError", "IsotropyReport", "LaurentPoly", "MatGroup",
     "MuValue", "NonUnimodularError", "Sublattice", "Verdict", "act",
     "applicable_rules", "classification_cases", "classify", "classify_element",

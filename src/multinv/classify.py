@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from .action import mu_action
 from .cohomology import mu_p
 from .errors import MAX_RESOLUTION_DEPTH, BoundExceededError
-from .intlinalg import fixed_lattice, intmat
+from .intlinalg import fixed_lattice
 from .matgroup import (
     MatGroup,
     is_fixed_point_free,
@@ -108,14 +108,7 @@ def _rule_r2(ctx: _Context):
     reflections = [i for i in range(ctx.G.order) if drops[i] <= 1]
     span = ctx.G.closure_indices(reflections)
     if len(span) == ctx.G.order:
-        # trim to a short generating set of G among the reflections
-        chosen: list[int] = []
-        for i in reflections:
-            if i in ctx.G.closure_indices(chosen):
-                continue
-            chosen.append(i)
-            if len(ctx.G.closure_indices(chosen)) == ctx.G.order:
-                break
+        chosen = list(ctx.G.small_generating_indices(reflections))
         cert = {"reflection_generators": ctx.G.elements[chosen].tolist()}
         return (CM, cert), None
     return None, (f"reflections generate a subgroup of order {len(span)} "
@@ -272,23 +265,48 @@ def applicable_rules(G: MatGroup, p: int,
     return {rid: out[0] for rid, out, _ in evaluations if out is not None}
 
 
+# the keys each rule's certificate carries; verify_certificate rejects one without them
+_CERTIFICATE_KEYS = {
+    "R1": {"group_order", "p"},
+    "R2": {"reflection_generators"},
+    "R3": {"sylow_order", "moved_rank", "sylow_generators"},
+    "R4": {"sylow_order", "sylow_rule", "sylow_certificate"},
+    "R5": {"sylow_order", "sylow_generator", "generator_rank_drop", "p_quotient_order"},
+    "R6": {"mu", "dim", "fixed_point_free"},
+    "R7": {"sylow_order", "nc_index", "sylow_height"},
+    "R8": {"inapplicable"},
+}
+
+
+def _cited_indices(G: MatGroup, mats) -> list[int] | None:
+    """The indices in G of the cited matrices; None when one is not an
+    integer matrix (ragged, say) or not an element of G."""
+    try:
+        idx = [G.index_of(m) for m in mats]
+    except (TypeError, ValueError):
+        return None
+    return None if None in idx else idx
+
+
 def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
-    """Re-run the cited test on the certificate data."""
-    cert = verdict.certificate
+    """Re-run the cited test on the certificate data.  A certificate that
+    lacks a key of its rule, or cites a malformed matrix, is rejected."""
+    cert, keys = verdict.certificate, _CERTIFICATE_KEYS.get(verdict.rule)
+    if keys is None or not isinstance(cert, dict) or not keys <= cert.keys():
+        return False
     if verdict.rule == "R1":
         return (cert["group_order"] == G.order and cert["p"] == p
                 and G.order % p != 0 and verdict.status == CM)
     if verdict.rule == "R2":
-        gens = [intmat(m) for m in cert["reflection_generators"]]
-        n = G.n
-        if any(n - fixed_lattice([g]).rank > 1 for g in gens):
-            return False
-        idx = [G.index_of(g) for g in gens]
-        if None in idx:
+        idx = _cited_indices(G, cert["reflection_generators"])
+        if idx is None or any(G.n - fixed_lattice([G.elements[i]]).rank > 1 for i in idx):
             return False
         return len(G.closure_indices(idx)) == G.order and verdict.status == CM
     if verdict.rule == "R3":
         P = sylow(G, p)
+        idx = _cited_indices(P, cert["sylow_generators"])
+        if idx is None or len(P.closure_indices(idx)) != P.order:
+            return False
         moved = G.n - fixed_lattice(P.elements).rank
         return (moved == cert["moved_rank"] and moved <= 2
                 and P.order == cert["sylow_order"] and verdict.status == CM)
@@ -299,14 +317,13 @@ def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
         sub_verdict = Verdict(CM, cert["sylow_rule"], cert["sylow_certificate"])
         return verify_certificate(P, p, sub_verdict) and verdict.status == CM
     if verdict.rule == "R5":
-        g = intmat(cert["sylow_generator"])
         P = sylow(G, p)
         if P.order != cert["sylow_order"] or cert["p_quotient_order"] <= 1:
             return False
-        gi = P.index_of(g)
-        if gi is None or P.element_orders()[gi] != P.order:
+        gi = _cited_indices(P, [cert["sylow_generator"]])
+        if gi is None or P.element_orders()[gi[0]] != P.order:
             return False
-        drop = G.n - fixed_lattice([g]).rank
+        drop = G.n - fixed_lattice([P.elements[gi[0]]]).rank
         core = op_core(G, p)
         return (drop == cert["generator_rank_drop"] and drop > 2
                 and G.order // core.order == cert["p_quotient_order"]
@@ -333,7 +350,7 @@ def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
         return verdict.status == (CM if cm else NOT_CM)
     if verdict.rule == "R7":
         P = sylow(G, p)
-        if P.order != p:
+        if P.order != p or cert["sylow_order"] != p:
             return False
         _, _, nc = subgroup_structure(G, P)
         height = G.n - fixed_lattice(P.elements).rank

@@ -11,8 +11,8 @@ read from --input FILE (or stdin when the file is "-"), or taken from the
 built-in corpus via --builtin NAME.  Reports are emitted as canonical JSON
 (sorted keys, integers only, no floats); --human renders a table instead.
 
-Exit codes: 0 success (Unknown verdicts included), 2 invalid input JSON,
-3 resource bound exceeded, 1 failed selftest.  A resource limit (a constant
+Exit codes: 0 success (Unknown verdicts included), 2 invalid or unreadable
+input, 3 resource bound exceeded, 1 failed selftest.  A resource limit (a constant
 in ``errors``) exits 3 when it trips, except inside ``classify``, where it
 makes a rule inapplicable with a note; a depth, ball, ``max_group_order``
 or p past its limit exits 2.
@@ -119,11 +119,14 @@ def _load_job(args) -> tuple[MatGroup, int, dict]:
     if args.builtin is not None:
         entry = corpus_entry(args.builtin)
         return entry.group(), entry.p, dict(_OPTION_DEFAULTS)
-    if args.input in (None, "-"):
-        raw = sys.stdin.read()
-    else:
-        with open(args.input) as fh:
-            raw = fh.read()
+    try:
+        if args.input in (None, "-"):
+            raw = sys.stdin.read()
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                raw = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read input: {exc}") from exc
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:

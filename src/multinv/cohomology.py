@@ -1,5 +1,9 @@
 """Mod-p group cohomology of small finite groups via truncated free resolutions.
 
+The group is a ``MatGroup``; every finite group is one, through its
+permutation matrices.  F_p[G] has the group's elements as basis, in canonical
+order, and its multiplication table gives the left translations.
+
 A free resolution of the trivial module over F_p[G] is built degree by
 degree: the kernel of each boundary map is computed as an F_p subspace, a
 short list of module generators is extracted, and the next free module maps
@@ -9,10 +13,10 @@ so by Nakayama that basis generates the kernel and the resolution is minimal.
 For other groups, kernel rows outside the module generated so far are added
 until it is the whole kernel.
 
-I*ker needs only a generating set S of G, not every element: I is the sum of
-the right ideals (s - 1) F_p[G] for s in S (Brown, Cohomology of Groups,
-ch. I-II), and the kernel is a submodule, so I*ker is spanned by (s - 1) v
-for s in S and v in an F_p-basis of the kernel.
+I*ker needs only a generating set S of G (``small_generating_indices``), not
+every element: I is the sum of the right ideals (s - 1) F_p[G] for s in S
+(Brown, Cohomology of Groups, ch. I-II), and the kernel is a submodule, so
+I*ker is spanned by (s - 1) v for s in S and v in an F_p-basis of the kernel.
 
 Cohomology dimensions are read from the induced complex Hom(F_*, F_p): the
 differential of that complex is the entry-wise augmentation of the boundary
@@ -42,7 +46,6 @@ import numpy as np
 from .errors import MAX_RESOLUTION_DEPTH, MAX_RESOLUTION_ORDER, BoundExceededError
 from .fparith import SpanFp, matmul_fp, nullspace_fp, rank_fp, rref_fp
 from .matgroup import (
-    GroupTable,
     MatGroup,
     _op_core_indices,
     _p_part,
@@ -71,12 +74,9 @@ class MuValue:
         return self.value == INFINITY
 
 
-def _as_table(group) -> GroupTable:
-    if isinstance(group, GroupTable):
-        return group
-    if isinstance(group, MatGroup):
-        return group.to_table()
-    raise TypeError("expected a MatGroup or a GroupTable")
+def _check_group(group) -> None:
+    if not isinstance(group, MatGroup):
+        raise TypeError("expected a MatGroup")
 
 
 def _check_resolution_bounds(order: int, depth: int) -> None:
@@ -100,15 +100,14 @@ class FpResolution:
     adds one degree.  ``_reverse_pivots`` is that of ``resolution``.
     """
 
-    def __init__(self, p: int, table: GroupTable, _reverse_pivots: bool = False):
+    def __init__(self, p: int, G: MatGroup, _reverse_pivots: bool = False):
         self.p = p
-        self.group_order = table.order
-        self.table = table
+        self.group_order = G.order
         self.ranks = [1]
         self.generator_images: list[np.ndarray] = []
         self._augmented_ranks: list[int | None] = []
-        self._perms = np.array(table.mult, dtype=np.intp)
-        self._gen_perms = self._perms[list(table.generators)]
+        self._perms = np.array(G.mult_table(), dtype=np.intp)
+        self._gen_perms = self._perms[list(G.small_generating_indices())]
         self._reverse_pivots = _reverse_pivots
 
     @property
@@ -220,34 +219,34 @@ def _module_generators(kernel_rows: np.ndarray, perms: np.ndarray,
     return kernel_rows[picks]
 
 
-def resolution(group, p: int, depth: int, _reverse_pivots: bool = False) -> FpResolution:
+def resolution(group: MatGroup, p: int, depth: int, _reverse_pivots: bool = False) -> FpResolution:
     """Free resolution of the trivial F_p[G]-module, truncated at ``depth``.
 
     ``_reverse_pivots`` flips the pivoting order of the kernel computations;
     cohomology dimensions are independent of it.
     """
-    table = _as_table(group)
+    _check_group(group)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    _check_resolution_bounds(table.order, depth)
-    res = FpResolution(p, table, _reverse_pivots)
+    _check_resolution_bounds(group.order, depth)
+    res = FpResolution(p, group, _reverse_pivots)
     for _ in range(depth):
         res.extend()
     return res
 
 
-def h_dim(group, p: int, r: int) -> int:
+def h_dim(group: MatGroup, p: int, r: int) -> int:
     """dim_{F_p} H^r(G, F_p)."""
     res = resolution(group, p, r + 1)
     return res.cohomology_dim(r)
 
 
-def has_p_quotient(group, p: int) -> bool:
+def has_p_quotient(group: MatGroup, p: int) -> bool:
     """O^p(G) != G, that is H^1(G, F_p) = Hom(G, F_p) != 0."""
     return len(_op_core_indices(group, p)) < group.order
 
 
-def mu_p(group, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1) -> MuValue:
+def mu_p(group: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1) -> MuValue:
     """inf { r > 0 : H^r(G, F_p) != 0 }, searched up to ``search_limit``.
 
     Equal to ``mu_from_resolution(resolution(G, p, search_limit + 1))``, and
@@ -256,8 +255,7 @@ def mu_p(group, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1) -> MuValue
     the resolution is extended.  When p does not divide |G| no resolution is
     built and no limit applies.
     """
-    if not isinstance(group, (MatGroup, GroupTable)):
-        raise TypeError("expected a MatGroup or a GroupTable")
+    _check_group(group)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if group.order % p != 0:
@@ -265,7 +263,7 @@ def mu_p(group, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1) -> MuValue
     _check_resolution_bounds(group.order, search_limit + 1)
     if search_limit >= 1 and has_p_quotient(group, p):
         return MuValue(1, True)
-    return _first_nonzero_degree(FpResolution(p, _as_table(group)), max(search_limit + 1, 0))
+    return _first_nonzero_degree(FpResolution(p, group), max(search_limit + 1, 0))
 
 
 def mu_from_resolution(res: FpResolution) -> MuValue:

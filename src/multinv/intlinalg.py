@@ -19,7 +19,6 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
@@ -140,27 +139,19 @@ def is_unimodular(M: np.ndarray) -> bool:
 
 
 def unimodular_inverse(M: np.ndarray) -> np.ndarray:
-    """Exact inverse of an integer matrix with integer inverse (|det| = 1)."""
+    """Exact inverse of an integer matrix with integer inverse (|det| = 1).
+
+    Its Smith form is U @ M @ V = I, so the inverse is V @ U."""
     n = M.shape[0]
     if M.shape[1] != n:
         raise ValueError("inverse of a non-square matrix")
-    aug = [[Fraction(int(M[i, j])) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise NonUnimodularError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = [[x for x in row[n:]] for row in aug]
-    if any(x.denominator != 1 for row in out for x in row):
+    S, U, V = snf(M)
+    d = diagonal_of(S)
+    if 0 in d:
+        raise NonUnimodularError("matrix is singular")
+    if any(x != 1 for x in d):
         raise NonUnimodularError("matrix has no integer inverse")
-    return intmat([[int(x) for x in row] for row in out])
+    return _from_lists(_to_lists(V @ U), n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ order (lexicographic on the row-major entries, whose tuple is the element's
 key), which makes every "first subgroup" style choice deterministic.  A
 subgroup is its parent's array at sorted indices, so it keeps that order, and
 it reads its keys, and on first use its multiplication table, off its parent.
+Element orders, fixed ranks, inverses, cyclic subgroups and p-parts are all
+read from one cached walk of the powers of each element through the table.
 """
 
 from __future__ import annotations
@@ -87,60 +89,6 @@ class ElementProfile:
         return cls(order, rank_drop, rank_drop <= 1, rank_drop <= 2)
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """Multiplication table (mult[i][j] indexes g_i * g_j) and a generating set."""
-
-    order: int
-    mult: tuple[tuple[int, ...], ...]
-    identity: int
-    generators: tuple[int, ...]
-
-    @classmethod
-    def cyclic(cls, m: int) -> "GroupTable":
-        mult = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
-        return cls(m, mult, 0, (1,) if m > 1 else ())
-
-    def validate(self) -> None:
-        n = self.order
-        assert len(self.mult) == n and all(len(r) == n for r in self.mult)
-        assert all(self.mult[self.identity][j] == j for j in range(n))
-        assert all(self.mult[i][self.identity] == i for i in range(n))
-
-    def element_orders(self) -> tuple[int, ...]:
-        """The order of each element, by walking its powers through the table."""
-        orders = []
-        for i in range(self.order):
-            k, o = i, 1
-            while k != self.identity:
-                k = self.mult[k][i]
-                o += 1
-            orders.append(o)
-        return tuple(orders)
-
-    def closure_indices(self, seed) -> frozenset[int]:
-        """Indices of the subgroup generated by the given element indices."""
-        return _closure(self.mult, self.identity, seed)
-
-
-def _closure(table, identity: int, seed) -> frozenset[int]:
-    """Indices of the subgroup generated by ``seed`` in the multiplication
-    table ``table`` (a finite group, so products alone close it)."""
-    found = {identity} | set(seed)
-    frontier = list(found)
-    gens = list(set(seed))
-    while frontier:
-        new = []
-        for g in gens:
-            for b in frontier:
-                c = table[g][b]
-                if c not in found:
-                    found.add(c)
-                    new.append(c)
-        frontier = new
-    return frozenset(found)
-
-
 class MatGroup:
     """A finite subgroup of GL_n(Z), stored as all elements in canonical order."""
 
@@ -153,9 +101,6 @@ class MatGroup:
         self._generator_indices = (None if generator_indices is None
                                    else tuple(generator_indices))
         self._table: tuple[tuple[int, ...], ...] | None = None
-        self._inverses: tuple[int, ...] | None = None
-        self._orders: tuple[int, ...] | None = None
-        self._fixed_ranks: tuple[int, ...] | None = None
         self._lattice: Sublattice | None = None
         self._subgroups: list["MatGroup"] | None = None
         # (weak reference to G, sorted indices) for a subgroup of G
@@ -217,20 +162,43 @@ class MatGroup:
         self._table = tuple(tuple(map(at, [row[j] for j in idx])) for row in rows)
         self.__dict__.setdefault("identity_index", at(parent.identity_index))
 
-    def inverse_indices(self) -> tuple[int, ...]:
-        if self._inverses is None:
-            e = self.identity_index
-            self._inverses = tuple(row.index(e) for row in self.mult_table())
-        return self._inverses
+    @cached_property
+    def _powers(self) -> tuple[tuple[int, ...], ...]:
+        """(g, g^2, ..., g^|g| = 1) for each element g, as indices: the one
+        walk of powers through the table that orders, fixed ranks, inverses,
+        cyclic subgroups and p-parts all read."""
+        e = self.identity_index
+        powers = []
+        for i, row in enumerate(self.mult_table()):
+            c, k = [i], i
+            while k != e:
+                k = row[k]
+                c.append(k)
+            powers.append(tuple(c))
+        return tuple(powers)
+
+    @cached_property
+    def _inverses(self) -> tuple[int, ...]:
+        return tuple(c[-2] if len(c) > 1 else c[0] for c in self._powers)
+
+    @cached_property
+    def _orders(self) -> tuple[int, ...]:
+        return tuple(map(len, self._powers))
+
+    @cached_property
+    def _fixed_ranks(self) -> tuple[int, ...]:
+        traces = self._traces
+        return tuple(sum(map(traces.__getitem__, c)) // len(c) for c in self._powers)
 
     @cached_property
     def _traces(self) -> tuple[int, ...]:
         step = self.n + 1  # the diagonal of a row-major key
         return tuple(sum(k[::step]) for k in self._keys)
 
+    def inverse_indices(self) -> tuple[int, ...]:
+        return self._inverses
+
     def element_orders(self) -> tuple[int, ...]:
-        if self._orders is None:
-            self._walk_powers()
         return self._orders
 
     def element_fixed_ranks(self) -> tuple[int, ...]:
@@ -238,26 +206,7 @@ class MatGroup:
 
         (1/|g|)·Σ_k g^k projects Q^n onto Fix(g) ⊗ Q, so its trace
         (1/|g|)·Σ_k tr(g^k) is the rank of the fixed lattice."""
-        if self._fixed_ranks is None:
-            self._walk_powers()
         return self._fixed_ranks
-
-    def _walk_powers(self) -> None:
-        """Walk the powers g, g^2, ..., g^|g| = 1 of every element through the
-        table, counting them for the order and summing their traces."""
-        table = self.mult_table()
-        e = self.identity_index
-        traces = self._traces
-        orders, ranks = [], []
-        for i in range(self.order):
-            k, o, t = i, 1, traces[i]
-            while k != e:
-                k = table[k][i]
-                o += 1
-                t += traces[k]
-            orders.append(o)
-            ranks.append(t // o)
-        self._orders, self._fixed_ranks = tuple(orders), tuple(ranks)
 
     def fixed_rank(self) -> int:
         """rank of the lattice fixed by every element: tr(S)/|G| for the
@@ -270,10 +219,6 @@ class MatGroup:
             self._lattice = (fixed_lattice(self.elements) if self.order > 1
                              else Sublattice.full(self.n))
         return self._lattice
-
-    def to_table(self) -> GroupTable:
-        return GroupTable(self.order, self.mult_table(), self.identity_index,
-                          self.small_generating_indices())
 
     # -- subgroup plumbing ---------------------------------------------------
 
@@ -290,8 +235,22 @@ class MatGroup:
         return H
 
     def closure_indices(self, seed) -> frozenset[int]:
-        """Indices of the subgroup generated by the given element indices."""
-        return _closure(self.mult_table(), self.identity_index, seed)
+        """Indices of the subgroup generated by the given element indices
+        (a finite group, so products alone close it)."""
+        table = self.mult_table()
+        found = {self.identity_index} | set(seed)
+        frontier = list(found)
+        gens = list(set(seed))
+        while frontier:
+            new = []
+            for g in gens:
+                for b in frontier:
+                    c = table[g][b]
+                    if c not in found:
+                        found.add(c)
+                        new.append(c)
+            frontier = new
+        return frozenset(found)
 
     def contains_subgroup(self, H: "MatGroup") -> bool:
         return self.n == H.n and self._index.keys() >= set(H._keys)
@@ -305,16 +264,23 @@ class MatGroup:
         return frozenset(table[table[g][h]][ginv] for h in indices)
 
     def small_generating_indices(self, indices=None) -> tuple[int, ...]:
-        """A short generating list found greedily in canonical order."""
-        target = frozenset(indices) if indices is not None else frozenset(range(self.order))
+        """A short list of ``indices`` (by default every element, in canonical
+        order) that generates the same subgroup: each index not yet in the
+        span of those picked before it is picked, in the order given, until
+        the span is the whole subgroup ``indices`` generate."""
+        if indices is None:
+            indices, size = range(self.order), self.order
+        else:
+            indices = list(indices)
+            size = len(self.closure_indices(indices))
         gens: list[int] = []
         span = self.closure_indices(())
-        for i in sorted(target):
+        for i in indices:
+            if len(span) == size:
+                break
             if i not in span:
                 gens.append(i)
                 span = self.closure_indices(gens)
-                if span == target:
-                    break
         return tuple(gens)
 
     # -- identity/equality ---------------------------------------------------
@@ -336,7 +302,8 @@ class MatGroup:
         # checked before mult_table, whose lookups would raise KeyError instead
         assert all(k in self._index for a in self.elements for k in _keys_of(a @ self.elements)), \
             "not closed under products"
-        self.inverse_indices()
+        table, e, inv = self.mult_table(), self.identity_index, self.inverse_indices()
+        assert all(table[i][inv[i]] == e for i in range(self.order)), "missing inverse"
         for o in self.element_orders():
             assert self.order % o == 0, "element order does not divide group order"
 
@@ -395,18 +362,8 @@ def subgroups(G: MatGroup) -> list[MatGroup]:
                                  f"enumeration bound {MAX_SUBGROUP_ENUMERATION}")
     if G._subgroups is not None:
         return list(G._subgroups)
-    table = G.mult_table()
-    e = G.identity_index
-    cyclics = set()
-    for i in range(G.order):
-        cyc = {e}
-        k = i
-        while k != e:
-            cyc.add(k)
-            k = table[k][i]
-        cyclics.add(frozenset(cyc))
+    cyclics = set(map(frozenset, G._powers))  # the identity's is the trivial group
     found = set(cyclics)
-    found.add(frozenset({e}))
     work = list(found)
     cyclics = sorted(cyclics, key=sorted)
     while work:
@@ -465,19 +422,12 @@ def sylow(G: MatGroup, p: int) -> MatGroup:
     q = _p_part(G.order, p)
     if q == 1:
         return G.subgroup_from_indices([G.identity_index])
-    table = G.mult_table()
-    e = G.identity_index
-    orders = G.element_orders()
+    orders, powers = G.element_orders(), G._powers
 
     def p_power_part(i: int) -> int:
+        # g^(o / p-part of o) has order the p-part of o
         o = orders[i]
-        k = i
-        step = o // _p_part(o, p)
-        # i ** step has order equal to the p-part of o
-        out = e
-        for _ in range(step):
-            out = table[out][i]
-        return out
+        return powers[i][o // _p_part(o, p) - 1]
 
     seed = next(i for i in range(G.order) if orders[i] % p == 0)
     P = G.closure_indices([p_power_part(seed)])
@@ -517,7 +467,7 @@ def subgroup_structure(G: MatGroup, H: MatGroup) -> tuple[MatGroup, MatGroup, in
     return N, C, N.order // C.order
 
 
-def _op_core_indices(G: MatGroup | GroupTable, p: int) -> frozenset[int]:
+def _op_core_indices(G: MatGroup, p: int) -> frozenset[int]:
     """The element indices of O^p(G), the smallest normal subgroup with
     p-group quotient.
 

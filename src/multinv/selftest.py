@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .classify import ClassifyOptions, applicable_rules, classify, verify_certificate
-from .cohomology import GroupTable, mu_from_resolution, mu_p, mu_p_formula, resolution
+from .cohomology import mu_from_resolution, mu_p, mu_p_formula, resolution
 from .corpus import classification_cases, corpus_entry, corpus_group, corpus_names
 from .errors import MAX_RESOLUTION_DEPTH
 from .intlinalg import (
@@ -83,7 +83,8 @@ def _cohomology_tables():
     dims2 = [res2.cohomology_dim(r) for r in range(9)]
     if dims2 != [1] * 9:
         return False, f"Z/2 dims {dims2}"
-    res3 = resolution(GroupTable.cyclic(3), 3, 9)
+    z3, _ = corpus_group("rot3")
+    res3 = resolution(z3, 3, 9)
     dims3 = [res3.cohomology_dim(r) for r in range(9)]
     if dims3 != [1] * 9:
         return False, f"Z/3 dims {dims3}"

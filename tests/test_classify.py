@@ -3,6 +3,9 @@ import pytest
 from multinv.classify import (
     ClassifyOptions,
     Verdict,
+    _Context,
+    _evaluate,
+    _rule_r2,
     applicable_rules,
     classify,
     verify_certificate,
@@ -10,7 +13,7 @@ from multinv.classify import (
 from multinv.corpus import classification_cases, corpus_group
 from multinv.intlinalg import fixed_lattice
 from multinv.matgroup import generate, op_core, subgroups, sylow
-from test_action import B3_GENERATORS
+from test_action import B3_GENERATORS, CENSUS_MAXIMAL
 
 
 def _verdict(name, p=None):
@@ -151,6 +154,7 @@ def test_unknown_when_no_rule_applies():
     reasons = {item["rule"] for item in v.certificate["inapplicable"]}
     assert reasons == {"R1", "R2", "R3", "R4", "R5", "R6", "R7"}
     assert verify_certificate(G, 2, v)
+    assert not verify_certificate(G, 2, Verdict(v.status, "R8", {}))
 
 
 def test_audit_mode_sees_no_conflicts_on_corpus():
@@ -219,3 +223,69 @@ def test_r5_certificates_cite_a_generator_of_the_sylow_subgroup():
             assert not verify_certificate(G, p, Verdict(v.status, "R5", cert)), name
             forged += 1
     assert genuine > forged > 0
+
+
+def _reference_r2_generators(G):
+    """The reflections an R2 certificate cites, trimmed as ``_rule_r2`` did
+    before it called ``small_generating_indices``: two closures per pick."""
+    reflections = [i for i, r in enumerate(G.element_fixed_ranks()) if G.n - r <= 1]
+    chosen = []
+    for i in reflections:
+        if i in G.closure_indices(chosen):
+            continue
+        chosen.append(i)
+        if len(G.closure_indices(chosen)) == G.order:
+            break
+    return G.elements[chosen].tolist()
+
+
+def test_r2_certificates_match_the_old_trimming():
+    cases = [G for _, G, _ in classification_cases()]
+    cases += subgroups(generate(B3_GENERATORS))
+    cases += [H for gens in CENSUS_MAXIMAL.values() for H in subgroups(generate(gens))]
+    fired = 0
+    for G in cases:
+        outcome, _ = _rule_r2(_Context(G, 2, ClassifyOptions()))
+        if outcome is not None:
+            assert outcome[1]["reflection_generators"] == _reference_r2_generators(G)
+            fired += 1
+    assert len(cases) > 400 and fired > 100
+
+
+def _malformed(cert):
+    """Copies of a certificate with one key removed, or with one cited matrix
+    replaced by a non-square or a ragged one, also inside a nested certificate."""
+    def is_matrix(x):
+        return (isinstance(x, list) and x and all(isinstance(row, list) for row in x)
+                and all(type(v) is int for row in x for v in row))
+
+    def variants(x):
+        if isinstance(x, dict):
+            for key, value in x.items():
+                yield {k: v for k, v in x.items() if k != key}
+                for w in variants(value):
+                    yield {**x, key: w}
+        elif is_matrix(x):
+            yield [[1, 0, 0]]
+            yield [[1, 0], [0]]
+        elif isinstance(x, list):
+            for i, item in enumerate(x):
+                if is_matrix(item):
+                    for w in variants(item):
+                        yield x[:i] + [w] + x[i + 1:]
+
+    return list(variants(cert))
+
+
+def test_malformed_certificates_are_rejected():
+    checked = {}
+    for name, G, p0 in classification_cases():
+        for p in sorted({p0, 2, 3, 5}):
+            evaluations, _ = _evaluate(G, p, ClassifyOptions(audit=True))
+            for v in (Verdict(out[0], rule, out[1]) for rule, out, _ in evaluations if out):
+                assert verify_certificate(G, p, v), (name, p, v.rule)
+                for cert in _malformed(v.certificate):
+                    assert verify_certificate(G, p, Verdict(v.status, v.rule, cert)) is False, \
+                        (name, p, v.rule, cert)
+                    checked[v.rule] = checked.get(v.rule, 0) + 1
+    assert set(checked) == {"R1", "R2", "R3", "R4", "R5", "R6", "R7"}, checked

@@ -59,6 +59,16 @@ def test_invalid_json_exits_2(capsys, monkeypatch):
     assert "invalid JSON" in err
 
 
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(INV3).encode() + b" \xe9")
+    for path in (missing, latin1, tmp_path):
+        code, out, err = run_cli(capsys, "classify", "--input", str(path))
+        assert (code, out) == (2, ""), path
+        assert err.startswith("error: cannot read input: ") and "Traceback" not in err, err
+
+
 def test_schema_violations_exit_2(capsys, monkeypatch):
     bad = [
         {"n": 3, "p": 4, "generators": INV3["generators"]},          # p not prime

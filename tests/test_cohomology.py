@@ -3,7 +3,6 @@ import pytest
 
 from multinv import cohomology
 from multinv.cohomology import (
-    GroupTable,
     MuValue,
     h_dim,
     mu_from_resolution,
@@ -49,7 +48,8 @@ def test_resolution_ranks_trivial_group():
 
 
 def test_resolution_ranks_z3():
-    res = resolution(GroupTable.cyclic(3), 3, 5)
+    rot3, _ = corpus_group("rot3")
+    res = resolution(rot3, 3, 5)
     assert res.ranks == [1, 1, 1, 1, 1, 1]
     assert res.is_minimal()
 
@@ -157,12 +157,22 @@ def test_resolution_bounds():
         resolution(s3, 4, 3)  # p must be prime
 
 
-def test_abstract_table_agrees_with_matrix_group():
+def test_permutation_matrices_agree_with_rotation_group():
+    # any finite group is a MatGroup through its permutation matrices
     rot3, _ = corpus_group("rot3")
-    res_mat = resolution(rot3, 3, 6)
-    res_tab = resolution(GroupTable.cyclic(3), 3, 6)
+    cycle3 = generate([[[0, 0, 1], [1, 0, 0], [0, 1, 0]]])
+    assert cycle3.order == 3
+    res_rot, res_perm = resolution(rot3, 3, 6), resolution(cycle3, 3, 6)
+    assert res_rot.ranks == res_perm.ranks
     for r in range(5):
-        assert res_mat.cohomology_dim(r) == res_tab.cohomology_dim(r)
+        assert res_rot.cohomology_dim(r) == res_perm.cohomology_dim(r)
+
+
+def test_only_a_matgroup_is_resolved():
+    rot3, _ = corpus_group("rot3")
+    for fn, args in ((resolution, (3, 2)), (h_dim, (3, 1)), (mu_p, (3,))):
+        with pytest.raises(TypeError, match="MatGroup"):
+            fn(rot3.mult_table(), *args)
 
 
 def test_augmentation_is_degree_zero_rank_one():

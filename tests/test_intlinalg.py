@@ -242,8 +242,12 @@ def test_unimodular_inverse():
         Minv = unimodular_inverse(M)
         assert mats_equal(M @ Minv, intmat([[1 if i == j else 0 for j in range(n)]
                                             for i in range(n)]))
-    with pytest.raises(NonUnimodularError):
+    with pytest.raises(NonUnimodularError, match="integer inverse"):
         unimodular_inverse(intmat([[2, 0], [0, 1]]))
+    with pytest.raises(NonUnimodularError, match="singular"):
+        unimodular_inverse(intmat([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="non-square"):
+        unimodular_inverse(intmat([[1, 0, 0]]))
 
 
 def test_intmat_validation():

@@ -8,8 +8,8 @@ from multinv.corpus import corpus_entry, corpus_group, corpus_names
 from multinv.errors import MAX_PRIMALITY, BoundExceededError, NonUnimodularError
 from multinv.intlinalg import fixed_lattice, identity_matrix, intmat
 from multinv.matgroup import (
-    GroupTable,
     MatGroup,
+    _p_part,
     classify_element,
     element_order,
     element_profiles,
@@ -204,6 +204,14 @@ def test_validate_reports_a_set_not_closed_under_products():
         MatGroup(2, np.array([eye, rot4], dtype=object)).validate()
 
 
+def test_validate_reports_a_missing_inverse():
+    G = generate([ROT4])
+    G.validate()
+    G._inverses = tuple(range(G.order))  # every element its own inverse
+    with pytest.raises(AssertionError, match="missing inverse"):
+        G.validate()
+
+
 def test_fixed_point_free_examples():
     assert is_fixed_point_free(generate([NEG3]))
     assert not is_fixed_point_free(generate([G1]))
@@ -232,17 +240,9 @@ def test_conjugacy_classes_partition_subgroups():
         assert len(orders) == 1
 
 
-def test_group_table_cyclic():
-    t = GroupTable.cyclic(6)
-    t.validate()
-    assert t.order == 6 and t.identity == 0
-    assert t.generators == (1,)
-    assert GroupTable.cyclic(1).generators == ()
-
-
 def test_table_and_subgroup_generators_generate():
     s4, _ = corpus_group("s4")
-    assert len(s4.closure_indices(s4.to_table().generators)) == s4.order
+    assert len(s4.closure_indices(s4.small_generating_indices())) == s4.order
     for H in subgroups(s4):
         assert len(H.closure_indices(H.generator_indices)) == H.order
 
@@ -436,3 +436,130 @@ def test_subgroup_tables_read_off_the_parent_match_fresh_ones():
     H = G.subgroup_from_indices(cases[0][1][-2])
     assert _table_facts(H) == _table_facts(MatGroup(H.n, H.elements.copy()))
     assert G._table is None
+
+
+# -- differential test of the power walk --------------------------------------
+# The walks through the table that the one cached walk ``_powers`` replaced:
+# element orders, orders with fixed ranks from traces, inverses by row search,
+# the cyclic subgroups of ``subgroups`` and the p-power part of ``sylow``.
+
+
+def _reference_orders(table, e):
+    orders = []
+    for i in range(len(table)):
+        k, o = i, 1
+        while k != e:
+            k = table[k][i]
+            o += 1
+        orders.append(o)
+    return tuple(orders)
+
+
+def _reference_fixed_ranks(table, e, traces):
+    ranks = []
+    for i in range(len(table)):
+        k, o, t = i, 1, traces[i]
+        while k != e:
+            k = table[k][i]
+            o += 1
+            t += traces[k]
+        ranks.append(t // o)
+    return tuple(ranks)
+
+
+def _reference_cyclics(table, e):
+    cyclics = set()
+    for i in range(len(table)):
+        cyc = {e}
+        k = i
+        while k != e:
+            cyc.add(k)
+            k = table[k][i]
+        cyclics.add(frozenset(cyc))
+    return cyclics
+
+
+def _reference_p_power_part(table, e, orders, i, p):
+    o = orders[i]
+    out = e
+    for _ in range(o // _p_part(o, p)):
+        out = table[out][i]
+    return out
+
+
+def _reference_sylow(G, p):
+    """``sylow`` as it ran with the p-power part walked through the table."""
+    q = _p_part(G.order, p)
+    if q == 1:
+        return frozenset([G.identity_index])
+    table, e, orders = G.mult_table(), G.identity_index, G.element_orders()
+    seed = next(i for i in range(G.order) if orders[i] % p == 0)
+    P = G.closure_indices([_reference_p_power_part(table, e, orders, seed, p)])
+    while len(P) < q:
+        normalizer = [g for g in range(G.order) if G.conjugate_indices(g, P) == P]
+        for h in normalizer:
+            hp = _reference_p_power_part(table, e, orders, h, p)
+            if h in P or hp in P:
+                continue
+            J = G.closure_indices(P | {hp})
+            if len(J) == _p_part(len(J), p):
+                P = J
+                break
+    return min({G.conjugate_indices(g, P) for g in range(G.order)}, key=sorted)
+
+
+def _power_walk_groups():
+    groups = {name: corpus_group(name)[0] for name in corpus_names()}
+    groups.update((f"B3c{k}", cls[0]) for k, cls in
+                  enumerate(subgroup_conjugacy_classes(generate(B3_GENERATORS))))
+    groups.update((name, generate(gens)) for name, gens in CENSUS_MAXIMAL.items())
+    B4 = generate(B4_GENERATORS)
+    groups.update(B4=B4, B4sylow2=sylow(B4, 2), B4sylow3=sylow(B4, 3))
+    return groups
+
+
+def test_power_walk_matches_the_table_walks():
+    groups = _power_walk_groups()
+    assert len(groups) == 13 + 33 + 4 + 3
+    assert [groups[k].order for k in ("B4", "B4sylow2", "B4sylow3")] == [384, 128, 3]
+    for name, G in groups.items():
+        table, e, N = G.mult_table(), G.identity_index, G.order
+        orders = _reference_orders(table, e)
+        assert G.element_orders() == orders, name
+        assert G.element_fixed_ranks() == _reference_fixed_ranks(table, e, G._traces), name
+        assert G.element_fixed_ranks() == tuple(fixed_lattice([g]).rank for g in G.elements)
+        assert G.inverse_indices() == tuple(row.index(e) for row in table), name
+        assert set(map(frozenset, G._powers)) == _reference_cyclics(table, e), name
+        for p in (2, 3, 5):
+            step = [o // _p_part(o, p) for o in orders]
+            assert [G._powers[i][step[i] - 1] for i in range(N)] == \
+                [_reference_p_power_part(table, e, orders, i, p) for i in range(N)], (name, p)
+            assert G.indices_of_subgroup(sylow(G, p)) == _reference_sylow(G, p), (name, p)
+        if N <= 48:
+            closed = {G.closure_indices(c) for c in _reference_cyclics(table, e)}
+            found, work = set(closed), list(closed)
+            while work:
+                S = work.pop()
+                for C in closed:
+                    J = G.closure_indices(S | C)
+                    if J not in found:
+                        found.add(J)
+                        work.append(J)
+            assert {G.indices_of_subgroup(H) for H in subgroups(G)} == found, name
+
+
+def test_small_generating_indices_picks_in_the_order_given():
+    G, _ = corpus_group("s4")
+    every = G.small_generating_indices()
+    assert every == G.small_generating_indices(range(G.order))
+    assert len(G.closure_indices(every)) == G.order
+    backwards = G.small_generating_indices(range(G.order - 1, -1, -1))
+    assert backwards[0] == max(set(range(G.order)) - {G.identity_index})
+    assert len(G.closure_indices(backwards)) == G.order
+    transpositions = [i for i, r in enumerate(G.element_fixed_ranks()) if r == 2]
+    picked = G.small_generating_indices(transpositions)
+    assert set(picked) <= set(transpositions)
+    assert G.closure_indices(picked) == G.closure_indices(transpositions)
+    # an index already spanned is never picked, and the span of the whole list stops the picking
+    assert G.small_generating_indices([G.identity_index]) == ()
+    assert G.small_generating_indices([picked[0], picked[0]]) == picked[:1]

@@ -4,7 +4,7 @@ search they replace is kept here as the reference."""
 import pytest
 
 from multinv.action import mu_action, realizable_subgroups
-from multinv.cohomology import INFINITY, FpResolution, GroupTable, MuValue, mu_p, resolution
+from multinv.cohomology import INFINITY, FpResolution, MuValue, mu_p, resolution
 from multinv.corpus import corpus_group, corpus_names
 from multinv.errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from multinv.matgroup import (
@@ -54,7 +54,6 @@ def _groups():
 
 
 GROUPS = _groups()
-TABLES = {"C4 table": GroupTable.cyclic(4), "C6 table": GroupTable.cyclic(6)}
 
 
 def _outcome(fn, *args):
@@ -64,9 +63,9 @@ def _outcome(fn, *args):
         return ("raised", str(exc))
 
 
-@pytest.mark.parametrize("name", [*GROUPS, *TABLES])
+@pytest.mark.parametrize("name", GROUPS)
 def test_mu_p_matches_full_resolution(name):
-    G = {**GROUPS, **TABLES}[name]
+    G = GROUPS[name]
     for p in (2, 3):
         for limit in LIMITS:
             assert mu_p(G, p, limit) == reference_mu_p(G, p, limit), (p, limit)
