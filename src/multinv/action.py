@@ -14,7 +14,7 @@ import numpy as np
 from .cohomology import INFINITY, MuValue, _check_resolution_bounds, has_p_quotient, mu_p
 from .errors import MAX_RESOLUTION_DEPTH
 from .intlinalg import Sublattice, _best_witness, _coordinate_shells, fixed_lattice
-from .matgroup import MatGroup, is_prime, subgroup_conjugacy_classes, subgroups
+from .matgroup import MatGroup, _p_part, is_prime, subgroup_conjugacy_classes, subgroups
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,7 @@ def trace_ideal_height(G: MatGroup, p: int, excluded) -> int | float:
                 raise ValueError("excluded family is not closed under subgroups")
     heights = []
     for H in subs:
-        o = H.order
-        while o % p == 0:
-            o //= p
-        if o != 1:
+        if _p_part(H.order, p) != H.order:
             continue  # not a p-subgroup
         if G.indices_of_subgroup(H) in flagged:
             continue

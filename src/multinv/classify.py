@@ -27,6 +27,7 @@ limit is inapplicable, and a note names the limit and the skipped rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .action import mu_action
 from .cohomology import mu_p
@@ -72,28 +73,20 @@ class _Context:
         self.p = p
         self.opts = opts
         self.notes: list[str] = []
-        self._sylow = None
-        self._rank_drops = None
-        self._moved_rank = None
 
-    @property
+    @cached_property
     def sylow(self) -> MatGroup:
-        if self._sylow is None:
-            self._sylow = sylow(self.G, self.p)
-        return self._sylow
+        return sylow(self.G, self.p)
 
+    @cached_property
     def rank_drops(self) -> list[int]:
-        if self._rank_drops is None:
-            n = self.G.n
-            self._rank_drops = [n - r for r in self.G.element_fixed_ranks()]
-        return self._rank_drops
+        n = self.G.n
+        return [n - r for r in self.G.element_fixed_ranks()]
 
-    @property
+    @cached_property
     def moved_rank(self) -> int:
         """rank of A / A^P for the chosen Sylow subgroup: n - tr(S_P)/|P|."""
-        if self._moved_rank is None:
-            self._moved_rank = self.G.n - self.sylow.fixed_rank()
-        return self._moved_rank
+        return self.G.n - self.sylow.fixed_rank()
 
 
 def _rule_r1(ctx: _Context):
@@ -104,7 +97,7 @@ def _rule_r1(ctx: _Context):
 
 
 def _rule_r2(ctx: _Context):
-    drops = ctx.rank_drops()
+    drops = ctx.rank_drops
     reflections = [i for i in range(ctx.G.order) if drops[i] <= 1]
     span = ctx.G.closure_indices(reflections)
     if len(span) == ctx.G.order:
@@ -265,16 +258,20 @@ def applicable_rules(G: MatGroup, p: int,
     return {rid: out[0] for rid, out, _ in evaluations if out is not None}
 
 
-# the keys each rule's certificate carries; verify_certificate rejects one without them
+# the keys of each rule's certificate, each with the exact type of its value
+# (None where the value is a matrix or a nested certificate, checked where it
+# is read); verify_certificate rejects a missing key or a value of another
+# type, so a bool or a float never stands in for an integer
 _CERTIFICATE_KEYS = {
-    "R1": {"group_order", "p"},
-    "R2": {"reflection_generators"},
-    "R3": {"sylow_order", "moved_rank", "sylow_generators"},
-    "R4": {"sylow_order", "sylow_rule", "sylow_certificate"},
-    "R5": {"sylow_order", "sylow_generator", "generator_rank_drop", "p_quotient_order"},
-    "R6": {"mu", "dim", "fixed_point_free"},
-    "R7": {"sylow_order", "nc_index", "sylow_height"},
-    "R8": {"inapplicable"},
+    "R1": {"group_order": int, "p": int},
+    "R2": {"reflection_generators": None},
+    "R3": {"sylow_order": int, "moved_rank": int, "sylow_generators": None},
+    "R4": {"sylow_order": int, "sylow_rule": str, "sylow_certificate": None},
+    "R5": {"sylow_order": int, "sylow_generator": None, "generator_rank_drop": int,
+           "p_quotient_order": int},
+    "R6": {"mu": None, "dim": int, "fixed_point_free": bool},
+    "R7": {"sylow_order": int, "nc_index": int, "sylow_height": int},
+    "R8": {"inapplicable": None},
 }
 
 
@@ -290,9 +287,12 @@ def _cited_indices(G: MatGroup, mats) -> list[int] | None:
 
 def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
     """Re-run the cited test on the certificate data.  A certificate that
-    lacks a key of its rule, or cites a malformed matrix, is rejected."""
+    lacks a key of its rule, holds a value of the wrong type or cites a
+    malformed matrix is rejected."""
     cert, keys = verdict.certificate, _CERTIFICATE_KEYS.get(verdict.rule)
-    if keys is None or not isinstance(cert, dict) or not keys <= cert.keys():
+    if keys is None or not isinstance(cert, dict) or not keys.keys() <= cert.keys():
+        return False
+    if any(t is not None and type(cert[k]) is not t for k, t in keys.items()):
         return False
     if verdict.rule == "R1":
         return (cert["group_order"] == G.order and cert["p"] == p
@@ -335,7 +335,7 @@ def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
         if type(limit) is not int or not 0 <= limit < MAX_RESOLUTION_DEPTH:
             return False
         P = sylow(G, p)
-        if not is_fixed_point_free(P):
+        if cert["fixed_point_free"] is not True or not is_fixed_point_free(P):
             return False
         try:
             mu = mu_action(G, p, search_limit=limit)

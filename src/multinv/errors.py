@@ -5,6 +5,7 @@ MAX_SUBGROUP_ENUMERATION = 200  # group order for subgroups
 MAX_RESOLUTION_ORDER = 48  # group order for resolution
 MAX_RESOLUTION_DEPTH = 10  # depth for resolution; mu is searched up to depth - 1
 MAX_BOX_RADIUS = 8  # infinity-norm radius of the invariants box in the CLI
+MAX_BOX_POINTS = 17**5  # (2 radius + 1)^n points of the invariants box: radius 8 at n = 5
 MAX_QUOTIENT_INDEX = 1_000_000  # lattice index whose cosets covers enumerates
 MAX_PRIMALITY = 3_317_044_064_679_887_385_961_981  # is_prime is exact below it
 

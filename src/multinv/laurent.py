@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundExceededError
+from .errors import MAX_BOX_POINTS, BoundExceededError
 from .corpus import corpus_group
 from .fparith import nullspace_fp, rank_fp
 from .intlinalg import _to_lists, intmat, is_unimodular
@@ -162,7 +162,8 @@ def box_orbits(G: MatGroup, B: int, norm_guard: int | None = None
     Returns the orbits, each as its sorted support (exponent vectors as
     lists, points outside the box included), in the order of their first box
     point in ``itertools.product`` order, and the number of orbits recounted
-    by averaging fixed points.
+    by averaging fixed points.  A box of more than ``MAX_BOX_POINTS`` points
+    raises BoundExceededError before anything is allocated.
 
     The largest coordinate of an image of the box is M = B * max_{g,i}
     |row_i(g)|_1; it must not exceed the norm guard (default 8 B).  A point
@@ -173,8 +174,12 @@ def box_orbits(G: MatGroup, B: int, norm_guard: int | None = None
     point is its row.  Keys are int64 when they fit and Python ints
     otherwise.
     """
-    guard = 8 * B if norm_guard is None else norm_guard
     n, mats = G.n, G.elements
+    size = (2 * B + 1) ** n
+    if size > MAX_BOX_POINTS:
+        raise BoundExceededError(f"the box of {size} points exceeds the box bound "
+                                 f"{MAX_BOX_POINTS}")
+    guard = 8 * B if norm_guard is None else norm_guard
     row_norms = np.abs(mats).sum(axis=2).ravel().tolist()
     reach = B * max(row_norms)
     if reach > guard:

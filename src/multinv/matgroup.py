@@ -6,8 +6,9 @@ order (lexicographic on the row-major entries, whose tuple is the element's
 key), which makes every "first subgroup" style choice deterministic.  A
 subgroup is its parent's array at sorted indices, so it keeps that order, and
 it reads its keys, and on first use its multiplication table, off its parent.
-Element orders, fixed ranks, inverses, cyclic subgroups and p-parts are all
-read from one cached walk of the powers of each element through the table.
+Element orders, fixed ranks, inverses and cyclic subgroups are all read from
+one cached walk of the powers of each element through the table.  Subgroups
+(Sylow subgroups, lattice joins) are grown from short generator lists.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ class MatGroup:
     @cached_property
     def _powers(self) -> tuple[tuple[int, ...], ...]:
         """(g, g^2, ..., g^|g| = 1) for each element g, as indices: the one
-        walk of powers through the table that orders, fixed ranks, inverses,
-        cyclic subgroups and p-parts all read."""
+        walk of powers through the table that orders, fixed ranks, inverses
+        and cyclic subgroups all read."""
         e = self.identity_index
         powers = []
         for i, row in enumerate(self.mult_table()):
@@ -266,18 +267,11 @@ class MatGroup:
     def small_generating_indices(self, indices=None) -> tuple[int, ...]:
         """A short list of ``indices`` (by default every element, in canonical
         order) that generates the same subgroup: each index not yet in the
-        span of those picked before it is picked, in the order given, until
-        the span is the whole subgroup ``indices`` generate."""
-        if indices is None:
-            indices, size = range(self.order), self.order
-        else:
-            indices = list(indices)
-            size = len(self.closure_indices(indices))
+        span of those picked before it is picked, in the order given.  Once
+        the span is the subgroup ``indices`` generate, nothing more is picked."""
         gens: list[int] = []
         span = self.closure_indices(())
-        for i in indices:
-            if len(span) == size:
-                break
+        for i in range(self.order) if indices is None else indices:
             if i not in span:
                 gens.append(i)
                 span = self.closure_indices(gens)
@@ -354,27 +348,29 @@ def generate(gens, max_order: int = MAX_GROUP_ORDER) -> MatGroup:
 def subgroups(G: MatGroup) -> list[MatGroup]:
     """All subgroups of G, canonically ordered by (order, element keys).
 
-    Enumeration closes unions of cyclic subgroups, which is feasible well past
-    the group orders this package targets.
+    Every subgroup is a join of cyclic subgroups.  Starting from the trivial
+    group, each subgroup found is joined with each cyclic subgroup it does
+    not hold, closing its own short generator list plus one generator of the
+    cyclic subgroup.
     """
     if G.order > MAX_SUBGROUP_ENUMERATION:
         raise BoundExceededError(f"group order {G.order} exceeds the subgroup "
                                  f"enumeration bound {MAX_SUBGROUP_ENUMERATION}")
     if G._subgroups is not None:
         return list(G._subgroups)
-    cyclics = set(map(frozenset, G._powers))  # the identity's is the trivial group
-    found = set(cyclics)
-    work = list(found)
-    cyclics = sorted(cyclics, key=sorted)
+    # one generator per cyclic subgroup; each join adds one to a short list
+    cyclic_gens = {frozenset(c): c[0] for c in G._powers}.values()
+    trivial = G.closure_indices(())
+    found, work = {trivial}, [((), trivial)]
     while work:
-        S = work.pop()
-        for C in cyclics:
-            if C <= S:
+        gens, S = work.pop()
+        for c in cyclic_gens:
+            if c in S:
                 continue
-            J = G.closure_indices(S | C)
+            J = G.closure_indices(gens + (c,))
             if J not in found:
                 found.add(J)
-                work.append(J)
+                work.append((gens + (c,), J))
     # sorted index sets order subgroups of equal order as their canonical keys do
     subs = [G.subgroup_from_indices(s) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
     G._subgroups = subs
@@ -412,42 +408,35 @@ def _p_part(m: int, p: int) -> int:
 def sylow(G: MatGroup, p: int) -> MatGroup:
     """A deterministic Sylow p-subgroup of G.
 
-    One Sylow subgroup is grown through normalizers; since all Sylow
-    p-subgroups are conjugate, taking the canonical minimum over the
-    conjugates of the result gives the first Sylow subgroup in canonical
-    subgroup order without enumerating the full subgroup lattice.
+    One Sylow subgroup is grown from a list of generators: while |P| is below
+    the p-part q of |G|, the first element h (in canonical order) outside P
+    whose order is a power of p and which normalizes P is appended, and P
+    becomes the closure of the list.  h normalizes P when it conjugates P's
+    generators into P, since then hPh^-1 <= P and the two have one order.
+    - P<h> is a p-group: P is normal in it and P<h>/P is cyclic, generated by
+      the image of h, of p-power order.
+    - Some h exists while |P| < q: P lies in a Sylow subgroup S != P, and a
+      proper subgroup of a p-group is proper in its normalizer, so
+      N_S(P) > P; every element of N_S(P) outside P will do.
+    Since all Sylow p-subgroups are conjugate, taking the canonical minimum
+    over the conjugates of the result gives the first Sylow subgroup in
+    canonical subgroup order without enumerating the full subgroup lattice.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     q = _p_part(G.order, p)
+    if q == G.order:
+        return G
     if q == 1:
         return G.subgroup_from_indices([G.identity_index])
-    orders, powers = G.element_orders(), G._powers
-
-    def p_power_part(i: int) -> int:
-        # g^(o / p-part of o) has order the p-part of o
-        o = orders[i]
-        return powers[i][o // _p_part(o, p) - 1]
-
-    seed = next(i for i in range(G.order) if orders[i] % p == 0)
-    P = G.closure_indices([p_power_part(seed)])
+    # an element order divides |G|, so it is a power of p iff it divides q
+    p_elements = [i for i, o in enumerate(G.element_orders()) if q % o == 0]
+    gens: list[int] = []
+    P = G.closure_indices(())
     while len(P) < q:
-        normalizer = [g for g in range(G.order)
-                      if G.conjugate_indices(g, P) == P]
-        grown = False
-        for h in normalizer:
-            if h in P:
-                continue
-            hp = p_power_part(h)
-            if hp in P:
-                continue
-            J = G.closure_indices(P | {hp})
-            if len(J) == _p_part(len(J), p):
-                P = J
-                grown = True
-                break
-        if not grown:  # cannot happen for a correct table
-            raise AssertionError("Sylow growth stalled")
+        gens.append(next(h for h in p_elements
+                         if h not in P and G.conjugate_indices(h, gens) <= P))
+        P = G.closure_indices(gens)
     conjugates = {G.conjugate_indices(g, P) for g in range(G.order)}
     return G.subgroup_from_indices(min(conjugates, key=sorted))
 

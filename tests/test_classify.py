@@ -252,9 +252,14 @@ def test_r2_certificates_match_the_old_trimming():
     assert len(cases) > 400 and fired > 100
 
 
+# stand-ins for a scalar field, each refused unless it is the field's own value
+_WRONG_SCALARS = ("2", [2], True, False, None, 2.0)
+
+
 def _malformed(cert):
-    """Copies of a certificate with one key removed, or with one cited matrix
-    replaced by a non-square or a ragged one, also inside a nested certificate."""
+    """Copies of a certificate with one key removed, with one scalar field
+    replaced by a value of another type, or with one cited matrix replaced by
+    a non-square or a ragged one, also inside a nested certificate."""
     def is_matrix(x):
         return (isinstance(x, list) and x and all(isinstance(row, list) for row in x)
                 and all(type(v) is int for row in x for v in row))
@@ -273,6 +278,8 @@ def _malformed(cert):
                 if is_matrix(item):
                     for w in variants(item):
                         yield x[:i] + [w] + x[i + 1:]
+        else:
+            yield from (w for w in _WRONG_SCALARS if not (type(w) is type(x) and w == x))
 
     return list(variants(cert))
 

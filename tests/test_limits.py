@@ -3,6 +3,7 @@ tripped limit does to a command and to a classify rule."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from multinv.classify import (
 from multinv.cli import main
 from multinv.cohomology import resolution
 from multinv.errors import (
+    MAX_BOX_POINTS,
     MAX_BOX_RADIUS,
     MAX_GROUP_ORDER,
     MAX_PRIMALITY,
@@ -27,7 +29,8 @@ from multinv.errors import (
     BoundExceededError,
 )
 from multinv.intlinalg import Sublattice, covers
-from multinv.matgroup import classify_element, generate, is_prime, subgroups
+from multinv.laurent import box_orbits
+from multinv.matgroup import classify_element, generate, is_prime, subgroups, trivial_group
 from test_action import B3_GENERATORS
 from test_classify import QUAT_I, QUAT_J
 
@@ -76,6 +79,10 @@ LIMITS = {
         MAX_QUOTIENT_INDEX, None,
         lambda: covers(Sublattice.from_columns(1, [[1]]),
                        [Sublattice.from_columns(1, [[1000003]])])),
+    # (2 ball + 1)^n: 17^5 points is ball 8 at n = 5, and 11^6 > 17^5 the
+    # smallest box past it
+    "MAX_BOX_POINTS": (
+        MAX_BOX_POINTS, None, lambda: box_orbits(trivial_group(6), 5)),
     # is_prime is exact below its bound, so the bound itself is one step past
     "MAX_PRIMALITY": (
         MAX_PRIMALITY, lambda: is_prime(MAX_PRIMALITY - 1),
@@ -137,6 +144,16 @@ def test_a_tripped_limit_makes_the_rule_inapplicable(tmp_path, capsys):
                  ["cohomology", "--input", str(path), "--depth", "2"]):
         assert main(argv) == 3
         assert "resolution order bound" in capsys.readouterr().err
+    # a box past MAX_BOX_POINTS exits 3 before it is allocated: the 17^6 int64
+    # coordinate vectors of length 6 alone would take 1.16 GB
+    tracemalloc.start()
+    try:
+        assert main(["invariants", "--input", str(path), "--ball", "8"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "box bound" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_a_tripped_limit_is_listed_in_an_unknown_verdict():

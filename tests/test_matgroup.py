@@ -23,7 +23,7 @@ from multinv.matgroup import (
     sylow,
     trivial_group,
 )
-from test_action import B3_GENERATORS, CENSUS_MAXIMAL
+from test_action import B3_GENERATORS, CENSUS_MAXIMAL, W_A4_GENERATORS
 from test_limits import B4_GENERATORS
 
 G1 = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
@@ -441,7 +441,10 @@ def test_subgroup_tables_read_off_the_parent_match_fresh_ones():
 # -- differential test of the power walk --------------------------------------
 # The walks through the table that the one cached walk ``_powers`` replaced:
 # element orders, orders with fixed ranks from traces, inverses by row search,
-# the cyclic subgroups of ``subgroups`` and the p-power part of ``sylow``.
+# the cyclic subgroups of ``subgroups`` and the p-power part ``sylow`` took.
+# Also the full-set versions of what now grows from short generator lists:
+# ``sylow`` through whole normalizers, the lattice joins of ``subgroups`` over
+# whole index sets, and ``small_generating_indices`` with its closure pre-pass.
 
 
 def _reference_orders(table, e):
@@ -488,7 +491,8 @@ def _reference_p_power_part(table, e, orders, i, p):
 
 
 def _reference_sylow(G, p):
-    """``sylow`` as it ran with the p-power part walked through the table."""
+    """``sylow`` as it ran, through whole normalizers and p-power parts, with
+    the p-power part walked through the table."""
     q = _p_part(G.order, p)
     if q == 1:
         return frozenset([G.identity_index])
@@ -508,11 +512,35 @@ def _reference_sylow(G, p):
     return min({G.conjugate_indices(g, P) for g in range(G.order)}, key=sorted)
 
 
+def _reference_small_generating_indices(G, indices=None):
+    """``small_generating_indices`` as it ran with a closure of all of
+    ``indices`` first, to stop the picking once the span reached it."""
+    if indices is None:
+        indices, size = range(G.order), G.order
+    else:
+        indices = list(indices)
+        size = len(G.closure_indices(indices))
+    gens, span = [], G.closure_indices(())
+    for i in indices:
+        if len(span) == size:
+            break
+        if i not in span:
+            gens.append(i)
+            span = G.closure_indices(gens)
+    return tuple(gens)
+
+
+# S5 as 5x5 permutation matrices, from a transposition and a 5-cycle
+S5_GENERATORS = [[[int(j == (1, 0, 2, 3, 4)[i]) for j in range(5)] for i in range(5)],
+                 [[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)]]
+
+
 def _power_walk_groups():
     groups = {name: corpus_group(name)[0] for name in corpus_names()}
     groups.update((f"B3c{k}", cls[0]) for k, cls in
                   enumerate(subgroup_conjugacy_classes(generate(B3_GENERATORS))))
     groups.update((name, generate(gens)) for name, gens in CENSUS_MAXIMAL.items())
+    groups.update(S5=generate(S5_GENERATORS), WA4=generate(W_A4_GENERATORS))
     B4 = generate(B4_GENERATORS)
     groups.update(B4=B4, B4sylow2=sylow(B4, 2), B4sylow3=sylow(B4, 3))
     return groups
@@ -520,8 +548,9 @@ def _power_walk_groups():
 
 def test_power_walk_matches_the_table_walks():
     groups = _power_walk_groups()
-    assert len(groups) == 13 + 33 + 4 + 3
-    assert [groups[k].order for k in ("B4", "B4sylow2", "B4sylow3")] == [384, 128, 3]
+    assert len(groups) == 13 + 33 + 4 + 2 + 3
+    assert [groups[k].order for k in ("S5", "WA4", "B4", "B4sylow2", "B4sylow3")] == \
+        [120, 120, 384, 128, 3]
     for name, G in groups.items():
         table, e, N = G.mult_table(), G.identity_index, G.order
         orders = _reference_orders(table, e)
@@ -534,8 +563,14 @@ def test_power_walk_matches_the_table_walks():
             step = [o // _p_part(o, p) for o in orders]
             assert [G._powers[i][step[i] - 1] for i in range(N)] == \
                 [_reference_p_power_part(table, e, orders, i, p) for i in range(N)], (name, p)
-            assert G.indices_of_subgroup(sylow(G, p)) == _reference_sylow(G, p), (name, p)
-        if N <= 48:
+            P = sylow(G, p)
+            assert G.indices_of_subgroup(P) == _reference_sylow(G, p), (name, p)
+            assert sylow(P, p) is P, (name, p)
+        reflections = [i for i, r in enumerate(G.element_fixed_ranks()) if r >= G.n - 1]
+        for indices in (None, range(N - 1, -1, -1), reflections, reflections[::-1]):
+            assert G.small_generating_indices(indices) == \
+                _reference_small_generating_indices(G, indices), name
+        if N <= 120:
             closed = {G.closure_indices(c) for c in _reference_cyclics(table, e)}
             found, work = set(closed), list(closed)
             while work:
