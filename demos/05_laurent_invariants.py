@@ -28,10 +28,10 @@ print("xy + x^-1 z is invariant:", is_invariant(phi, G1))
 inv1, _ = corpus_group("inversion1")
 print("\norbit sum of x under inversion:", orbit_sum(inv1, (1,), 2))
 print("invariant dimensions in balls, inversion on Z^1:",
-      [invariant_dim_in_ball(inv1, 2, B) for B in (0, 1, 2, 3)])
+      [invariant_dim_in_ball(inv1, B) for B in (0, 1, 2, 3)])
 
 g2, _ = corpus_group("g2")
-print("doubled swap on Z^4, ball 1:", invariant_dim_in_ball(g2, 2, 1))
+print("doubled swap on Z^4, ball 1:", invariant_dim_in_ball(g2, 1))
 
 print("\nsplitting the g1-invariants over the Klein-four invariant ring (char 2):")
 for B in (1, 2, 3):

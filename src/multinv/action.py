@@ -13,7 +13,7 @@ import numpy as np
 
 from .cohomology import INFINITY, MuValue, _check_resolution_bounds, has_p_quotient, mu_p
 from .errors import MAX_RESOLUTION_DEPTH
-from .intlinalg import Sublattice, _best_witness, _coordinate_shells, fixed_lattice
+from .intlinalg import Sublattice, _best_witness, _coordinate_shells
 from .matgroup import MatGroup, _p_part, is_prime, subgroup_conjugacy_classes, subgroups
 
 
@@ -24,9 +24,6 @@ class IsotropyReport:
     subgroup.  The full group is always realizable with witness 0."""
 
     entries: tuple[tuple[MatGroup, tuple[int, ...]], ...]
-
-    def witnesses(self) -> dict[int, tuple[int, ...]]:
-        return {i: w for i, (_, w) in enumerate(self.entries)}
 
 
 def stabilizer(G: MatGroup, point) -> MatGroup:
@@ -84,12 +81,9 @@ def isotropy_subgroups(G: MatGroup) -> IsotropyReport:
                                 for H, outside in _realizable_classes(G)))
 
 
-def height_ir(H) -> int:
+def height_ir(H: MatGroup) -> int:
     """Height of the moved-monomial ideal: n - rank(fixed lattice)."""
-    if isinstance(H, MatGroup):
-        return H.n - H.fixed_rank()
-    fl = fixed_lattice(list(H))
-    return fl.ambient_rank - fl.rank
+    return H.n - H.fixed_rank()
 
 
 def mu_action(G: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1,

@@ -43,7 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_RESOLUTION_DEPTH, MAX_RESOLUTION_ORDER, BoundExceededError
+from .errors import (
+    MAX_RESOLUTION_DEPTH,
+    MAX_RESOLUTION_ENTRIES,
+    MAX_RESOLUTION_ORDER,
+    BoundExceededError,
+)
 from .fparith import SpanFp, matmul_fp, nullspace_fp, rank_fp, rref_fp
 from .matgroup import (
     MatGroup,
@@ -97,10 +102,10 @@ class FpResolution:
     basis.  Only these are stored: ``boundary(r)``, the full F_p matrix of the
     boundary map, is rebuilt from them by translation when needed.  A new
     resolution has depth 0 (F_0 = F_p[G] with the augmentation); ``extend``
-    adds one degree.  ``_reverse_pivots`` is that of ``resolution``.
+    adds one degree.
     """
 
-    def __init__(self, p: int, G: MatGroup, _reverse_pivots: bool = False):
+    def __init__(self, p: int, G: MatGroup):
         self.p = p
         self.group_order = G.order
         self.ranks = [1]
@@ -108,7 +113,6 @@ class FpResolution:
         self._augmented_ranks: list[int | None] = []
         self._perms = np.array(G.mult_table(), dtype=np.intp)
         self._gen_perms = self._perms[list(G.small_generating_indices())]
-        self._reverse_pivots = _reverse_pivots
 
     @property
     def depth(self) -> int:
@@ -116,12 +120,20 @@ class FpResolution:
 
     def extend(self) -> None:
         """Add degree depth + 1: module generators of the kernel of the last
-        map (the augmentation at depth 0), which the new free basis maps onto."""
+        map (the augmentation at depth 0), which the new free basis maps onto.
+
+        The last map has ranks[d-1] * ranks[d] * |G|^2 entries at depth d; past
+        ``MAX_RESOLUTION_ENTRIES`` it raises before it is built.
+        """
         n, p = self.group_order, self.p
+        if self.depth:
+            entries = self.ranks[-2] * self.ranks[-1] * n * n
+            if entries > MAX_RESOLUTION_ENTRIES:
+                raise BoundExceededError(
+                    f"degree {self.depth + 1} eliminates {entries} entries, past the "
+                    f"resolution entry bound {MAX_RESOLUTION_ENTRIES}")
         last = self.boundary(self.depth) if self.depth else np.ones((1, n), dtype=np.int64)
-        width = last.shape[1]
-        order = list(range(width - 1, -1, -1)) if self._reverse_pivots else None
-        kernel = nullspace_fp(last, p, order)
+        kernel = nullspace_fp(last, p)
         gens = _module_generators(kernel, self._perms, self._gen_perms, p)
         self.ranks.append(len(gens))
         self.generator_images.append(gens.T)
@@ -219,17 +231,13 @@ def _module_generators(kernel_rows: np.ndarray, perms: np.ndarray,
     return kernel_rows[picks]
 
 
-def resolution(group: MatGroup, p: int, depth: int, _reverse_pivots: bool = False) -> FpResolution:
-    """Free resolution of the trivial F_p[G]-module, truncated at ``depth``.
-
-    ``_reverse_pivots`` flips the pivoting order of the kernel computations;
-    cohomology dimensions are independent of it.
-    """
+def resolution(group: MatGroup, p: int, depth: int) -> FpResolution:
+    """Free resolution of the trivial F_p[G]-module, truncated at ``depth``."""
     _check_group(group)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     _check_resolution_bounds(group.order, depth)
-    res = FpResolution(p, group, _reverse_pivots)
+    res = FpResolution(p, group)
     for _ in range(depth):
         res.extend()
     return res

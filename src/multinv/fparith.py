@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundExceededError
+from .errors import MAX_PRIME, BoundExceededError
 
-MAX_PRIME = 3037000499  # the largest p with p * p < 2**63
 _EXACT_FLOAT = 2**53  # float64 holds every integer below it
 _BLOCK_ENTRIES = 1 << 18  # entries of one row block of a float product
 
@@ -88,20 +87,14 @@ def matmul_fp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def nullspace_fp(mat: np.ndarray, p: int, col_order=None) -> np.ndarray:
-    """Basis of the right nullspace, one row per basis vector.
-
-    ``col_order`` permutes the elimination order of the columns; the spanned
-    space is identical for any order, which tests rely on.
-    """
+def nullspace_fp(mat: np.ndarray, p: int) -> np.ndarray:
+    """Basis of the right nullspace, one row per basis vector."""
     A = np.asarray(mat, dtype=np.int64)
-    cols = A.shape[1]
-    order = np.arange(cols) if col_order is None else np.asarray(col_order, dtype=np.intp)
-    R, piv = rref_fp(A if col_order is None else A[:, order], p)
-    free = np.delete(np.arange(cols), piv)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), order[free]] = 1
-    basis[:, order[piv]] = (-R[:, free].T) % p
+    R, piv = rref_fp(A, p)
+    free = np.delete(np.arange(A.shape[1]), piv)
+    basis = np.zeros((free.size, A.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = (-R[:, free].T) % p
     return basis
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_BOX_POINTS, BoundExceededError
+from .errors import MAX_BOX_POINTS, MAX_ORBIT_SPREAD, BoundExceededError
 from .corpus import corpus_group
 from .fparith import nullspace_fp, rank_fp
 from .intlinalg import _to_lists, intmat, is_unimodular
@@ -155,8 +155,7 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return s[_run_starts(s)]
 
 
-def box_orbits(G: MatGroup, B: int, norm_guard: int | None = None
-               ) -> tuple[list[list[list[int]]], int]:
+def box_orbits(G: MatGroup, B: int) -> tuple[list[list[list[int]]], int]:
     """The G-orbits of the exponent box { a : |a|_inf <= B }.
 
     Returns the orbits, each as its sorted support (exponent vectors as
@@ -166,20 +165,25 @@ def box_orbits(G: MatGroup, B: int, norm_guard: int | None = None
     raises BoundExceededError before anything is allocated.
 
     The largest coordinate of an image of the box is M = B * max_{g,i}
-    |row_i(g)|_1; it must not exceed the norm guard (default 8 B).  A point
-    x with |x|_inf <= M has the key w . (x + M), w = (b^(n-1), ..., b, 1),
-    b = 2M + 1, which orders keys as points lexicographically; key(g x) is
-    linear in x, so the keys of all images of the box are one matrix product
-    of shape (box size, |G|), taken in row blocks, and the orbit of a box
-    point is its row.  Keys are int64 when they fit and Python ints
-    otherwise.
+    |row_i(g)|_1; it must not exceed the norm guard ``MAX_ORBIT_SPREAD`` * B.
+    A point x with |x|_inf <= M has the key w . (x + M), w = (b^(n-1), ...,
+    b, 1), b = 2M + 1, which orders keys as points lexicographically;
+    key(g x) is linear in x, so the keys of all images of the box are one
+    matrix product of shape (box size, |G|), taken in row blocks, and the
+    orbit of a box point is its row.  Keys are int64: every key is below
+    b^n, and each weight w . g[:, j] is at most M (b^n - 1) / (b - 1) < b^n
+    in size, while b <= 16 B + 1 and (2 B + 1)^n <= ``MAX_BOX_POINTS`` give
+    b^n <= 17^12 < 5.9 * 10^14 (B = 1, n = 12) over every accepted box.  The
+    box of B = 0 is the origin, one orbit whatever the entries of G.
     """
     n, mats = G.n, G.elements
     size = (2 * B + 1) ** n
     if size > MAX_BOX_POINTS:
         raise BoundExceededError(f"the box of {size} points exceeds the box bound "
                                  f"{MAX_BOX_POINTS}")
-    guard = 8 * B if norm_guard is None else norm_guard
+    if B == 0:
+        return [[[0] * n]], 1
+    guard = MAX_ORBIT_SPREAD * B
     row_norms = np.abs(mats).sum(axis=2).ravel().tolist()
     reach = B * max(row_norms)
     if reach > guard:
@@ -188,13 +192,10 @@ def box_orbits(G: MatGroup, B: int, norm_guard: int | None = None
         raise BoundExceededError(f"orbit point {_apply_rows(mats[g].tolist(), corner)} "
                                  f"escapes the norm guard {guard}")
     base = 2 * reach + 1
-    place = [base ** (n - 1 - i) for i in range(n)]
-    offset = reach * sum(place)
-    weights = np.array(place, dtype=object) @ mats   # key(g x) = weights[g] . x + offset
-    fits = base ** n < 2 ** 63 and max(map(abs, weights.flat)) < 2 ** 63
-    dtype = np.int64 if fits else object
-    weights = weights.astype(dtype)
-    place = np.array(place, dtype=dtype)
+    assert base ** n < 2 ** 63
+    place = np.array([base ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    offset = reach * int(place.sum())
+    weights = place @ mats.astype(np.int64)   # key(g x) = weights[g] . x + offset
     step = max(1, _BLOCK_ENTRIES // G.order)
 
     def keys_of(points):
@@ -204,8 +205,6 @@ def box_orbits(G: MatGroup, B: int, norm_guard: int | None = None
         return keys[:, None] // place % base - reach
 
     box = np.indices((2 * B + 1,) * n).reshape(n, -1).T - B
-    if not fits:
-        box = box.astype(object)
     least, seen = [], []
     for start in range(0, len(box), step):
         keys = keys_of(box[start:start + step])
@@ -236,8 +235,7 @@ def box_orbits(G: MatGroup, B: int, norm_guard: int | None = None
     return orbits, burnside
 
 
-def invariant_dim_in_ball(G: MatGroup, p: int, B: int,
-                          norm_guard: int | None = None) -> tuple[int, int]:
+def invariant_dim_in_ball(G: MatGroup, B: int) -> tuple[int, int]:
     """Dimension of the invariants supported on the orbit closure of a box.
 
     Let S be the G-closure of { a : |a|_inf <= B }.  The orbit sums of the
@@ -246,7 +244,7 @@ def invariant_dim_in_ball(G: MatGroup, p: int, B: int,
     averaged fixed-point count over the group and both counts are asserted
     equal before returning the pair.
     """
-    orbits, burnside = box_orbits(G, B, norm_guard)
+    orbits, burnside = box_orbits(G, B)
     return len(orbits), burnside
 
 

@@ -24,6 +24,7 @@ from .errors import (
     MAX_GROUP_ORDER,
     MAX_PRIMALITY,
     MAX_SUBGROUP_ENUMERATION,
+    MAX_SUBGROUPS,
     BoundExceededError,
     NonUnimodularError,
 )
@@ -104,6 +105,7 @@ class MatGroup:
         self._table: tuple[tuple[int, ...], ...] | None = None
         self._lattice: Sublattice | None = None
         self._subgroups: list["MatGroup"] | None = None
+        self._classes: list[list["MatGroup"]] | None = None
         # (weak reference to G, sorted indices) for a subgroup of G
         self._parent: tuple[weakref.ref, list[int]] | None = None
 
@@ -351,7 +353,7 @@ def subgroups(G: MatGroup) -> list[MatGroup]:
     Every subgroup is a join of cyclic subgroups.  Starting from the trivial
     group, each subgroup found is joined with each cyclic subgroup it does
     not hold, closing its own short generator list plus one generator of the
-    cyclic subgroup.
+    cyclic subgroup.  Past ``MAX_SUBGROUPS`` subgroups it raises.
     """
     if G.order > MAX_SUBGROUP_ENUMERATION:
         raise BoundExceededError(f"group order {G.order} exceeds the subgroup "
@@ -370,6 +372,9 @@ def subgroups(G: MatGroup) -> list[MatGroup]:
             J = G.closure_indices(gens + (c,))
             if J not in found:
                 found.add(J)
+                if len(found) > MAX_SUBGROUPS:
+                    raise BoundExceededError(f"the subgroup lattice passes the subgroup "
+                                             f"count bound {MAX_SUBGROUPS}")
                 work.append((gens + (c,), J))
     # sorted index sets order subgroups of equal order as their canonical keys do
     subs = [G.subgroup_from_indices(s) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
@@ -381,20 +386,21 @@ def subgroup_conjugacy_classes(G: MatGroup) -> list[list[MatGroup]]:
     """Partition of the subgroup list into conjugacy classes.
 
     Each class is sorted canonically, classes ordered by their first member.
+    The partition is computed once per group.
     """
-    subs = subgroups(G)
-    by_indices = {G.indices_of_subgroup(H): H for H in subs}
-    seen = set()
-    classes = []
-    for H in subs:
-        idx = G.indices_of_subgroup(H)
-        if idx in seen:
-            continue
-        orbit = {G.conjugate_indices(g, idx) for g in range(G.order)}
-        seen |= orbit
-        cls = [by_indices[o] for o in sorted(orbit, key=sorted)]
-        classes.append(cls)
-    return classes
+    if G._classes is None:
+        subs = subgroups(G)
+        by_indices = {G.indices_of_subgroup(H): H for H in subs}
+        seen, classes = set(), []
+        for H in subs:
+            idx = G.indices_of_subgroup(H)
+            if idx in seen:
+                continue
+            orbit = {G.conjugate_indices(g, idx) for g in range(G.order)}
+            seen |= orbit
+            classes.append([by_indices[o] for o in sorted(orbit, key=sorted)])
+        G._classes = classes
+    return [list(cls) for cls in G._classes]
 
 
 def _p_part(m: int, p: int) -> int:

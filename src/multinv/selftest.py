@@ -114,11 +114,11 @@ def _rank_duality():
 def _burnside_double_count():
     checked = 0
     for name in corpus_names():
-        G, p = corpus_group(name)
+        G, _ = corpus_group(name)
         if G.n > 4:
             continue
         for B in (0, 1, 2):
-            dim, burn = invariant_dim_in_ball(G, p, B)
+            dim, burn = invariant_dim_in_ball(G, B)
             if dim != burn:
                 return False, f"{name} B={B}: orbit count {dim} != averaged count {burn}"
             checked += 1

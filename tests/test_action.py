@@ -95,8 +95,6 @@ def test_height_examples():
     G, _ = corpus_group("inversion3")
     assert height_ir(G) == 3
     assert height_ir(generate([G1])) == 2
-    # element-list spelling
-    assert height_ir([G1]) == 2
 
 
 def test_trace_ideal_height_examples():

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import json
+import sys
 import warnings
 
 import pytest
@@ -13,7 +14,7 @@ from multinv.cli import main, parse_jobspec
 from multinv.cohomology import mu_p
 from multinv.corpus import corpus_entry, corpus_names
 from multinv.intlinalg import _to_lists
-from multinv.matgroup import generate, subgroups
+from multinv.matgroup import MatGroup, generate, subgroup_conjugacy_classes, subgroups
 
 INV3 = {"n": 3, "p": 2, "generators": [[[-1, 0, 0], [0, -1, 0], [0, 0, -1]]]}
 
@@ -275,6 +276,31 @@ def test_analyze_computes_isotropy_once(capsys, monkeypatch):
         assert code == 0
         assert _sha1(out) == digest, name
         assert len(calls) == 1, name
+
+
+def test_analyze_computes_subgroup_classes_once(capsys, monkeypatch):
+    """The heights and the stabilizer search read one partition into
+    conjugacy classes, whose sweep conjugates each class representative by
+    every element once."""
+    callers = []
+    real = MatGroup.conjugate_indices
+
+    def counted(self, g, indices):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return real(self, g, indices)
+
+    monkeypatch.setattr(MatGroup, "conjugate_indices", counted)
+    for name, digest in ANALYZE_SHA1.items():
+        callers.clear()
+        code, out, _ = run_cli(capsys, "analyze", "--builtin", name)
+        assert code == 0
+        assert _sha1(out) == digest, name
+        sweeps = callers.count("subgroup_conjugacy_classes")
+        G = corpus_entry(name).group()
+        assert sweeps == G.order * len(subgroup_conjugacy_classes(G)), name
 
 
 B3_GENERATORS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]],

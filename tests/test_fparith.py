@@ -71,11 +71,10 @@ def test_nullspace_annihilates_and_has_corank_dimension(p):
     for _ in range(10):
         M = np.array(random_matrix(rng, p, 5, 8), dtype=np.int64)
         rank = rank_fp(M, p)
-        for order in (None, list(range(7, -1, -1))):
-            N = nullspace_fp(M, p, order)
-            assert N.shape == (8 - rank, 8)
-            assert rank_fp(N, p) == 8 - rank
-            assert not matmul_fp(N, M.T, p).any()
+        N = nullspace_fp(M, p)
+        assert N.shape == (8 - rank, 8)
+        assert rank_fp(N, p) == 8 - rank
+        assert not matmul_fp(N, M.T, p).any()
 
 
 def python_matmul(a, b, p):

@@ -5,7 +5,7 @@ import pytest
 
 import multinv.laurent as laurent
 from multinv.corpus import corpus_group, corpus_names
-from multinv.errors import BoundExceededError
+from multinv.errors import MAX_BOX_POINTS, MAX_ORBIT_SPREAD, BoundExceededError
 from multinv.laurent import (
     LaurentPoly,
     act,
@@ -111,21 +111,21 @@ def test_is_invariant_uses_generators_of_the_whole_subgroup():
 
 def test_invariant_dim_examples():
     inv1, _ = corpus_group("inversion1")
-    assert invariant_dim_in_ball(inv1, 2, 2) == (3, 3)
+    assert invariant_dim_in_ball(inv1, 2) == (3, 3)
     triv2 = trivial_group(2)
-    assert invariant_dim_in_ball(triv2, 2, 1) == (9, 9)
+    assert invariant_dim_in_ball(triv2, 1) == (9, 9)
     g2, _ = corpus_group("g2")
-    assert invariant_dim_in_ball(g2, 2, 1) == (45, 45)
+    assert invariant_dim_in_ball(g2, 1) == (45, 45)
 
 
 def test_invariant_dim_norm_guard():
-    # a shear of finite order does not exist; use an order-6 matrix whose
-    # orbits leave the unit box, with the guard forced below the escape
-    rot6 = generate([[[0, -1], [1, 1]]])
-    with pytest.raises(BoundExceededError):
-        invariant_dim_in_ball(rot6, 2, 1, norm_guard=1)
-    dim, burn = invariant_dim_in_ball(rot6, 2, 1)
-    assert dim == burn
+    # (x, y) -> (x + b y, -y) has a row of l1-norm b + 1 and moves every box
+    # point with y != 0 out of the box, so each box point is its own orbit;
+    # at the guard MAX_ORBIT_SPREAD * B, b = 7 passes and b = 8 trips
+    for B in (1, 2):
+        assert invariant_dim_in_ball(generate([[[1, 7], [0, -1]]]), B) == ((2 * B + 1) ** 2,) * 2
+        with pytest.raises(BoundExceededError, match=f"norm guard {MAX_ORBIT_SPREAD * B}"):
+            invariant_dim_in_ball(generate([[[1, 8], [0, -1]]]), B)
 
 
 def test_ball_decomposition_dimensions():
@@ -146,10 +146,10 @@ def test_ball_decomposition_requires_char_two():
 
 # -- the batched orbit kernel against the per-point enumeration it replaced --
 
-def _reference_orbits(G, B, norm_guard=None):
+def _reference_orbits(G, B):
     """Orbits of the box in first-occurrence order and the Burnside recount,
     one point and one group element at a time in Python ints."""
-    guard = 8 * B if norm_guard is None else norm_guard
+    guard = MAX_ORBIT_SPREAD * B
     rows = [[[int(x) for x in row] for row in g.tolist()] for g in G.elements]
 
     def apply(r, pt):
@@ -179,9 +179,18 @@ def _b3_class_representatives():
 
 
 ROT6 = [[[0, -1], [1, 1]]]
-# rot4 conjugated by the shear [[1, 10^6], [0, 1]]: entries near 10^12, so the
-# keys of B = 1 exceed int64
+# rot4 conjugated by the shear [[1, 10^6], [0, 1]]: entries near 10^12, rows
+# far past the norm guard, where keys of B = 1 would pass int64
 SHEARED_ROT4 = [[[10**6, -1 - 10**12], [1, -10**6]]]
+# involutions with one off-diagonal 1: scaled to b by _off_diagonal, each has
+# a row of l1-norm b + 1, whose orbits reach b + 1 times B
+INVOLUTIONS = [[[[1, 1], [0, -1]]], [[[1, 0], [1, -1]]], [[[-1, 1], [0, 1]]]]
+
+
+def _off_diagonal(gens, b):
+    return [[[x * b if i != j else x for j, x in enumerate(row)] for i, row in enumerate(g)]
+            for g in gens]
+
 
 KERNEL_GROUPS = {name: corpus_group(name)[0] for name in corpus_names()}
 KERNEL_GROUPS.update(_b3_class_representatives())
@@ -194,21 +203,22 @@ def test_box_orbits_match_reference(name):
     for B in range(3 if G.n >= 4 else 4):
         orbits, burnside = box_orbits(G, B)
         assert (orbits, burnside) == _reference_orbits(G, B), (name, B)
-        assert invariant_dim_in_ball(G, 2, B) == (len(orbits), burnside)
+        assert invariant_dim_in_ball(G, B) == (len(orbits), burnside)
 
 
-@pytest.mark.parametrize("gens", [corpus_group("rot3")[0].generators,
-                                  corpus_group("rot4_nonsplit")[0].generators, ROT6])
+@pytest.mark.parametrize("gens", INVOLUTIONS)
 def test_box_orbits_norm_guard_trips_at_the_escape(gens):
-    G = generate(gens)
+    # a row of norm MAX_ORBIT_SPREAD reaches the guard, one of norm
+    # MAX_ORBIT_SPREAD + 1 escapes it
     for B in (1, 2):
-        orbits, _ = _reference_orbits(G, B, norm_guard=10**9)
-        escape = max(abs(x) for orbit in orbits for q in orbit for x in q)
-        assert escape > B  # the orbits leave the box
+        G = generate(_off_diagonal(gens, MAX_ORBIT_SPREAD - 1))
+        orbits, burnside = box_orbits(G, B)
+        assert max(abs(x) for orbit in orbits for q in orbit for x in q) == MAX_ORBIT_SPREAD * B
+        assert (orbits, burnside) == _reference_orbits(G, B)
+        G = generate(_off_diagonal(gens, MAX_ORBIT_SPREAD))
         for impl in (box_orbits, _reference_orbits):
-            with pytest.raises(BoundExceededError):
-                impl(G, B, norm_guard=escape - 1)
-        assert box_orbits(G, B, norm_guard=escape) == _reference_orbits(G, B, norm_guard=escape)
+            with pytest.raises(BoundExceededError, match=f"norm guard {MAX_ORBIT_SPREAD * B}"):
+                impl(G, B)
 
 
 def test_box_orbits_in_blocks(monkeypatch):
@@ -220,12 +230,27 @@ def test_box_orbits_in_blocks(monkeypatch):
             assert box_orbits(G, B) == _reference_orbits(G, B), (name, B)
 
 
-def test_box_orbits_exact_beyond_int64():
-    inv3, _ = corpus_group("inversion3")
-    assert invariant_dim_in_ball(inv3, 2, 1, norm_guard=2**40) == (14, 14)
+def test_box_orbits_keys_stay_in_int64():
     G = generate(SHEARED_ROT4)
     assert G.order == 4
     for B in (1, 2):
-        orbits, burnside = box_orbits(G, B, norm_guard=10**30)
-        assert max(abs(x) for orbit in orbits for q in orbit for x in q) > 10**12
-        assert (orbits, burnside) == _reference_orbits(G, B, norm_guard=10**30)
+        with pytest.raises(BoundExceededError, match="norm guard"):
+            box_orbits(G, B)
+    # the box of ball 0 is the origin alone, whatever the entries: here they
+    # pass int64 (rot4 conjugated by the shear [[1, 10^10], [0, 1]])
+    huge = generate([[[10**10, -1 - 10**20], [1, -10**10]]])
+    assert box_orbits(huge, 0) == _reference_orbits(huge, 0) == ([[[0, 0]]], 1)
+    # the largest key base: a row of norm MAX_ORBIT_SPREAD at ball 1 in rank
+    # 12, the largest whose unit box fits MAX_BOX_POINTS, keys up to 17^12 - 1
+    n = 12
+    assert 3 ** n <= MAX_BOX_POINTS < 3 ** (n + 1)
+    b = MAX_ORBIT_SPREAD - 1
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    g[0][1], g[1][1] = b, -1
+    orbits, burnside = box_orbits(generate([g]), 1)
+    # (x, y, z) -> (x + b y, -y, z) moves every box point with y != 0 out
+    # of the box, so each box point is its own orbit
+    assert burnside == len(orbits) == 3 ** n
+    for pt, orbit in zip(itertools.product((-1, 0, 1), repeat=n), orbits):
+        image = (pt[0] + b * pt[1], -pt[1]) + pt[2:]
+        assert orbit == [list(q) for q in sorted({pt, image})]

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from multinv import cohomology
 from multinv.classify import (
     ClassifyOptions,
     Verdict,
@@ -21,13 +22,18 @@ from multinv.errors import (
     MAX_BOX_POINTS,
     MAX_BOX_RADIUS,
     MAX_GROUP_ORDER,
+    MAX_ORBIT_SPREAD,
     MAX_PRIMALITY,
+    MAX_PRIME,
     MAX_QUOTIENT_INDEX,
     MAX_RESOLUTION_DEPTH,
+    MAX_RESOLUTION_ENTRIES,
     MAX_RESOLUTION_ORDER,
     MAX_SUBGROUP_ENUMERATION,
+    MAX_SUBGROUPS,
     BoundExceededError,
 )
+from multinv.fparith import rank_fp
 from multinv.intlinalg import Sublattice, covers
 from multinv.laurent import box_orbits
 from multinv.matgroup import classify_element, generate, is_prime, subgroups, trivial_group
@@ -57,8 +63,27 @@ B4_GENERATORS = [[[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
                  [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                  [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
 SHEAR = [[1, 1], [0, 1]]  # infinite order
+# S3 on the A2 root lattice: rot3 and a reflection; at p = 3 its Sylow
+# subgroup is fixed-point-free and it has no quotient of order 3
+S3_A2_GENERATORS = [ROT3, [[0, 1], [1, 0]]]
 S3_GENERATORS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]]]
 Z2_GENERATORS = [[[-1]]]
+
+
+def _diag(k):
+    """Generators of diag(±1)^k, the elementary abelian 2-group of order 2^k."""
+    return [[[-1 if i == j == t else int(i == j) for j in range(k)] for i in range(k)]
+            for t in range(k)]
+
+
+def _diag5_at_depth_6():
+    """A resolution of diag(±1)^5 with the free ranks C(r + 4, 4) of its
+    depth 6 but no generator images: the next step must raise before it
+    reads any."""
+    res = cohomology.FpResolution(2, generate(_diag(5)))
+    res.ranks = [1, 5, 15, 35, 70, 126, 210]
+    return res
+
 
 # (limit, call at the limit or None where that is slow, call one step past it)
 LIMITS = {
@@ -69,12 +94,21 @@ LIMITS = {
         MAX_GROUP_ORDER, None, lambda: classify_element(SHEAR)),
     "MAX_SUBGROUP_ENUMERATION": (
         MAX_SUBGROUP_ENUMERATION, None, lambda: subgroups(generate(B4_GENERATORS))),
+    # diag(±1)^6 has 2825 subgroups, diag(±1)^7 has 29212
+    "MAX_SUBGROUPS": (
+        MAX_SUBGROUPS, lambda: subgroups(generate(_diag(6))),
+        lambda: subgroups(generate(_diag(7)))),
     "MAX_RESOLUTION_ORDER": (
         MAX_RESOLUTION_ORDER, lambda: resolution(generate(B3_GENERATORS), 2, 1),
         lambda: resolution(generate(F54_GENERATORS), 2, 1)),
     "MAX_RESOLUTION_DEPTH": (
         MAX_RESOLUTION_DEPTH, lambda: resolution(generate(Z2_GENERATORS), 2, 10),
         lambda: resolution(generate(Z2_GENERATORS), 2, 11)),
+    # a step eliminates ranks[d-1] ranks[d] |G|^2 entries: diag(±1)^4 at depth 10
+    # eliminates 165 * 220 * 16^2 = 9.3M in its last step (10 s), and diag(±1)^5
+    # at depth 7 would eliminate 126 * 210 * 32^2 = 27.1M, after 15 s to depth 6
+    "MAX_RESOLUTION_ENTRIES": (
+        MAX_RESOLUTION_ENTRIES, None, lambda: _diag5_at_depth_6().extend()),
     "MAX_QUOTIENT_INDEX": (
         MAX_QUOTIENT_INDEX, None,
         lambda: covers(Sublattice.from_columns(1, [[1]]),
@@ -83,6 +117,12 @@ LIMITS = {
     # smallest box past it
     "MAX_BOX_POINTS": (
         MAX_BOX_POINTS, None, lambda: box_orbits(trivial_group(6), 5)),
+    # (x, y) -> (x + b y, -y) has a row of l1-norm b + 1
+    "MAX_ORBIT_SPREAD": (
+        MAX_ORBIT_SPREAD, lambda: box_orbits(generate([[[1, 7], [0, -1]]]), 1),
+        lambda: box_orbits(generate([[[1, 8], [0, -1]]]), 1)),
+    "MAX_PRIME": (
+        MAX_PRIME, lambda: rank_fp([[1]], MAX_PRIME), lambda: rank_fp([[1]], MAX_PRIME + 1)),
     # is_prime is exact below its bound, so the bound itself is one step past
     "MAX_PRIMALITY": (
         MAX_PRIMALITY, lambda: is_prime(MAX_PRIMALITY - 1),
@@ -185,3 +225,38 @@ def test_r6_reads_mu_from_the_group_past_the_subgroup_bound():
     assert (v.status, v.rule, v.notes) == ("CM", "R1", ())
     assert applicable_rules(B4, 5) == {"R1": "CM", "R2": "CM", "R3": "CM",
                                        "R4": "CM", "R6": "CM"}
+
+
+def test_the_entry_bound_trips_before_the_step_past_it(monkeypatch):
+    # diag(±1)^3 to depth 4 has ranks 1, 3, 6, 10, 15; its fifth step eliminates
+    # the 10 * 15 * 8^2 entries of the fourth boundary
+    G = generate(_diag(3))
+    entries = 10 * 15 * 8**2
+    assert resolution(G, 2, 4).ranks == [1, 3, 6, 10, 15]
+    monkeypatch.setattr(cohomology, "MAX_RESOLUTION_ENTRIES", entries)
+    assert resolution(G, 2, 5).ranks[-1] == 21
+    monkeypatch.setattr(cohomology, "MAX_RESOLUTION_ENTRIES", entries - 1)
+    with pytest.raises(BoundExceededError,
+                       match=f"degree 5 eliminates {entries} entries, past the "
+                             f"resolution entry bound {entries - 1}$"):
+        resolution(G, 2, 5)
+
+
+def test_the_entry_bound_makes_r6_inapplicable(tmp_path, capsys, monkeypatch):
+    # S3 on the A2 lattice at p = 3 has ranks 1, 2, 3, 3: R6 resolves S3, and
+    # its third step eliminates 2 * 3 * 6^2 = 216 entries
+    G = generate(S3_A2_GENERATORS)
+    assert applicable_rules(G, 3)["R6"] == "CM"
+    monkeypatch.setattr(cohomology, "MAX_RESOLUTION_ENTRIES", 215)
+    reason = "bound exceeded: degree 3 eliminates 216 entries, past the resolution entry bound 215"
+    v = classify(G, 3, ClassifyOptions(audit=True))
+    assert (v.status, v.rule, v.notes) == ("CM", "R2", (f"R6 skipped: {reason}",))
+    assert "R6" not in applicable_rules(G, 3)
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps({"n": 2, "p": 3, "generators": S3_A2_GENERATORS}))
+    for argv in (["analyze", "--input", str(path)],
+                 ["cohomology", "--input", str(path), "--depth", "3"]):
+        assert main(argv) == 3
+        assert "resolution entry bound 215" in capsys.readouterr().err
+    assert main(["cohomology", "--input", str(path), "--depth", "2"]) == 0
+    capsys.readouterr()
