@@ -4,8 +4,11 @@ A group is one read-only (order, n, n) array of Python ints (``dtype=object``,
 as in ``intlinalg``), ``MatGroup.elements``: every element once, in canonical
 order (lexicographic on the row-major entries, whose tuple is the element's
 key), which makes every "first subgroup" style choice deterministic.  A
-subgroup is its parent's array at sorted indices, so it keeps that order, and
-it reads its keys, and on first use its multiplication table, off its parent.
+subgroup is its parent's array at sorted indices, so it keeps that order and
+reads its keys off its parent.  The multiplication table is built on first
+use by composing rows: only the rows of a short generating list (the picks
+that ``small_generating_indices()`` returns) are matrix products, and every
+other row is the composite row(h·b) = row(h) ∘ row(b) of two known rows.
 Element orders, fixed ranks, inverses and cyclic subgroups are all read from
 one cached walk of the powers of each element through the table.  Subgroups
 (Sylow subgroups, lattice joins) are grown from short generator lists.
@@ -13,7 +16,6 @@ one cached walk of the powers of each element through the table.  Subgroups
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -103,11 +105,10 @@ class MatGroup:
         self._generator_indices = (None if generator_indices is None
                                    else tuple(generator_indices))
         self._table: tuple[tuple[int, ...], ...] | None = None
+        self._picks: tuple[int, ...] | None = None
         self._lattice: Sublattice | None = None
         self._subgroups: list["MatGroup"] | None = None
         self._classes: list[list["MatGroup"]] | None = None
-        # (weak reference to G, sorted indices) for a subgroup of G
-        self._parent: tuple[weakref.ref, list[int]] | None = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -117,7 +118,8 @@ class MatGroup:
 
     @cached_property
     def identity_index(self) -> int:
-        return self.index_of(identity_matrix(self.n))
+        n = self.n
+        return self._index[tuple(int(i == j) for i in range(n) for j in range(n))]
 
     @property
     def generator_indices(self) -> tuple[int, ...]:
@@ -147,23 +149,45 @@ class MatGroup:
         return self._index.get(_keys_of(m[None])[0]) if m.shape == (self.n, self.n) else None
 
     def mult_table(self) -> tuple[tuple[int, ...], ...]:
-        if self._table is None:
-            parent = self._parent[0]() if self._parent is not None else None
-            if parent is not None and parent._table is not None:
-                self._restrict_parent_table(parent, self._parent[1])
-            else:
-                index = self._index.__getitem__
-                self._table = tuple(tuple(map(index, _keys_of(a @ self.elements)))
-                                    for a in self.elements)
-        return self._table
+        """``table[a][b]`` is the index of a·b.  Row a is the index of a·x for
+        every element x, in canonical order.
 
-    def _restrict_parent_table(self, parent: "MatGroup", idx: list[int]) -> None:
-        """Take the parent's table on the rows and columns ``idx``, renumbered
-        to this group's indices, and the identity's index with it."""
-        at = dict(zip(idx, range(len(idx)))).__getitem__
-        rows = map(parent._table.__getitem__, idx)
-        self._table = tuple(tuple(map(at, [row[j] for j in idx])) for row in rows)
-        self.__dict__.setdefault("identity_index", at(parent.identity_index))
+        The elements are walked in canonical order.  Each one outside the
+        span of the picks so far is picked, and its row is looked up from the
+        products a @ elements.  The span is then closed under left
+        multiplication by the picks: c = g·b for a pick g gets the row
+        row(g) ∘ row(b), since c·x = g·(b·x).  This assumes that the elements
+        are closed under products and so form a group; ``validate()`` checks
+        every row against its products."""
+        if self._table is None:
+            N, e = self.order, self.identity_index
+            index = self._index.__getitem__
+            rows: list[tuple[int, ...] | None] = [None] * N
+            rows[e] = tuple(range(N))
+            picks, span = [], [e]
+            for a in range(N):
+                if rows[a] is not None:
+                    continue
+                rows[a] = tuple(map(index, _keys_of(self.elements[a] @ self.elements)))
+                picks.append(a)
+                span.append(a)
+                # the new pick moves every element spanned so far; the old
+                # picks move only what it adds
+                frontier = span
+                while frontier:
+                    new = []
+                    for g in picks:
+                        row_g = rows[g]
+                        for b in frontier:
+                            c = row_g[b]
+                            if rows[c] is None:
+                                rows[c] = tuple(map(row_g.__getitem__, rows[b]))
+                                new.append(c)
+                    span += new
+                    frontier = new
+            self._picks = tuple(picks)
+            self._table = tuple(rows)
+        return self._table
 
     @cached_property
     def _powers(self) -> tuple[tuple[int, ...], ...]:
@@ -227,14 +251,12 @@ class MatGroup:
 
     def subgroup_from_indices(self, indices) -> "MatGroup":
         """The subgroup with the given element indices.  G's canonical order
-        restricted to them is H's, so H takes G's keys.  H also records where
-        it sits in G: its first ``mult_table`` call restricts G's table when
-        G has one by then.  That stays lazy, since most subgroups made (by
-        ``subgroups``, say) never need a table."""
+        restricted to them is H's, so H takes G's keys.  H builds its own
+        table, by composing rows, on its first ``mult_table`` call; most
+        subgroups made (by ``subgroups``, say) never need one."""
         idx = sorted(set(indices))
         H = MatGroup(self.n, self.elements[idx])
         H._keys = tuple(map(self._keys.__getitem__, idx))
-        H._parent = (weakref.ref(self), idx)
         return H
 
     def closure_indices(self, seed) -> frozenset[int]:
@@ -270,10 +292,14 @@ class MatGroup:
         """A short list of ``indices`` (by default every element, in canonical
         order) that generates the same subgroup: each index not yet in the
         span of those picked before it is picked, in the order given.  Once
-        the span is the subgroup ``indices`` generate, nothing more is picked."""
+        the span is the subgroup ``indices`` generate, nothing more is picked.
+        With no ``indices`` these are the picks that ``mult_table`` makes."""
+        if indices is None:
+            self.mult_table()
+            return self._picks
         gens: list[int] = []
         span = self.closure_indices(())
-        for i in range(self.order) if indices is None else indices:
+        for i in indices:
             if i not in span:
                 gens.append(i)
                 span = self.closure_indices(gens)
@@ -296,9 +322,12 @@ class MatGroup:
         assert list(self._keys) == sorted(set(self._keys)), "elements repeated or out of order"
         assert all(is_unimodular(m) for m in self.elements), "non-unimodular element"
         # checked before mult_table, whose lookups would raise KeyError instead
-        assert all(k in self._index for a in self.elements for k in _keys_of(a @ self.elements)), \
-            "not closed under products"
-        table, e, inv = self.mult_table(), self.identity_index, self.inverse_indices()
+        index = self._index.get
+        products = [tuple(map(index, _keys_of(a @ self.elements))) for a in self.elements]
+        assert all(None not in row for row in products), "not closed under products"
+        table, e = self.mult_table(), self.identity_index
+        assert tuple(products) == table, "table row differs from the products"
+        inv = self.inverse_indices()
         assert all(table[i][inv[i]] == e for i in range(self.order)), "missing inverse"
         for o in self.element_orders():
             assert self.order % o == 0, "element order does not divide group order"
@@ -427,6 +456,9 @@ def sylow(G: MatGroup, p: int) -> MatGroup:
     Since all Sylow p-subgroups are conjugate, taking the canonical minimum
     over the conjugates of the result gives the first Sylow subgroup in
     canonical subgroup order without enumerating the full subgroup lattice.
+    The conjugates are P's orbit, closed under conjugation by G's short
+    generating list: a set of subgroups that conjugation by the generators
+    maps into itself is mapped into itself by all of G.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -443,7 +475,13 @@ def sylow(G: MatGroup, p: int) -> MatGroup:
         gens.append(next(h for h in p_elements
                          if h not in P and G.conjugate_indices(h, gens) <= P))
         P = G.closure_indices(gens)
-    conjugates = {G.conjugate_indices(g, P) for g in range(G.order)}
+    conjugates, frontier = {P}, [P]
+    for Q in frontier:
+        for g in G.small_generating_indices():
+            R = G.conjugate_indices(g, Q)
+            if R not in conjugates:
+                conjugates.add(R)
+                frontier.append(R)
     return G.subgroup_from_indices(min(conjugates, key=sorted))
 
 

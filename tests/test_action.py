@@ -178,11 +178,24 @@ CENSUS_MAXIMAL = {
 }
 
 
-# the Weyl group W(A4) on its root lattice, from the simple reflections
-# s_i(α_j) = α_j - A_ij α_i for the Cartan matrix A (order 120)
+def _simple_reflections(cartan):
+    """The simple reflections s_i(α_j) = α_j - A_ij α_i of the Weyl group of
+    the Cartan matrix A, on its root lattice."""
+    n = len(cartan)
+    return [[[int(r == j) - (r == i) * cartan[i][j] for j in range(n)] for r in range(n)]
+            for i in range(n)]
+
+
+# the Weyl groups W(A4) (order 120) and W(F4) (order 1152)
 CARTAN_A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-W_A4_GENERATORS = [[[int(r == j) - (r == i) * CARTAN_A4[i][j] for j in range(4)]
-                    for r in range(4)] for i in range(4)]
+W_A4_GENERATORS = _simple_reflections(CARTAN_A4)
+W_F4_GENERATORS = _simple_reflections([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1],
+                                       [0, 0, -1, 2]])
+# B5, the signed permutation matrices of rank 5 (order 3840): the adjacent
+# transpositions (i, i + 1) and the sign change of the first coordinate
+B5_GENERATORS = [[[int(c == perm[r]) for c in range(5)] for r in range(5)] for perm in
+                 ([1, 0, 2, 3, 4], [0, 2, 1, 3, 4], [0, 1, 3, 2, 4], [0, 1, 2, 4, 3])]
+B5_GENERATORS.append([[(-1 if r == 0 else 1) * int(r == c) for c in range(5)] for r in range(5)])
 # rot4 conjugated by [[1, 10^6], [0, 1]]: entries near 10^12
 ROT4_FAR = [[10**6, -(10**12 + 1)], [1, -10**6]]
 

@@ -13,7 +13,7 @@ from multinv.classify import (
 from multinv.corpus import classification_cases, corpus_group
 from multinv.intlinalg import fixed_lattice
 from multinv.matgroup import generate, op_core, subgroups, sylow
-from test_action import B3_GENERATORS, CENSUS_MAXIMAL
+from test_action import B3_GENERATORS, B5_GENERATORS, CENSUS_MAXIMAL, W_F4_GENERATORS
 
 
 def _verdict(name, p=None):
@@ -178,6 +178,15 @@ def test_bireflection_cyclic_sylow_already_cm_by_rank():
             v = classify(G, p)
             assert v.status == "CM"
             assert v.rule in ("R1", "R2", "R3")
+
+
+def test_w_f4_and_b5_are_cm_by_the_reflection_rule():
+    for gens in (W_F4_GENERATORS, B5_GENERATORS):
+        G = generate(gens)
+        for p in (2, 3):
+            v = classify(G, p)
+            assert (v.status, v.rule) == ("CM", "R2"), (G.order, p)
+            assert verify_certificate(G, p, v), (G.order, p)
 
 
 def test_certificates_verify_across_corpus():
