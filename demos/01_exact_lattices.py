@@ -5,14 +5,12 @@ the Hermite bases are canonical, so lattice equality is literal equality.
 """
 
 from multinv import (
-    covers,
     fixed_lattice,
     intmat,
     moved_lattice,
     quotient_invariants,
     rank,
     snf,
-    Sublattice,
 )
 
 # the order-2 matrix that negates the first coordinate and swaps the others
@@ -31,16 +29,3 @@ print("\nfixed sublattice (saturated):", fixed)
 print("moved sublattice (index 2 in its saturation):", moved)
 print("invariants of Z^3 / moved:", quotient_invariants(moved))
 
-# a union of proper sublattices can cover the whole lattice ...
-Z2 = Sublattice.full(2)
-parities = [
-    Sublattice.from_columns(2, [[2, 0], [0, 1]]),  # x even
-    Sublattice.from_columns(2, [[1, 0], [0, 2]]),  # y even
-    Sublattice.from_columns(2, [[1, 0], [1, 2]]),  # x + y even
-]
-print("\nthree parity sublattices cover Z^2:", covers(Z2, parities))
-
-# ... but two index-2 and index-3 sublattices of Z cannot
-Z = Sublattice.full(1)
-print("2Z and 3Z cover Z:",
-      covers(Z, [Sublattice.from_columns(1, [[2]]), Sublattice.from_columns(1, [[3]])]))

@@ -1,8 +1,8 @@
 """Finite matrix groups: closure, subgroup lattice, Sylow subgroups, profiles."""
 
 from multinv import (
-    classify_element,
     corpus_group,
+    element_profiles,
     generate,
     op_core,
     subgroup_structure,
@@ -22,8 +22,7 @@ print("smallest normal subgroup with 3-group quotient:", op_core(s3, 3).order)
 print("smallest normal subgroup with 2-group quotient:", op_core(s3, 2).order)
 
 print("\nelement profiles (order, rank drop) for S3:")
-for g in s3.elements:
-    pr = classify_element(g)
+for pr in element_profiles(s3):
     tag = "reflection" if pr.is_reflection else (
         "bireflection" if pr.is_bireflection else "-")
     print(f"  order {pr.order}, rank drop {pr.rank_drop} {tag}")

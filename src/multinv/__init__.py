@@ -13,7 +13,6 @@ from .action import (
     isotropy_subgroups,
     mu_action,
     stabilizer,
-    trace_ideal_height,
 )
 from .classify import (
     ClassifyOptions,
@@ -36,12 +35,10 @@ from .corpus import CorpusEntry, classification_cases, corpus_entry, corpus_grou
 from .errors import BoundExceededError, NonUnimodularError
 from .intlinalg import (
     Sublattice,
-    covers,
     det,
     fixed_lattice,
     hnf_columns,
     identity_matrix,
-    intersect,
     intmat,
     kernel_basis,
     moved_lattice,
@@ -62,7 +59,7 @@ from .laurent import (
 from .matgroup import (
     ElementProfile,
     MatGroup,
-    classify_element,
+    element_profiles,
     generate,
     is_fixed_point_free,
     op_core,
@@ -80,14 +77,14 @@ __all__ = [
     "ElementProfile", "FpResolution", "INFINITY",
     "InconsistentRulesError", "IsotropyReport", "LaurentPoly", "MatGroup",
     "MuValue", "NonUnimodularError", "Sublattice", "Verdict", "act",
-    "applicable_rules", "classification_cases", "classify", "classify_element",
+    "applicable_rules", "classification_cases", "classify",
     "check_g1_decomposition", "corpus_entry", "corpus_group", "corpus_names",
-    "covers", "det", "fixed_lattice", "generate", "h_dim", "height_ir",
-    "hnf_columns", "identity_matrix", "intersect", "intmat",
+    "det", "element_profiles", "fixed_lattice", "generate", "h_dim", "height_ir",
+    "hnf_columns", "identity_matrix", "intmat",
     "invariant_dim_in_ball", "is_fixed_point_free", "is_invariant",
     "isotropy_subgroups", "kernel_basis", "moved_lattice", "mu_action", "mu_p",
     "mu_p_formula", "op_core", "orbit_sum", "quotient_invariants", "rank",
     "resolution", "snf", "stabilizer", "subgroup_conjugacy_classes",
-    "subgroup_structure", "subgroups", "sylow", "trace_ideal_height",
+    "subgroup_structure", "subgroups", "sylow",
     "trivial_group", "unimodular_inverse", "verify_certificate",
 ]

@@ -7,14 +7,19 @@ the Reynolds sum S_H = Σ_{h∈H} h, the transfer map on the lattice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cohomology import INFINITY, MuValue, _check_resolution_bounds, has_p_quotient, mu_p
-from .errors import MAX_RESOLUTION_DEPTH
-from .intlinalg import Sublattice, _best_witness, _coordinate_shells
-from .matgroup import MatGroup, _p_part, is_prime, subgroup_conjugacy_classes, subgroups
+from .errors import MAX_RESOLUTION_DEPTH, BoundExceededError
+from .intlinalg import Sublattice
+from .matgroup import MatGroup, is_prime, subgroup_conjugacy_classes
+
+# Shell-by-shell witness searches are dense (they always succeed at a small
+# radius); this guard only trips on internal errors.
+_MAX_SEARCH_RADIUS = 64
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,29 @@ def _realizable_classes(G: MatGroup):
             yield H, outside
 
 
+def _coordinate_shells(r: int):
+    """Yield coordinate vectors of Z^r grouped by increasing infinity norm."""
+    if r == 0:
+        yield [()]
+        return
+    for radius in itertools.count():
+        shell = [c for c in itertools.product(range(-radius, radius + 1), repeat=r)
+                 if max((abs(x) for x in c), default=0) == radius]
+        yield shell
+        if radius >= _MAX_SEARCH_RADIUS:
+            raise BoundExceededError("witness search radius exceeded")
+
+
+def _best_witness(candidates: list[tuple[int, ...]]) -> tuple[int, ...]:
+    # minimal infinity norm, then fewest nonzero coordinates, then the
+    # lexicographically greatest vector; fully deterministic
+    def shape(v):
+        return (max((abs(x) for x in v), default=0), sum(1 for x in v if x))
+
+    m = min(shape(v) for v in candidates)
+    return max(v for v in candidates if shape(v) == m)
+
+
 def _witness(ambient: Sublattice, outside: np.ndarray) -> tuple[int, ...]:
     """The best point (as `_best_witness` ranks them) of the first coordinate
     shell of ``ambient`` that holds a point no matrix of ``outside`` fixes."""
@@ -73,9 +101,9 @@ def realizable_subgroups(G: MatGroup) -> list[MatGroup]:
 
 def isotropy_subgroups(G: MatGroup) -> IsotropyReport:
     """Conjugacy-class representatives of subgroups realized as stabilizers,
-    each with the witness that ``covers(Fix(H), [Fix(H) ∩ Fix(g) for g ∉ H])``
-    returns: no part has full rank, so it is the best point of the first
-    coordinate shell of Fix(H) that no g outside H fixes.
+    each with a witness: among the points of the first coordinate shell of
+    Fix(H) that no g outside H fixes, the one of least infinity norm, then
+    fewest nonzero coordinates, then the lexicographically greatest.
     """
     return IsotropyReport(tuple((H, _witness(H.fixed_lattice(), outside))
                                 for H, outside in _realizable_classes(G)))
@@ -134,32 +162,3 @@ def mu_action(G: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1,
         elif best.is_infinite:
             best = value
     return best
-
-
-def trace_ideal_height(G: MatGroup, p: int, excluded) -> int | float:
-    """Infimum of height_ir over p-subgroups outside the ``excluded`` family.
-
-    ``excluded`` is a predicate on subgroups; it must be closed under
-    conjugation and under passing to subgroups, which is validated against
-    the enumerated subgroup lattice.  INFINITY for an empty infimum.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    subs = subgroups(G)
-    by_indices = {G.indices_of_subgroup(H): H for H in subs}
-    flagged = {G.indices_of_subgroup(H) for H in subs if excluded(H)}
-    for idx in flagged:
-        for g in range(G.order):
-            if G.conjugate_indices(g, idx) not in flagged:
-                raise ValueError("excluded family is not closed under conjugation")
-        for other in by_indices:
-            if other <= idx and other not in flagged:
-                raise ValueError("excluded family is not closed under subgroups")
-    heights = []
-    for H in subs:
-        if _p_part(H.order, p) != H.order:
-            continue  # not a p-subgroup
-        if G.indices_of_subgroup(H) in flagged:
-            continue
-        heights.append(height_ir(H))
-    return min(heights) if heights else INFINITY

@@ -18,15 +18,9 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .errors import MAX_QUOTIENT_INDEX, BoundExceededError, NonUnimodularError
-
-# Shell-by-shell witness searches are dense (they always succeed at a small
-# radius); this guard only trips on internal errors.
-_MAX_SEARCH_RADIUS = 64
+from .errors import NonUnimodularError
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +345,7 @@ class Sublattice:
     as a tuple of column tuples of Python ints; ``basis`` is its array view.
     """
 
-    __slots__ = ("ambient_rank", "columns", "saturated", "_basis", "_snf")
+    __slots__ = ("ambient_rank", "columns", "saturated", "_basis", "_factors")
 
     def __init__(self, ambient_rank: int, columns, saturated: bool):
         """``columns`` must already be the canonical column Hermite basis."""
@@ -359,7 +353,7 @@ class Sublattice:
         self.columns = tuple(tuple(c) for c in columns)
         self.saturated = saturated
         self._basis = None
-        self._snf = None
+        self._factors = None
 
     @classmethod
     def from_columns(cls, ambient_rank: int, columns) -> "Sublattice":
@@ -373,12 +367,8 @@ class Sublattice:
     def _span(cls, ambient_rank: int, cols: list[list[int]]) -> "Sublattice":
         """The lattice spanned by integer vectors this module built."""
         L = cls(ambient_rank, _hnf_columns(cols, ambient_rank), True)
-        L.saturated = all(d == 1 for d in L._basis_snf()[1])
+        L.saturated = all(d == 1 for d in L._invariant_factors())
         return L
-
-    @classmethod
-    def zero(cls, ambient_rank: int) -> "Sublattice":
-        return cls(ambient_rank, (), True)
 
     @classmethod
     def full(cls, ambient_rank: int) -> "Sublattice":
@@ -395,67 +385,14 @@ class Sublattice:
             self._basis = _from_columns(self.columns, self.ambient_rank)
         return self._basis
 
-    def _basis_snf(self):
-        """(U, diagonal, V) of the Smith form of the basis, as lists."""
-        if self._snf is None:
+    def _invariant_factors(self) -> list[int]:
+        """The diagonal of the Smith form of the basis."""
+        if self._factors is None:
             n = self.ambient_rank
             rows = [[c[i] for c in self.columns] for i in range(n)]
-            S, U, V = _snf_lists(rows, self.rank)
-            self._snf = (U, [S[i][i] for i in range(min(n, self.rank))], V)
-        return self._snf
-
-    def _reduced(self, vec) -> list[int] | None:
-        """y with S @ y == U @ vec for the Smith form U @ basis @ V == S, or
-        None when vec is outside the lattice (then basis @ V @ y == vec)."""
-        U, diag, _ = self._basis_snf()
-        y = []
-        for i, Ui in enumerate(U):
-            w = sum(a * b for a, b in zip(Ui, vec))
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if w != 0:
-                    return None
-            else:
-                if w % d:
-                    return None
-                y.append(w // d)
-        return y + [0] * (self.rank - len(y))
-
-    def _contains(self, vec) -> bool:
-        if not self.columns:
-            return not any(vec)
-        return self._reduced(vec) is not None
-
-    def coordinates(self, v) -> list[int] | None:
-        """x with basis @ x = v, or None when v is outside the lattice."""
-        vec = [int(x) for x in v]
-        if len(vec) != self.ambient_rank:
-            raise ValueError("vector has wrong length")
-        if not self.columns:
-            return [] if not any(vec) else None
-        y = self._reduced(vec)
-        if y is None:
-            return None
-        return [sum(a * b for a, b in zip(Vi, y)) for Vi in self._basis_snf()[2]]
-
-    def contains(self, v) -> bool:
-        return self.coordinates(v) is not None
-
-    def _point(self, coords) -> tuple[int, ...]:
-        return tuple(sum(c * col[i] for c, col in zip(coords, self.columns))
-                     for i in range(self.ambient_rank))
-
-    def point(self, coords) -> tuple[int, ...]:
-        """The ambient vector basis @ coords."""
-        cs = [int(c) for c in coords]
-        if len(cs) != self.rank:
-            raise ValueError("coordinate vector has wrong length")
-        return self._point(cs)
-
-    def is_subset_of(self, other: "Sublattice") -> bool:
-        if self.ambient_rank != other.ambient_rank:
-            return False
-        return all(other._contains(c) for c in self.columns)
+            S, _, _ = _snf_lists(rows, self.rank, track_u=False)
+            self._factors = [S[i][i] for i in range(min(n, self.rank))]
+        return self._factors
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Sublattice)
@@ -511,111 +448,4 @@ def quotient_invariants(L: Sublattice) -> tuple[int, list[int]]:
     """Invariant factors of Z^n / L: (free rank, nontrivial torsion factors)."""
     if L.rank == 0:
         return L.ambient_rank, []
-    return L.ambient_rank - L.rank, [d for d in L._basis_snf()[1] if d > 1]
-
-
-def intersect(L1: Sublattice, L2: Sublattice) -> Sublattice:
-    if L1.ambient_rank != L2.ambient_rank:
-        raise ValueError("lattices in different ambient spaces")
-    n = L1.ambient_rank
-    r1, r2 = L1.rank, L2.rank
-    if r1 == 0 or r2 == 0:
-        return Sublattice.zero(n)
-    B1 = L1.columns
-    stacked = [[c[i] for c in B1] + [-c[i] for c in L2.columns] for i in range(n)]
-    K = _kernel_columns(stacked, r1 + r2)
-    if not K:
-        return Sublattice.zero(n)
-    return Sublattice._span(n, [[sum(k[j] * B1[j][i] for j in range(r1)) for i in range(n)]
-                                for k in K])
-
-
-def _coordinate_shells(r: int):
-    """Yield coordinate vectors of Z^r grouped by increasing infinity norm."""
-    if r == 0:
-        yield [()]
-        return
-    for radius in itertools.count():
-        shell = [c for c in itertools.product(range(-radius, radius + 1), repeat=r)
-                 if max((abs(x) for x in c), default=0) == radius]
-        yield shell
-        if radius >= _MAX_SEARCH_RADIUS:
-            raise BoundExceededError("witness search radius exceeded")
-
-
-def _best_witness(candidates: list[tuple[int, ...]]) -> tuple[int, ...]:
-    # minimal infinity norm, then fewest nonzero coordinates, then the
-    # lexicographically greatest vector; fully deterministic
-    def shape(v):
-        return (max((abs(x) for x in v), default=0), sum(1 for x in v if x))
-
-    m = min(shape(v) for v in candidates)
-    return max(v for v in candidates if shape(v) == m)
-
-
-def covers(ambient: Sublattice, parts) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide whether the set union of ``parts`` equals ``ambient``.
-
-    Parts of rank below the ambient rank are discarded for the covering
-    decision (a finite union of zero-density subgroups cannot complete a
-    cover), then the remaining full-rank parts are tested exhaustively on the
-    finite quotient modulo their intersection.  When uncovered, the returned
-    witness is a point of ``ambient`` lying in no part at all, chosen with
-    minimal infinity norm among the candidates inspected.
-    """
-    parts = list(parts)
-    for P in parts:
-        if not isinstance(P, Sublattice) or not P.is_subset_of(ambient):
-            raise ValueError("every part must be a sublattice of the ambient lattice")
-    ra = ambient.rank
-    full = [P for P in parts if P.rank == ra]
-    thin = [P for P in parts if P.rank < ra]
-    if any(P == ambient for P in full):
-        return True, None
-
-    def valid(point: tuple[int, ...]) -> bool:
-        return not any(P._contains(point) for P in parts)
-
-    if not full:
-        # no full-rank part: never covered; search outward for a clean point
-        for shell in _coordinate_shells(ra):
-            found = [p for p in (ambient._point(c) for c in shell) if valid(p)]
-            if found:
-                return False, _best_witness(found)
-        raise AssertionError("unreachable")
-
-    K = full[0]
-    for P in full[1:]:
-        K = intersect(K, P)
-    # coordinates of K inside the ambient basis; lower triangular with
-    # positive diagonal since K has full rank
-    H = _hnf_columns([ambient.coordinates(c) for c in K.columns], ra)
-    diag = [H[i][i] for i in range(ra)]
-    index = 1
-    for d in diag:
-        index *= d
-    if index > MAX_QUOTIENT_INDEX:
-        raise BoundExceededError(
-            f"quotient of index {index} exceeds the enumeration bound {MAX_QUOTIENT_INDEX}")
-
-    uncovered = []
-    for c in itertools.product(*(range(d) for d in diag)):
-        point = ambient._point(c)
-        if not any(P._contains(point) for P in full):
-            uncovered.append(point)
-    if not uncovered:
-        return True, None
-
-    # perturb uncovered coset representatives by K to dodge the thin parts
-    kcols = K.columns
-    for shell in _coordinate_shells(K.rank):
-        found = []
-        for c in shell:
-            for rep in uncovered:
-                cand = tuple(rep[i] + sum(k * kcols[j][i] for j, k in enumerate(c))
-                             for i in range(ambient.ambient_rank))
-                if valid(cand):
-                    found.append(cand)
-        if found:
-            return False, _best_witness(found)
-    raise AssertionError("unreachable")
+    return L.ambient_rank - L.rank, [d for d in L._invariant_factors() if d > 1]

@@ -36,13 +36,7 @@ from .intlinalg import (
     identity_matrix,
     intmat,
     is_unimodular,
-    rank,
 )
-
-# finite-order integer matrices have bounded powers; runaway growth is a
-# fast certificate of infinite order
-_ENTRY_GUARD = 10**60
-
 
 # strong-probable-prime bases: together they admit no composite below MAX_PRIMALITY
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -193,12 +187,17 @@ class MatGroup:
     def _powers(self) -> tuple[tuple[int, ...], ...]:
         """(g, g^2, ..., g^|g| = 1) for each element g, as indices: the one
         walk of powers through the table that orders, fixed ranks, inverses
-        and cyclic subgroups all read."""
-        e = self.identity_index
+        and cyclic subgroups all read.  An element order divides |G|, so a
+        walk that has not reached the identity after |G| steps means the
+        table is not a group's, and it raises."""
+        e, N = self.identity_index, self.order
         powers = []
         for i, row in enumerate(self.mult_table()):
             c, k = [i], i
             while k != e:
+                if len(c) == N:
+                    raise ValueError(f"the powers of element {i} do not reach the "
+                                     f"identity within the group order {N}")
                 k = row[k]
                 c.append(k)
             powers.append(tuple(c))
@@ -521,31 +520,9 @@ def op_core(G: MatGroup, p: int) -> MatGroup:
     return G.subgroup_from_indices(_op_core_indices(G, p))
 
 
-def element_order(g: np.ndarray) -> int:
-    mat = intmat(g)
-    ident = identity_matrix(mat.shape[0])
-    power = mat
-    for o in range(1, MAX_GROUP_ORDER + 1):
-        if np.array_equal(power, ident):
-            return o
-        if any(abs(int(x)) > _ENTRY_GUARD for x in power.flat):
-            raise BoundExceededError("entry growth certifies infinite order")
-        power = power @ mat
-    raise BoundExceededError(f"element order exceeds the bound {MAX_GROUP_ORDER}")
-
-
-def classify_element(g) -> ElementProfile:
-    """Order and rank(g - 1) of a finite-order unimodular matrix."""
-    mat = intmat(g)
-    if not is_unimodular(mat):
-        raise NonUnimodularError("element has |det| != 1")
-    order = element_order(mat)
-    return ElementProfile.of(order, rank(mat - identity_matrix(len(mat))))
-
-
 def element_profiles(G: MatGroup) -> list[ElementProfile]:
-    """``classify_element`` of every element of G, in canonical order, read
-    from the group's element orders and fixed ranks."""
+    """The order and rank(g - 1) of every element g of G, in canonical order,
+    read from the group's element orders and fixed ranks."""
     return [ElementProfile.of(o, G.n - r)
             for o, r in zip(G.element_orders(), G.element_fixed_ranks())]
 

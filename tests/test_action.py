@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import sys
 
@@ -13,13 +14,12 @@ from multinv.action import (
     mu_action,
     realizable_subgroups,
     stabilizer,
-    trace_ideal_height,
 )
-from multinv.cohomology import INFINITY, mu_p
+from multinv.cohomology import mu_p
 from multinv.cli import main
 from multinv.corpus import corpus_group, corpus_names
-from multinv.intlinalg import covers, fixed_lattice, intersect, intmat
-from multinv.matgroup import generate, subgroup_conjugacy_classes, subgroups, trivial_group
+from multinv.intlinalg import fixed_lattice
+from multinv.matgroup import generate, subgroup_conjugacy_classes, trivial_group
 
 G1 = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
 
@@ -97,69 +97,32 @@ def test_height_examples():
     assert height_ir(generate([G1])) == 2
 
 
-def test_trace_ideal_height_examples():
-    G, _ = corpus_group("inversion3")
-    assert trace_ideal_height(G, 2, lambda H: H.order == 1) == 3
-    assert trace_ideal_height(G, 2, lambda H: True) == INFINITY
-    s3, _ = corpus_group("s3")
-    assert trace_ideal_height(s3, 3, lambda H: H.order == 1) == 2
-
-
-def test_trace_ideal_height_rejects_unclosed_family():
-    s3, _ = corpus_group("s3")
-    transposition = next(H for H in subgroups(s3) if H.order == 2)
-
-    def not_conjugation_closed(H):
-        return H.order == 1 or H == transposition
-
-    with pytest.raises(ValueError):
-        trace_ideal_height(s3, 3, not_conjugation_closed)
-
-    def not_subgroup_closed(H):
-        return H.order == 3  # excludes the trivial subgroup below it
-
-    with pytest.raises(ValueError):
-        trace_ideal_height(s3, 3, not_subgroup_closed)
-
-
-def test_trace_ideal_height_unwinds_to_p_subgroup_minimum():
-    for name, p in (("s3", 3), ("s4", 2), ("gamma", 2)):
-        G, _ = corpus_group(name)
-        via_family = trace_ideal_height(G, p, lambda H: H.order % p != 0)
-        heights = [height_ir(H) for H in subgroups(G)
-                   if H.order > 1 and _is_p_power(H.order, p)]
-        assert via_family == min(heights)
-
-
-def _is_p_power(m, p):
-    while m % p == 0:
-        m //= p
-    return m == 1
-
-
 def _reference_isotropy(G):
-    """The stabilizer search with one `covers` part per (class, g) pair and
-    every lattice recomputed, as it ran before the per-group cache."""
+    """The realizable stabilizers with their witnesses, from definitions.
+
+    H is realizable iff no g outside H fixes all of Fix(H), that is, iff
+    adding any g outside H to H lowers the rank of the fixed lattice (read
+    from Smith forms).  Its witness is the best point of the first coordinate shell of
+    Fix(H) that holds a point with stabilizer exactly H: least infinity norm,
+    then fewest nonzero coordinates, then the lexicographic maximum."""
     entries = []
     for cls in subgroup_conjugacy_classes(G):
         H = cls[0]
-        ah = fixed_lattice(H.elements)
+        fix = fixed_lattice(H.elements)
         hidx = G.indices_of_subgroup(H)
-        blocked = False
-        parts = []
-        for gi in range(G.order):
-            if gi in hidx:
-                continue
-            lg = intersect(ah, fixed_lattice([G.elements[gi]]))
-            if lg == ah:
-                blocked = True
-                break
-            parts.append(lg)
-        if blocked:
+        if any(fixed_lattice(list(H.elements) + [G.elements[g]]).rank == fix.rank
+               for g in range(G.order) if g not in hidx):
             continue
-        covered, witness = covers(ah, parts)
-        if not covered:
-            entries.append((H, witness))
+        for radius in itertools.count():
+            shell = [c for c in itertools.product(range(-radius, radius + 1), repeat=fix.rank)
+                     if max(map(abs, c), default=0) == radius]
+            points = [tuple(sum(x * col[i] for x, col in zip(c, fix.columns))
+                            for i in range(G.n)) for c in shell]
+            found = [pt for pt in points if stabilizer(G, pt) == H]
+            if found:
+                entries.append((H, max(found, key=lambda v: (
+                    -max(map(abs, v), default=0), -sum(1 for x in v if x), v))))
+                break
     return entries
 
 
@@ -265,11 +228,8 @@ def _audit(capsys, monkeypatch, name, p):
 @pytest.mark.parametrize("p", (2, 3))
 def test_audit_computes_each_element_lattice_once(capsys, monkeypatch, name, p):
     """The audit takes every rank from traces and every stabilizer from
-    Reynolds sums, so it computes no lattice at all: no Smith form, and no
-    `intersect` or `covers` call."""
-    calls = _count_calls(monkeypatch, (multinv.intlinalg._snf_lists,
-                                       multinv.intlinalg.intersect,
-                                       multinv.intlinalg.covers))
+    Reynolds sums, so it computes no lattice at all: no Smith form."""
+    calls = _count_calls(monkeypatch, (multinv.intlinalg._snf_lists,))
     _audit(capsys, monkeypatch, name, p)
     assert calls == []
     multinv.intlinalg.fixed_lattice([[[0, 1], [1, 0]]])

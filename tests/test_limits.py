@@ -25,7 +25,6 @@ from multinv.errors import (
     MAX_ORBIT_SPREAD,
     MAX_PRIMALITY,
     MAX_PRIME,
-    MAX_QUOTIENT_INDEX,
     MAX_RESOLUTION_DEPTH,
     MAX_RESOLUTION_ENTRIES,
     MAX_RESOLUTION_ORDER,
@@ -34,9 +33,8 @@ from multinv.errors import (
     BoundExceededError,
 )
 from multinv.fparith import rank_fp
-from multinv.intlinalg import Sublattice, covers
 from multinv.laurent import box_orbits
-from multinv.matgroup import classify_element, generate, is_prime, subgroups, trivial_group
+from multinv.matgroup import generate, is_prime, subgroups, trivial_group
 from test_action import B3_GENERATORS
 from test_classify import QUAT_I, QUAT_J
 
@@ -90,8 +88,7 @@ LIMITS = {
     "generate max_order": (
         5, lambda: generate(S3_GENERATORS, max_order=6),
         lambda: generate(S3_GENERATORS, max_order=5)),
-    "MAX_GROUP_ORDER in element_order": (
-        MAX_GROUP_ORDER, None, lambda: classify_element(SHEAR)),
+    "MAX_GROUP_ORDER in generate": (MAX_GROUP_ORDER, None, lambda: generate([SHEAR])),
     "MAX_SUBGROUP_ENUMERATION": (
         MAX_SUBGROUP_ENUMERATION, None, lambda: subgroups(generate(B4_GENERATORS))),
     # diag(±1)^6 has 2825 subgroups, diag(±1)^7 has 29212
@@ -109,10 +106,6 @@ LIMITS = {
     # at depth 7 would eliminate 126 * 210 * 32^2 = 27.1M, after 15 s to depth 6
     "MAX_RESOLUTION_ENTRIES": (
         MAX_RESOLUTION_ENTRIES, None, lambda: _diag5_at_depth_6().extend()),
-    "MAX_QUOTIENT_INDEX": (
-        MAX_QUOTIENT_INDEX, None,
-        lambda: covers(Sublattice.from_columns(1, [[1]]),
-                       [Sublattice.from_columns(1, [[1000003]])])),
     # (2 ball + 1)^n: 17^5 points is ball 8 at n = 5, and 11^6 > 17^5 the
     # smallest box past it
     "MAX_BOX_POINTS": (

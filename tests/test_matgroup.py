@@ -1,4 +1,5 @@
 import itertools
+import signal
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ from multinv.corpus import corpus_entry, corpus_group, corpus_names
 from multinv.errors import MAX_PRIMALITY, BoundExceededError, NonUnimodularError
 from multinv.intlinalg import fixed_lattice, identity_matrix, intmat
 from multinv.matgroup import (
+    ElementProfile,
     MatGroup,
     _p_part,
-    classify_element,
-    element_order,
     element_profiles,
     generate,
     is_fixed_point_free,
@@ -156,34 +156,29 @@ def test_op_core_is_normal():
         assert all(G.conjugate_indices(g, cidx) == cidx for g in range(G.order))
 
 
-def test_classify_element_examples():
-    pr = classify_element(SWAP12)
-    assert (pr.order, pr.rank_drop, pr.is_reflection, pr.is_bireflection) == (2, 1, True, True)
-    pr = classify_element([[-1, 0], [0, -1]])
-    assert (pr.order, pr.rank_drop, pr.is_reflection, pr.is_bireflection) == (2, 2, False, True)
-    pr = classify_element(NEG3)
-    assert (pr.order, pr.rank_drop, pr.is_reflection, pr.is_bireflection) == (2, 3, False, False)
-    assert classify_element(ROT4).order == 4
-    assert classify_element(ROT6).order == 6
-
-
-def test_classify_element_infinite_order():
-    with pytest.raises(BoundExceededError):
-        classify_element([[1, 1], [0, 1]])
-
-
-def test_classify_element_rejects_non_unimodular():
-    with pytest.raises(NonUnimodularError):
-        classify_element([[3, 0], [0, 1]])
+def _reference_order(g, bound: int) -> int:
+    """The least k <= bound with g^k = 1, by powering the matrix."""
+    mat = intmat(g)
+    ident, power = identity_matrix(len(mat)), mat
+    for k in range(1, bound + 1):
+        if np.array_equal(power, ident):
+            return k
+        power = power @ mat
+    raise AssertionError(f"no power up to {bound} is the identity")
 
 
 def test_rank_drop_matches_fixed_lattice():
     for name in ("s3", "gamma", "rot4", "rot4_nonsplit", "g2"):
         G, _ = corpus_group(name)
-        for g in G.elements:
-            pr = classify_element(g)
-            assert pr.rank_drop == G.n - fixed_lattice([g]).rank
-        assert element_profiles(G) == [classify_element(g) for g in G.elements]
+        assert element_profiles(G) == [
+            ElementProfile.of(_reference_order(g, G.order), G.n - fixed_lattice([g]).rank)
+            for g in G.elements]
+    # a reflection, a bireflection that is no reflection, and neither
+    for gen, flags in ((SWAP12, (2, 1, True, True)), ([[-1, 0], [0, -1]], (2, 2, False, True)),
+                       (NEG3, (2, 3, False, False))):
+        G = generate([gen])
+        pr = element_profiles(G)[1 - G.identity_index]
+        assert (pr.order, pr.rank_drop, pr.is_reflection, pr.is_bireflection) == flags
 
 
 def test_subgroups_inherit_element_lattices_in_their_own_order():
@@ -228,6 +223,30 @@ def test_validate_checks_every_row_against_its_products():
     G._table = tuple(table)
     with pytest.raises(AssertionError, match="table row differs from the products"):
         G.validate()
+
+
+def test_a_power_walk_that_misses_the_identity_raises():
+    """A corrupt table row whose walk never returns to the identity makes
+    every reader of the power walk raise, naming the element, instead of
+    looping."""
+    G, _ = corpus_group("s4")
+    e, picks = G.identity_index, G.small_generating_indices()
+    a = next(i for i in range(G.order) if i != e and i not in picks)  # a composed row
+    table = list(G.mult_table())
+    table[a] = tuple(a if c == e else c for c in table[a])  # no product is the identity
+    G._table = tuple(table)
+
+    def timeout(*_):
+        raise TimeoutError("the power walk did not stop")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ValueError, match=f"powers of element {a} do not reach"):
+            G.element_orders()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_fixed_point_free_examples():
@@ -312,7 +331,7 @@ def _assert_matches(G, keys, mats, table):
     assert G.identity_index == e
     assert G.inverse_indices() == tuple(next(j for j in range(N) if table[i][j] == e)
                                         for i in range(N))
-    assert G.element_orders() == tuple(element_order(m) for m in mats)
+    assert G.element_orders() == tuple(_reference_order(m, N) for m in mats)
 
 
 def _assert_slice_matches(G, keys, mats, table, H):
