@@ -1,8 +1,9 @@
 """Analytics of the lattice action: realizable stabilizers, heights, and mu.
 
-The height of the ideal generated by (h - 1)(R) over the Laurent polynomial
-ring equals n - rank(fixed lattice of H), and that rank is tr(S_H)/|H| for
-the Reynolds sum S_H = Σ_{h∈H} h, the transfer map on the lattice.
+The height of the ideal of the Laurent ring R generated by (h - 1)(R) is
+n - rank Fix(H), and rank Fix(H) = tr(S_H)/|H| for the Reynolds sum
+S_H = Σ_{h∈H} h.  Only the witness search needs a basis of Fix(H)
+(``intlinalg.fixed_lattice``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .cohomology import INFINITY, MuValue, _check_resolution_bounds, has_p_quotient, mu_p
 from .errors import MAX_RESOLUTION_DEPTH, BoundExceededError
-from .intlinalg import Sublattice
+from .intlinalg import Sublattice, fixed_lattice
 from .matgroup import MatGroup, is_prime, subgroup_conjugacy_classes
 
 # Shell-by-shell witness searches are dense (they always succeed at a small
@@ -105,7 +106,7 @@ def isotropy_subgroups(G: MatGroup) -> IsotropyReport:
     Fix(H) that no g outside H fixes, the one of least infinity norm, then
     fewest nonzero coordinates, then the lexicographically greatest.
     """
-    return IsotropyReport(tuple((H, _witness(H.fixed_lattice(), outside))
+    return IsotropyReport(tuple((H, _witness(fixed_lattice(H.elements), outside))
                                 for H, outside in _realizable_classes(G)))
 
 

@@ -28,7 +28,7 @@ import time
 
 from .action import height_ir, isotropy_subgroups, mu_action
 from .classify import ClassifyOptions, classify
-from .cohomology import mu_from_resolution, resolution
+from .cohomology import _check_resolution_bounds, mu_from_resolution, resolution
 from .corpus import corpus_entry, corpus_names
 from .errors import (
     MAX_BOX_RADIUS,
@@ -41,6 +41,7 @@ from .errors import (
 from .laurent import box_orbits
 from .matgroup import (
     MatGroup,
+    _check_subgroup_bound,
     element_profiles,
     generate,
     is_prime,
@@ -161,6 +162,11 @@ def cmd_classify(args) -> tuple[int, dict]:
 
 def cmd_analyze(args) -> tuple[int, dict]:
     G, p, options = _load_job(args)
+    # refuse before any work: the classes need the subgroup lattice, and G is
+    # the stabilizer of 0, so mu_action resolves G itself when p divides |G|
+    _check_subgroup_bound(G.order)
+    if G.order % p == 0:
+        _check_resolution_bounds(G.order, options["cohomology_depth"])
     profiles = element_profiles(G)
     primes = sorted({q for q in range(2, G.order + 1) if is_prime(q) and G.order % q == 0})
     sylows = {}

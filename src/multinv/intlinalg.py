@@ -55,9 +55,10 @@ def intmat(data) -> np.ndarray:
     """Build a validated integer matrix (2-d numpy array of Python ints).
 
     Accepts nested sequences or an existing array.  Every entry must be an
-    integer; rows must have equal length.
+    integer; rows must have equal length; a 2-d array with no rows keeps its width.
     """
-    return _from_lists(_int_rows(data))
+    width = data.shape[1] if isinstance(data, np.ndarray) and data.ndim == 2 else 0
+    return _from_lists(_int_rows(data), width)
 
 
 def identity_matrix(n: int) -> np.ndarray:
@@ -69,12 +70,6 @@ def zero_matrix(rows: int, cols: int) -> np.ndarray:
     out[...] = 0
     out.setflags(write=False)
     return out
-
-
-def _to_lists(M) -> list[list[int]]:
-    if isinstance(M, np.ndarray):
-        return [[int(x) for x in row] for row in M.tolist()]
-    return [[int(x) for x in row] for row in M]
 
 
 def _from_lists(rows: list[list[int]], width: int = 0) -> np.ndarray:
@@ -105,7 +100,7 @@ def _eye_lists(n: int) -> list[list[int]]:
 
 def det(M: np.ndarray) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    A = _to_lists(M)
+    A = _int_rows(M)
     n = len(A)
     if n == 0:
         return 1
@@ -132,10 +127,11 @@ def is_unimodular(M: np.ndarray) -> bool:
     return M.shape[0] == M.shape[1] and abs(det(M)) == 1
 
 
-def unimodular_inverse(M: np.ndarray) -> np.ndarray:
+def unimodular_inverse(M) -> np.ndarray:
     """Exact inverse of an integer matrix with integer inverse (|det| = 1).
 
     Its Smith form is U @ M @ V = I, so the inverse is V @ U."""
+    M = intmat(M)
     n = M.shape[0]
     if M.shape[1] != n:
         raise ValueError("inverse of a non-square matrix")
@@ -145,7 +141,7 @@ def unimodular_inverse(M: np.ndarray) -> np.ndarray:
         raise NonUnimodularError("matrix is singular")
     if any(x != 1 for x in d):
         raise NonUnimodularError("matrix has no integer inverse")
-    return _from_lists(_to_lists(V @ U), n)
+    return _from_lists((V @ U).tolist(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +243,9 @@ def snf(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(S, U, V)`` with ``U @ M @ V == S``, ``U`` and ``V`` unimodular,
     and ``S`` diagonal with nonnegative diagonal satisfying d1 | d2 | ...
     """
-    Mm = M if isinstance(M, np.ndarray) and M.dtype == object else intmat(M)
-    m, n = Mm.shape
-    S, U, V = _snf_lists(_to_lists(Mm), n)
+    A = intmat(M)
+    m, n = A.shape
+    S, U, V = _snf_lists(A.tolist(), n)
     return _from_lists(S, n), _from_lists(U, m), _from_lists(V, n)
 
 
@@ -326,11 +322,9 @@ def hnf_columns(M) -> np.ndarray:
     pivot rows strictly increasing, positive pivots, and entries left of each
     pivot reduced into ``[0, pivot)``.
     """
-    Mm = intmat(M) if not (isinstance(M, np.ndarray) and M.dtype == object) else M
-    n, m = Mm.shape
-    rows = _to_lists(Mm)
-    cols = [[rows[i][j] for i in range(n)] for j in range(m)]
-    return _from_columns(_hnf_columns(cols, n), n)
+    rows = _int_rows(M)
+    n = len(rows)
+    return _from_columns(_hnf_columns([list(c) for c in zip(*rows)], n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +363,6 @@ class Sublattice:
         L = cls(ambient_rank, _hnf_columns(cols, ambient_rank), True)
         L.saturated = all(d == 1 for d in L._invariant_factors())
         return L
-
-    @classmethod
-    def full(cls, ambient_rank: int) -> "Sublattice":
-        return cls(ambient_rank, _eye_lists(ambient_rank), True)
 
     @property
     def rank(self) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import MAX_BOX_POINTS, MAX_ORBIT_SPREAD, BoundExceededError
 from .corpus import corpus_group
 from .fparith import nullspace_fp, rank_fp
-from .intlinalg import _to_lists, intmat, is_unimodular
+from .intlinalg import intmat, is_unimodular
 from .matgroup import MatGroup
 
 
@@ -115,7 +115,7 @@ def act(g, f: LaurentPoly) -> LaurentPoly:
     mat = intmat(g)
     if not is_unimodular(mat):
         raise ValueError("action matrices must be unimodular")
-    rows = _to_lists(mat)
+    rows = mat.tolist()
     if len(rows) != f.n:
         raise ValueError(f"matrix is {len(rows)}x{len(rows)}, polynomial lives in rank {f.n}")
     return LaurentPoly(f.n, f.p, {_apply_rows(rows, e): c for e, c in f.terms.items()})

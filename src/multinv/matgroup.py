@@ -6,17 +6,17 @@ order (lexicographic on the row-major entries, whose tuple is the element's
 key), which makes every "first subgroup" style choice deterministic.  A
 subgroup is its parent's array at sorted indices, so it keeps that order and
 reads its keys off its parent.  The multiplication table is built on first
-use by composing rows: only the rows of a short generating list (the picks
-that ``small_generating_indices()`` returns) are matrix products, and every
-other row is the composite row(h·b) = row(h) ∘ row(b) of two known rows.
+use by composing rows: only the rows of the group's one short generating
+list (``generators``, the picks of ``small_generating_indices()``) are matrix
+products, and every other row is the composite row(h·b) = row(h) ∘ row(b).
 Element orders, fixed ranks, inverses and cyclic subgroups are all read from
 one cached walk of the powers of each element through the table.  Subgroups
-(Sylow subgroups, lattice joins) are grown from short generator lists.
+are grown from short generator lists, and conjugacy orbits of subgroups are
+closed under conjugation by the picks.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,13 +30,7 @@ from .errors import (
     BoundExceededError,
     NonUnimodularError,
 )
-from .intlinalg import (
-    Sublattice,
-    fixed_lattice,
-    identity_matrix,
-    intmat,
-    is_unimodular,
-)
+from .intlinalg import identity_matrix, intmat, is_unimodular
 
 # strong-probable-prime bases: together they admit no composite below MAX_PRIMALITY
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -90,17 +84,13 @@ class ElementProfile:
 class MatGroup:
     """A finite subgroup of GL_n(Z), stored as all elements in canonical order."""
 
-    def __init__(self, n: int, elements: np.ndarray, generator_indices=None):
-        """``elements``: the (order, n, n) object array of all elements in canonical
-        order; without ``generator_indices`` a generating set is found on first use."""
+    def __init__(self, n: int, elements: np.ndarray):
+        """``elements``: the (order, n, n) object array of all elements in canonical order."""
         self.n = n
         self.elements = elements
         elements.setflags(write=False)
-        self._generator_indices = (None if generator_indices is None
-                                   else tuple(generator_indices))
         self._table: tuple[tuple[int, ...], ...] | None = None
         self._picks: tuple[int, ...] | None = None
-        self._lattice: Sublattice | None = None
         self._subgroups: list["MatGroup"] | None = None
         self._classes: list[list["MatGroup"]] | None = None
 
@@ -116,14 +106,9 @@ class MatGroup:
         return self._index[tuple(int(i == j) for i in range(n) for j in range(n))]
 
     @property
-    def generator_indices(self) -> tuple[int, ...]:
-        if self._generator_indices is None:
-            self._generator_indices = self.small_generating_indices()
-        return self._generator_indices
-
-    @property
     def generators(self) -> list[np.ndarray]:
-        return [self.elements[i] for i in self.generator_indices]
+        """The elements at ``small_generating_indices()`` (none for the trivial group)."""
+        return [self.elements[i] for i in self.small_generating_indices()]
 
     @cached_property
     def _keys(self) -> tuple[tuple, ...]:
@@ -239,13 +224,6 @@ class MatGroup:
         Reynolds sum S = Σ_g g, which is |G| times the projection onto it."""
         return sum(self._traces) // self.order
 
-    def fixed_lattice(self) -> Sublattice:
-        """The lattice fixed by every element of the group."""
-        if self._lattice is None:
-            self._lattice = (fixed_lattice(self.elements) if self.order > 1
-                             else Sublattice.full(self.n))
-        return self._lattice
-
     # -- subgroup plumbing ---------------------------------------------------
 
     def subgroup_from_indices(self, indices) -> "MatGroup":
@@ -338,7 +316,7 @@ def _keys_of(mats: np.ndarray) -> list[tuple]:
 
 
 def trivial_group(n: int) -> MatGroup:
-    return MatGroup(n, identity_matrix(n)[None], (0,))
+    return MatGroup(n, identity_matrix(n)[None])
 
 
 def generate(gens, max_order: int = MAX_GROUP_ORDER) -> MatGroup:
@@ -370,9 +348,14 @@ def generate(gens, max_order: int = MAX_GROUP_ORDER) -> MatGroup:
                         raise BoundExceededError(
                             f"closure exceeded max_order={max_order}")
         frontier = np.array(new, dtype=object).reshape(-1, n, n)
-    keys = sorted(found)
-    return MatGroup(n, np.array(keys, dtype=object).reshape(-1, n, n),
-                    [bisect_left(keys, k) for k in _keys_of(np.stack(mats))])
+    return MatGroup(n, np.array(sorted(found), dtype=object).reshape(-1, n, n))
+
+
+def _check_subgroup_bound(order: int) -> None:
+    """Refuse to enumerate the subgroups of a group past ``MAX_SUBGROUP_ENUMERATION``."""
+    if order > MAX_SUBGROUP_ENUMERATION:
+        raise BoundExceededError(f"group order {order} exceeds the subgroup "
+                                 f"enumeration bound {MAX_SUBGROUP_ENUMERATION}")
 
 
 def subgroups(G: MatGroup) -> list[MatGroup]:
@@ -383,9 +366,7 @@ def subgroups(G: MatGroup) -> list[MatGroup]:
     not hold, closing its own short generator list plus one generator of the
     cyclic subgroup.  Past ``MAX_SUBGROUPS`` subgroups it raises.
     """
-    if G.order > MAX_SUBGROUP_ENUMERATION:
-        raise BoundExceededError(f"group order {G.order} exceeds the subgroup "
-                                 f"enumeration bound {MAX_SUBGROUP_ENUMERATION}")
+    _check_subgroup_bound(G.order)
     if G._subgroups is not None:
         return list(G._subgroups)
     # one generator per cyclic subgroup; each join adds one to a short list
@@ -410,6 +391,21 @@ def subgroups(G: MatGroup) -> list[MatGroup]:
     return list(subs)
 
 
+def _conjugates(G: MatGroup, S: frozenset[int]) -> set[frozenset[int]]:
+    """The conjugacy orbit {gSg^-1 : g in G} of the index set S, closed
+    under conjugation by G's short generating list: a set of subsets that
+    conjugation by the generators maps into itself is mapped into itself by
+    all of G, since every element is a product of generators."""
+    orbit, frontier = {S}, [S]
+    for T in frontier:
+        for g in G.small_generating_indices():
+            R = G.conjugate_indices(g, T)
+            if R not in orbit:
+                orbit.add(R)
+                frontier.append(R)
+    return orbit
+
+
 def subgroup_conjugacy_classes(G: MatGroup) -> list[list[MatGroup]]:
     """Partition of the subgroup list into conjugacy classes.
 
@@ -424,7 +420,7 @@ def subgroup_conjugacy_classes(G: MatGroup) -> list[list[MatGroup]]:
             idx = G.indices_of_subgroup(H)
             if idx in seen:
                 continue
-            orbit = {G.conjugate_indices(g, idx) for g in range(G.order)}
+            orbit = _conjugates(G, idx)
             seen |= orbit
             classes.append([by_indices[o] for o in sorted(orbit, key=sorted)])
         G._classes = classes
@@ -453,11 +449,9 @@ def sylow(G: MatGroup, p: int) -> MatGroup:
       proper subgroup of a p-group is proper in its normalizer, so
       N_S(P) > P; every element of N_S(P) outside P will do.
     Since all Sylow p-subgroups are conjugate, taking the canonical minimum
-    over the conjugates of the result gives the first Sylow subgroup in
-    canonical subgroup order without enumerating the full subgroup lattice.
-    The conjugates are P's orbit, closed under conjugation by G's short
-    generating list: a set of subgroups that conjugation by the generators
-    maps into itself is mapped into itself by all of G.
+    over the conjugates of the result (``_conjugates``) gives the first Sylow
+    subgroup in canonical subgroup order without enumerating the full
+    subgroup lattice.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -474,14 +468,7 @@ def sylow(G: MatGroup, p: int) -> MatGroup:
         gens.append(next(h for h in p_elements
                          if h not in P and G.conjugate_indices(h, gens) <= P))
         P = G.closure_indices(gens)
-    conjugates, frontier = {P}, [P]
-    for Q in frontier:
-        for g in G.small_generating_indices():
-            R = G.conjugate_indices(g, Q)
-            if R not in conjugates:
-                conjugates.add(R)
-                frontier.append(R)
-    return G.subgroup_from_indices(min(conjugates, key=sorted))
+    return G.subgroup_from_indices(min(_conjugates(G, P), key=sorted))
 
 
 def subgroup_structure(G: MatGroup, H: MatGroup) -> tuple[MatGroup, MatGroup, int]:

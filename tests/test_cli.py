@@ -10,11 +10,11 @@ import pytest
 import multinv.action
 import multinv.cli
 import multinv.cohomology
+import multinv.matgroup
 from multinv.cli import main, parse_jobspec
 from multinv.cohomology import mu_p
 from multinv.corpus import corpus_entry, corpus_names
-from multinv.intlinalg import _to_lists
-from multinv.matgroup import MatGroup, generate, subgroup_conjugacy_classes, subgroups
+from multinv.matgroup import generate, subgroup_conjugacy_classes, subgroups
 
 INV3 = {"n": 3, "p": 2, "generators": [[[-1, 0, 0], [0, -1, 0], [0, 0, -1]]]}
 
@@ -280,27 +280,23 @@ def test_analyze_computes_isotropy_once(capsys, monkeypatch):
 
 def test_analyze_computes_subgroup_classes_once(capsys, monkeypatch):
     """The heights and the stabilizer search read one partition into
-    conjugacy classes, whose sweep conjugates each class representative by
-    every element once."""
+    conjugacy classes, which closes one conjugacy orbit per class."""
     callers = []
-    real = MatGroup.conjugate_indices
+    real = multinv.matgroup._conjugates
 
-    def counted(self, g, indices):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
-            frame = frame.f_back
-        callers.append(frame.f_code.co_name)
-        return real(self, g, indices)
+    def counted(G, S):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(G, S)
 
-    monkeypatch.setattr(MatGroup, "conjugate_indices", counted)
+    monkeypatch.setattr(multinv.matgroup, "_conjugates", counted)
     for name, digest in ANALYZE_SHA1.items():
         callers.clear()
         code, out, _ = run_cli(capsys, "analyze", "--builtin", name)
         assert code == 0
         assert _sha1(out) == digest, name
-        sweeps = callers.count("subgroup_conjugacy_classes")
+        orbits = callers.count("subgroup_conjugacy_classes")
         G = corpus_entry(name).group()
-        assert sweeps == G.order * len(subgroup_conjugacy_classes(G)), name
+        assert orbits == len(subgroup_conjugacy_classes(G)), name
 
 
 B3_GENERATORS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
@@ -312,7 +308,7 @@ def _audit_reports(capsys, monkeypatch):
     subgroup of B3 at p = 2 and 3, one line each in subgroup order."""
     lines = []
     for H in subgroups(generate(B3_GENERATORS)):
-        gens = [_to_lists(H.elements[i])
+        gens = [H.elements[i].tolist()
                 for i in H.small_generating_indices() or (H.identity_index,)]
         for p in (2, 3):
             job = {"n": 3, "p": p, "generators": gens}

@@ -58,6 +58,11 @@ def test_snf_zero_matrix():
     assert diagonal_of(S) == [0, 0]
     assert mats_equal(U, intmat([[1, 0], [0, 1]]))
     assert mats_equal(V, intmat([[1, 0], [0, 1]]))
+    # a matrix with no rows keeps its width
+    empty = np.empty((0, 3), dtype=object)
+    assert intmat(empty).shape == (0, 3)
+    S, U, V = snf(empty)
+    assert (S.shape, U.shape, V.shape) == ((0, 3), (0, 0), (3, 3))
 
 
 def test_snf_g1_minus_identity():
@@ -105,8 +110,10 @@ def test_hnf_is_idempotent_and_canonical():
 
 
 def test_fixed_lattice_examples():
-    ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert fixed_lattice([ident]) == Sublattice.full(3)
+    # the identity fixes all of Z^n, whose Hermite basis is the identity columns
+    for n in (1, 2, 3, 5):
+        eye = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+        assert fixed_lattice([eye]) == Sublattice(n, eye, True)
     neg = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
     assert fixed_lattice([neg]) == Sublattice(3, (), True)
     L = fixed_lattice([G1])
@@ -142,7 +149,8 @@ def test_moved_lattice_examples():
 
 
 def test_quotient_invariants_full_lattice():
-    assert quotient_invariants(Sublattice.full(4)) == (0, [])
+    eye = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert quotient_invariants(Sublattice(4, eye, True)) == (0, [])
 
 
 def test_unimodular_inverse():
@@ -178,17 +186,16 @@ def test_intmat_validation():
 @pytest.mark.parametrize("bad", [1.0, True, 1.5, np.float64(2.0), np.bool_(True)])
 def test_outside_entries_are_validated(bad):
     rows = [[1, 0, 0], [0, bad, 0], [0, 0, 1]]
-    builders = [intmat, kernel_basis, hnf_columns,
-                lambda m: Sublattice.from_columns(3, m),
-                lambda m: fixed_lattice([m]),
-                lambda m: fixed_lattice([G1, m])]
-    for build in builders:
+    readers = [intmat, kernel_basis, hnf_columns, det, snf, unimodular_inverse,
+               lambda m: fixed_lattice([m])]
+    for build in readers + [lambda m: Sublattice.from_columns(3, m),
+                            lambda m: fixed_lattice([G1, m])]:
         with pytest.raises(ValueError):
             build(rows)
     obj = np.empty((3, 3), dtype=object)
     obj[...] = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     obj[1, 1] = bad
-    for build in (intmat, kernel_basis, lambda m: fixed_lattice([m])):
+    for build in readers:
         with pytest.raises(ValueError):
             build(obj)
     # integer numpy scalars are accepted and come back as Python ints

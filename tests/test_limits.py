@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import multinv.cli
 from multinv import cohomology
 from multinv.classify import (
     ClassifyOptions,
@@ -187,6 +188,26 @@ def test_a_tripped_limit_makes_the_rule_inapplicable(tmp_path, capsys):
         tracemalloc.stop()
     assert "box bound" in capsys.readouterr().err
     assert peak < 2**20
+
+
+def test_analyze_refuses_its_order_bounds_before_any_work(tmp_path, capsys, monkeypatch):
+    # G is the stabilizer of 0, so mu_action would refuse it at the end
+    def refuse(*_):
+        raise AssertionError("analyze worked on a group past its bounds")
+
+    for name in ("element_profiles", "sylow", "subgroup_conjugacy_classes"):
+        monkeypatch.setattr(multinv.cli, name, refuse)
+    resolution_bound = f"exceeds the resolution order bound {MAX_RESOLUTION_ORDER}"
+    cases = [(_diag(6), 2, f"group order 64 {resolution_bound}"),
+             # 128 at p = 2 passes the count bound MAX_SUBGROUPS too
+             (_diag(7), 2, f"group order 128 {resolution_bound}"),
+             (B4_GENERATORS, 5, f"group order 384 exceeds the subgroup "
+                                f"enumeration bound {MAX_SUBGROUP_ENUMERATION}")]
+    for gens, p, message in cases:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"n": len(gens[0]), "p": p, "generators": gens}))
+        assert main(["analyze", "--input", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_a_tripped_limit_is_listed_in_an_unknown_verdict():

@@ -11,6 +11,7 @@ from multinv.intlinalg import fixed_lattice, identity_matrix, intmat
 from multinv.matgroup import (
     ElementProfile,
     MatGroup,
+    _conjugates,
     _p_part,
     element_profiles,
     generate,
@@ -193,8 +194,8 @@ def test_subgroups_inherit_element_lattices_in_their_own_order():
             fresh = generate(K.elements.tolist())
             assert K.element_fixed_ranks() == fresh.element_fixed_ranks() == \
                 tuple(fixed_lattice([g]).rank for g in K.elements)
-            assert K.fixed_lattice() == fresh.fixed_lattice() == fixed_lattice(K.elements)
-            assert K.fixed_rank() == fresh.fixed_rank() == K.fixed_lattice().rank
+            assert fixed_lattice(K.elements) == fixed_lattice(fresh.elements)
+            assert K.fixed_rank() == fresh.fixed_rank() == fixed_lattice(K.elements).rank
 
 
 def test_validate_reports_a_set_not_closed_under_products():
@@ -281,7 +282,7 @@ def test_table_and_subgroup_generators_generate():
     s4, _ = corpus_group("s4")
     assert len(s4.closure_indices(s4.small_generating_indices())) == s4.order
     for H in subgroups(s4):
-        assert len(H.closure_indices(H.generator_indices)) == H.order
+        assert len(H.closure_indices(H.small_generating_indices())) == H.order
 
 
 # -- differential test of the stacked element array --------------------------
@@ -296,7 +297,7 @@ def _old_key(M):
 def _reference_group(gens):
     """Closure and table as they ran before the stacked element array: one
     product and one key at a time.  Returns the sorted keys, the elements in
-    that order, the table and the generator indices."""
+    that order and the table."""
     mats = [intmat(g) for g in gens]
     e = identity_matrix(mats[0].shape[0])
     elements = {_old_key(e): e}
@@ -315,7 +316,7 @@ def _reference_group(gens):
     index = {k: i for i, k in enumerate(keys)}
     table = tuple(tuple(index[_old_key(elements[a] @ elements[b])] for b in keys)
                   for a in keys)
-    return keys, [elements[k] for k in keys], table, tuple(index[_old_key(g)] for g in mats)
+    return keys, [elements[k] for k in keys], table
 
 
 def _assert_matches(G, keys, mats, table):
@@ -355,7 +356,7 @@ def _differential_cases():
     cases.update(CENSUS_MAXIMAL)
     for k, H in enumerate(subgroups(generate(B3_GENERATORS))):
         cases[f"B3 subgroup {k}"] = [H.elements[i] for i in
-                                     H.generator_indices or (H.identity_index,)]
+                                     H.small_generating_indices() or (H.identity_index,)]
     cases["B4"] = B4_GENERATORS
     # rot4 conjugated by [[1, 10**6], [0, 1]]: entries near 10**12, products
     # of entries near 10**24, past any fixed-width integer
@@ -369,9 +370,8 @@ def test_stacked_elements_match_per_pair_reference():
     assert len(cases) == 13 + 4 + 98 + 2
     for name, gens in cases.items():
         G = generate(gens)
-        keys, mats, table, gen_idx = _reference_group(gens)
+        keys, mats, table = _reference_group(gens)
         _assert_matches(G, keys, mats, table)
-        assert G.generator_indices == gen_idx, name
         if name == "B4":
             assert G.order == 384
             slices = [sylow(G, 2), sylow(G, 3), op_core(G, 2), op_core(G, 3)]
@@ -636,6 +636,32 @@ def test_power_walk_matches_the_table_walks():
                         found.add(J)
                         work.append(J)
             assert {G.indices_of_subgroup(H) for H in subgroups(G)} == found, name
+
+
+def _reference_classes(G):
+    """``subgroup_conjugacy_classes`` as index sets, as it ran with each class
+    representative conjugated by every element."""
+    seen, classes = set(), []
+    for H in subgroups(G):
+        S = G.indices_of_subgroup(H)
+        if S not in seen:
+            orbit = {G.conjugate_indices(g, S) for g in range(G.order)}
+            seen |= orbit
+            classes.append(sorted(orbit, key=sorted))
+    return classes
+
+
+def test_conjugacy_orbits_match_the_all_element_sweep():
+    groups = {name: corpus_group(name)[0] for name in corpus_names()}
+    groups["B3"] = generate(B3_GENERATORS)
+    groups.update((name, generate(gens)) for name, gens in CENSUS_MAXIMAL.items())
+    assert len(groups) == 13 + 1 + 4
+    for name, G in groups.items():
+        for H in subgroups(G):
+            S = G.indices_of_subgroup(H)
+            assert _conjugates(G, S) == {G.conjugate_indices(g, S) for g in range(G.order)}, name
+        assert [[G.indices_of_subgroup(H) for H in cls]
+                for cls in subgroup_conjugacy_classes(G)] == _reference_classes(G), name
 
 
 def test_small_generating_indices_picks_in_the_order_given():
