@@ -25,6 +25,7 @@ import functools
 import json
 import sys
 import time
+from itertools import chain
 
 from .action import height_ir, isotropy_subgroups, mu_action
 from .classify import ClassifyOptions, classify
@@ -230,7 +231,6 @@ def cmd_invariants(args) -> tuple[int, dict]:
     ball = args.ball if args.ball is not None else options["ball"]
     _require(0 <= ball <= MAX_BOX_RADIUS, f"ball must be between 0 and {MAX_BOX_RADIUS}")
     orbits, burnside = box_orbits(G, ball)
-    sums = [[{"exponents": e, "coeff": 1} for e in orbit] for orbit in orbits]
     report = {
         "command": "invariants",
         "group_order": G.order,
@@ -238,9 +238,34 @@ def cmd_invariants(args) -> tuple[int, dict]:
         "ball": ball,
         "dim": len(orbits),
         "burnside": burnside,
-        "orbit_sums": sums,
+        "orbit_sums": _orbit_sums_json(G.n, orbits),
     }
     return EXIT_OK, report
+
+
+class _JsonText(str):
+    """A report value already written as canonical JSON."""
+
+
+def _orbit_sums_json(n: int, orbits: list) -> _JsonText:
+    """The orbit sums as canonical JSON: per orbit, a list of {"coeff": 1,
+    "exponents": point} objects with sorted keys, as ``json.dumps`` writes
+    them.  One format string per point, repeated per orbit size, takes every
+    coordinate in one pass."""
+    point = '{"coeff": 1, "exponents": [%s]}' % ", ".join(["%d"] * n)
+    by_size = {k: "[" + ", ".join([point] * k) + "]" for k in {len(o) for o in orbits}}
+    layout = ", ".join([by_size[len(o)] for o in orbits])
+    return _JsonText("[" + layout % tuple(chain.from_iterable(chain.from_iterable(orbits))) + "]")
+
+
+def _canonical_json(report: dict) -> str:
+    """``json.dumps(report, sort_keys=True)``, with ``_JsonText`` values
+    written as they stand."""
+    if not any(isinstance(v, _JsonText) for v in report.values()):
+        return json.dumps(report, sort_keys=True)
+    return "{" + ", ".join(
+        f"{json.dumps(k)}: {v if isinstance(v, _JsonText) else json.dumps(v, sort_keys=True)}"
+        for k, v in sorted(report.items())) + "}"
 
 
 def cmd_selftest(_args) -> tuple[int, dict]:
@@ -282,7 +307,7 @@ def _render_human(report: dict) -> str:
     elif cmd == "invariants":
         lines.append(f"ball {report['ball']}: dimension {report['dim']} "
                      f"(averaged recount {report['burnside']})")
-        lines.append(f"{len(report['orbit_sums'])} orbit sums")
+        lines.append(f"{report['dim']} orbit sums")
     elif cmd == "selftest":
         for c in report["criteria"]:
             mark = "PASS" if c["passed"] else "FAIL"
@@ -357,7 +382,7 @@ def main(argv=None) -> int:
     if args.human:
         print(_render_human(report))
     else:
-        print(json.dumps(report, sort_keys=True))
+        print(_canonical_json(report))
     return code
 
 

@@ -13,6 +13,15 @@ so by Nakayama that basis generates the kernel and the resolution is minimal.
 For other groups, kernel rows outside the module generated so far are added
 until it is the whole kernel.
 
+When p does not divide |G| > 1 (the non-modular case) no kernel is computed.
+e = |G|^-1 * sum_g g is a central idempotent of F_p[G] with augmentation 1,
+so F_p = e F_p[G]; multiplication by e has kernel (1 - e) F_p[G], and
+multiplication by 1 - e has kernel e F_p[G].  The resolution has rank 1 in
+every degree, with generator image 1 - e in odd degrees and e in even ones.
+Its Hom complex gives H^0 = F_p and H^r = 0 for r > 0, as Maschke's theorem
+requires.  The trivial group keeps the elimination route: F_p[G] = F_p, and
+the augmentation has zero kernel.
+
 I*ker needs only a generating set S of G (``small_generating_indices``), not
 every element: I is the sum of the right ideals (s - 1) F_p[G] for s in S
 (Brown, Cohomology of Groups, ch. I-II), and the kernel is a submodule, so
@@ -102,7 +111,9 @@ class FpResolution:
     basis.  Only these are stored: ``boundary(r)``, the full F_p matrix of the
     boundary map, is rebuilt from them by translation when needed.  A new
     resolution has depth 0 (F_0 = F_p[G] with the augmentation); ``extend``
-    adds one degree.
+    adds one degree.  When p does not divide |G| > 1 every degree has rank 1
+    and its generator image is one of the two idempotents 1 - e and e,
+    e = |G|^-1 * sum_g g, taken in turn; otherwise kernels are eliminated.
     """
 
     def __init__(self, p: int, G: MatGroup):
@@ -113,6 +124,7 @@ class FpResolution:
         self._augmented_ranks: list[int | None] = []
         self._perms = np.array(G.mult_table(), dtype=np.intp)
         self._gen_perms = self._perms[list(G.small_generating_indices())]
+        self._idempotents = _idempotent_images(G, p)
 
     @property
     def depth(self) -> int:
@@ -121,6 +133,8 @@ class FpResolution:
     def extend(self) -> None:
         """Add degree depth + 1: module generators of the kernel of the last
         map (the augmentation at depth 0), which the new free basis maps onto.
+        In the non-modular case the generator is 1 - e in odd degrees and e in
+        even ones, with no kernel computed.
 
         The last map has ranks[d-1] * ranks[d] * |G|^2 entries at depth d; past
         ``MAX_RESOLUTION_ENTRIES`` it raises before it is built.
@@ -132,11 +146,14 @@ class FpResolution:
                 raise BoundExceededError(
                     f"degree {self.depth + 1} eliminates {entries} entries, past the "
                     f"resolution entry bound {MAX_RESOLUTION_ENTRIES}")
-        last = self.boundary(self.depth) if self.depth else np.ones((1, n), dtype=np.int64)
-        kernel = nullspace_fp(last, p)
-        gens = _module_generators(kernel, self._perms, self._gen_perms, p)
-        self.ranks.append(len(gens))
-        self.generator_images.append(gens.T)
+        if self._idempotents is not None:
+            images = self._idempotents[self.depth % 2]
+        else:
+            last = self.boundary(self.depth) if self.depth else np.ones((1, n), dtype=np.int64)
+            kernel = nullspace_fp(last, p)
+            images = _module_generators(kernel, self._perms, self._gen_perms, p).T
+        self.ranks.append(images.shape[1])
+        self.generator_images.append(images)
         self._augmented_ranks.append(None)
 
     def boundary(self, r: int) -> np.ndarray:
@@ -186,6 +203,22 @@ class FpResolution:
         for r in range(1, self.depth):
             prod = matmul_fp(self.boundary(r), self.boundary(r + 1), self.p)
             assert not prod.any(), f"d_{r} . d_{r + 1} != 0"
+
+
+def _idempotent_images(G: MatGroup, p: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns 1 - e and e, e = |G|^-1 * sum_g g in F_p[G], when p does
+    not divide |G| > 1; None otherwise.  Every coordinate of e is |G|^-1 mod
+    p, and 1 - e is -e with 1 added at the identity."""
+    n = G.order
+    if n == 1 or n % p == 0:
+        return None
+    inverse = pow(n, -1, p)
+    e = np.full((n, 1), inverse, dtype=np.int64)
+    one_minus_e = np.full((n, 1), -inverse % p, dtype=np.int64)
+    one_minus_e[G.identity_index] = (1 - inverse) % p
+    for image in (one_minus_e, e):
+        image.setflags(write=False)
+    return one_minus_e, e
 
 
 def _translates(rows: np.ndarray, perms: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import multinv.matgroup
 from multinv.cli import main, parse_jobspec
 from multinv.cohomology import mu_p
 from multinv.corpus import corpus_entry, corpus_names
+from multinv.laurent import box_orbits
 from multinv.matgroup import generate, subgroup_conjugacy_classes, subgroups
 
 INV3 = {"n": 3, "p": 2, "generators": [[[-1, 0, 0], [0, -1, 0], [0, 0, -1]]]}
@@ -210,6 +211,28 @@ def test_invariants_output_pinned(capsys, name):
     code, out, _ = run_cli(capsys, "invariants", "--builtin", name, "--ball", "2")
     assert code == 0
     assert _sha1(out) == INVARIANTS_BALL2_SHA1[name]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_invariants_text_is_canonical_json(capsys, n):
+    """The orbit sums written as text are the canonical JSON of their dicts,
+    and --human counts them as dim."""
+    name = f"inversion{n}"
+    G = corpus_entry(name).group()
+    assert G.n == n
+    for ball in range(4):
+        code, out, _ = run_cli(capsys, "invariants", "--builtin", name, "--ball", str(ball))
+        assert code == 0
+        report = json.loads(out)
+        assert out.strip() == json.dumps(report, sort_keys=True)
+        orbits, _ = box_orbits(G, ball)
+        assert report["orbit_sums"] == [[{"exponents": e, "coeff": 1} for e in orbit]
+                                        for orbit in orbits]
+        assert len(orbits) == report["dim"]
+        code, human, _ = run_cli(capsys, "invariants", "--builtin", name,
+                                 "--ball", str(ball), "--human")
+        assert code == 0
+        assert f"\n{report['dim']} orbit sums" in human
 
 
 def test_cohomology_builds_one_resolution_per_job(capsys, monkeypatch):

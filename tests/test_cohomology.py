@@ -14,7 +14,7 @@ from multinv.corpus import corpus_group, corpus_names
 from multinv.errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from multinv.intlinalg import intmat
 from multinv.matgroup import generate, subgroup_conjugacy_classes, sylow, trivial_group
-from test_action import B3_GENERATORS
+from test_action import B3_GENERATORS, CENSUS_MAXIMAL
 from test_fparith import ReferenceSpan
 from test_limits import F54_GENERATORS
 
@@ -31,7 +31,7 @@ def test_resolution_ranks_z2():
 PINNED_RANKS = {
     "s3": {2: [1, 2, 2, 2, 2, 2, 2], 3: [1, 2, 3, 3, 2, 2, 2]},
     "s4": {2: [1, 3, 4, 4, 5, 6, 6], 3: [1, 3, 6, 8, 7, 8, 12]},
-    "gamma": {2: [1, 2, 3, 4, 5, 6, 7], 3: [1, 2, 3, 4, 5, 6, 7]},
+    "gamma": {2: [1, 2, 3, 4, 5, 6, 7]},
 }
 
 
@@ -208,3 +208,30 @@ def test_resolution_matches_reference_span(name, monkeypatch):
             assert np.array_equal(mine, theirs)
         assert ([res.cohomology_dim(r) for r in range(5)]
                 == [ref.cohomology_dim(r) for r in range(5)])
+
+
+NONMODULAR_GROUPS = dict(DIFFERENTIAL_GROUPS)
+NONMODULAR_GROUPS.update(
+    (f"Hc{k}", cls[0])
+    for k, cls in enumerate(subgroup_conjugacy_classes(generate(CENSUS_MAXIMAL["H"]))))
+NONMODULAR_CASES = [(name, p) for name, G in sorted(NONMODULAR_GROUPS.items())
+                    for p in (2, 3, 5) if G.order % p]
+
+
+@pytest.mark.parametrize(("name", "p"), NONMODULAR_CASES)
+def test_nonmodular_resolution_matches_elimination(name, p, monkeypatch):
+    """When p does not divide |G| > 1 the idempotent resolution has rank 1 in
+    every degree and the cohomology of the eliminated one; the trivial group
+    keeps the eliminated resolution, [1, 0, ...]."""
+    G = NONMODULAR_GROUPS[name]
+    res = resolution(G, p, 6)
+    res.check_complex()
+    assert res.ranks == ([1] * 7 if G.order > 1 else [1] + [0] * 6)
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_idempotent_images", lambda G, p: None)
+        ref = resolution(G, p, 6)
+    assert ref._idempotents is None
+    ref.check_complex()
+    assert ([res.cohomology_dim(r) for r in range(6)]
+            == [ref.cohomology_dim(r) for r in range(6)]
+            == [1] + [0] * 5)
