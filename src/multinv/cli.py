@@ -318,9 +318,14 @@ def _render_human(report: dict) -> str:
     return "\n".join(lines)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing does not change it)."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each command, by name."""
     parser = argparse.ArgumentParser(
         prog="multinv",
         description="analyze finite integer matrix group actions on Laurent "
@@ -365,12 +370,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest", help="run the built-in acceptance criteria")
     add_common(sp)
     sp.set_defaults(func=cmd_selftest)
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with each argument read once:
+    when the first one names a command, that command's parser reads the
+    rest, and the top-level parser only reports what it left over."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         code, report = args.func(args)
     except InputError as exc:

@@ -13,6 +13,13 @@ so by Nakayama that basis generates the kernel and the resolution is minimal.
 For other groups, kernel rows outside the module generated so far are added
 until it is the whole kernel.
 
+The picks are made in kernel coordinates.  The kernel basis that
+``nullspace_fp`` returns is the identity on its free columns, so x -> x[free]
+is injective on the kernel, and the kernel is a submodule, so each translate
+g * v of a kernel row is known by its k free coordinates.  The spans behind
+the picks (I*ker and the module generated so far) are then k wide, not
+ranks[d] * |G|, and give the same rows in the same order.
+
 When p does not divide |G| > 1 (the non-modular case) no kernel is computed.
 e = |G|^-1 * sum_g g is a central idempotent of F_p[G] with augmentation 1,
 so F_p = e F_p[G]; multiplication by e has kernel (1 - e) F_p[G], and
@@ -39,10 +46,14 @@ ranked once per resolution.
 mu_p, the least r > 0 with H^r(G, F_p) != 0, stops at its answer.
 H^1(G, F_p) = Hom(G, F_p) is nonzero exactly when G has a quotient of order
 p, that is when O^p(G) != G (Brown, ch. III), so mu_p = 1 is read from the
-closure that ``op_core`` uses, with no resolution.  Otherwise the resolution
-is extended one degree at a time (``FpResolution.extend``, the step
-``resolution`` repeats) until the first nonzero H^r.  The order and depth
-limits are checked before either route, so they trip as for a full search.
+closure that ``op_core`` uses, with no resolution.  When the Sylow
+p-subgroup P is cyclic, of any order, mu_p = 2 [N_G(P):C_G(P)] - 1, the
+closed form of ``mu_p_formula`` (Swan, The p-period of a finite group,
+Illinois J. Math. 4, 1960), again with no resolution.  Otherwise the
+resolution is extended one degree at a time (``FpResolution.extend``, the
+step ``resolution`` repeats) until the first nonzero H^r.  The order and
+depth limits are checked before any route, so they trip as for a full
+search.
 """
 
 from __future__ import annotations
@@ -58,7 +69,7 @@ from .errors import (
     MAX_RESOLUTION_ORDER,
     BoundExceededError,
 )
-from .fparith import SpanFp, matmul_fp, nullspace_fp, rank_fp, rref_fp
+from .fparith import SpanFp, matmul_fp, nullspace_fp, rank_fp
 from .matgroup import (
     MatGroup,
     _op_core_indices,
@@ -150,8 +161,8 @@ class FpResolution:
             images = self._idempotents[self.depth % 2]
         else:
             last = self.boundary(self.depth) if self.depth else np.ones((1, n), dtype=np.int64)
-            kernel = nullspace_fp(last, p)
-            images = _module_generators(kernel, self._perms, self._gen_perms, p).T
+            kernel, free = nullspace_fp(last, p)
+            images = _module_generators(kernel, free, self._perms, self._gen_perms, p).T
         self.ranks.append(images.shape[1])
         self.generator_images.append(images)
         self._augmented_ranks.append(None)
@@ -236,31 +247,46 @@ def _translates(rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return out.reshape(m, k, width)
 
 
-def _module_generators(kernel_rows: np.ndarray, perms: np.ndarray,
+def _module_generators(kernel_rows: np.ndarray, free: np.ndarray, perms: np.ndarray,
                        gen_perms: np.ndarray, p: int) -> np.ndarray:
     """Module generators of the kernel, picked greedily in row order.
 
-    First each row outside I*ker plus the rows picked before it: the pivot
-    columns of the transposed matrix of residues mod I*ker.  Then, unless G
-    is a p-group, each first row outside the module generated so far.
+    The work is done in kernel coordinates.  The rows are the identity on the
+    ``free`` columns, so a kernel vector x is the combination of the rows with
+    coefficients x[free]; the kernel is a submodule, so g * x has the
+    coordinates (g * x)[free], read off x at the columns that g moves onto
+    the free ones.  Row i has coordinates e_i.
+
+    First each row outside I*ker plus the rows picked before it.  e_i lies in
+    that sum exactly when some vector of I*ker has its last nonzero coordinate
+    at i, that is when i is a pivot of the echelon form of I*ker with its
+    columns reversed.  Then, unless G is a p-group, each first row outside
+    the module generated so far.
     """
-    k, width = kernel_rows.shape
+    k = kernel_rows.shape[0]
     if k == 0:
         return kernel_rows
-    ideal = SpanFp(p, width)
-    for perm in gen_perms:
-        ideal.add(_translates(kernel_rows, perm[None])[0] - kernel_rows)
-    _, picks = rref_fp(ideal.residues(kernel_rows).T, p)
     n = perms.shape[0]
+    # in each block, g * x holds at h the entry of x at g^-1 h, so
+    # (g * x)[free] = x[blocks + inverse[positions]] for g's inverse row
+    blocks, positions = free - free % n, free % n
+    identity = np.eye(k, dtype=np.int64)
+    ideal = SpanFp(p, k)
+    for inverse in np.argsort(gen_perms, axis=1):
+        ideal.add((kernel_rows[:, blocks + inverse[positions]] - identity)[:, ::-1])
+    reversed_pivots = set(ideal.pivots)
+    picks = [i for i in range(k) if k - 1 - i not in reversed_pivots]
     if _p_part(n, p) != n:
-        span = SpanFp(p, width)
+        # the rows of perms are also the inverse rows, in another order
+        every = blocks + perms[:, positions]
+        span = SpanFp(p, k)
         for i in picks:
-            span.add(_translates(kernel_rows[i:i + 1], perms))
-        rest = np.flatnonzero(~span.contains(kernel_rows))
+            span.add(kernel_rows[i, every])
+        rest = np.flatnonzero(~span.contains(identity))
         while rest.size:
             picks.append(int(rest[0]))
-            span.add(_translates(kernel_rows[rest[:1]], perms))
-            rest = rest[~span.contains(kernel_rows[rest])]
+            span.add(kernel_rows[rest[0], every])
+            rest = rest[~span.contains(identity[rest])]
     return kernel_rows[picks]
 
 
@@ -291,10 +317,13 @@ def mu_p(group: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1) 
     """inf { r > 0 : H^r(G, F_p) != 0 }, searched up to ``search_limit``.
 
     Equal to ``mu_from_resolution(resolution(G, p, search_limit + 1))``, and
-    the same limits trip, but it stops at the answer: 1 with no resolution
-    when G has a p-quotient, else the first degree with nonzero cohomology as
-    the resolution is extended.  When p does not divide |G| no resolution is
-    built and no limit applies.
+    the same order and depth limits trip, but it stops at the answer: 1 with
+    no resolution when G has a p-quotient; else, when the Sylow p-subgroup is
+    cyclic, the closed form ``mu_p_formula``, exact when it is at most
+    ``search_limit`` and the inexact marker ``search_limit + 1`` otherwise;
+    else the first degree with nonzero cohomology as the resolution is
+    extended.  When p does not divide |G| no resolution is built and no limit
+    applies.
     """
     _check_group(group)
     if not is_prime(p):
@@ -304,7 +333,11 @@ def mu_p(group: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1) 
     _check_resolution_bounds(group.order, search_limit + 1)
     if search_limit >= 1 and has_p_quotient(group, p):
         return MuValue(1, True)
-    return _first_nonzero_degree(FpResolution(p, group), max(search_limit + 1, 0))
+    marker = max(search_limit + 1, 0)
+    if _has_cyclic_sylow(group, p):
+        mu = mu_p_formula(group, p)
+        return MuValue(mu, True) if mu < marker else MuValue(marker, False)
+    return _first_nonzero_degree(FpResolution(p, group), marker)
 
 
 def mu_from_resolution(res: FpResolution) -> MuValue:
@@ -330,12 +363,26 @@ def _first_nonzero_degree(res: FpResolution, depth: int) -> MuValue:
     return MuValue(depth, False)
 
 
+def _has_cyclic_sylow(G: MatGroup, p: int) -> bool:
+    """Whether the Sylow p-subgroups of G are cyclic: some element has the
+    order q of the p-part of |G|, and it generates a subgroup of order q."""
+    return _p_part(G.order, p) in G.element_orders()
+
+
 def mu_p_formula(G: MatGroup, p: int) -> int:
-    """Closed form 2*[N_G(P):C_G(P)] - 1, valid when the Sylow subgroup has
-    order exactly p."""
-    P = sylow(G, p)
-    if P.order != p:
-        raise ValueError(
-            f"Sylow {p}-subgroup has order {P.order}, formula needs order {p}")
-    _, _, nc = subgroup_structure(G, P)
+    """mu_p(G) = 2*[N_G(P):C_G(P)] - 1 for a nontrivial cyclic Sylow
+    p-subgroup P, of any order.
+
+    H^*(G, F_p) is the N_G(P)-invariant part of H^*(P, F_p) (Swan, The
+    p-period of a finite group, 1960), which is nonzero in every degree.
+    N_G(P)/C_G(P) = E has order e prime to p and acts faithfully on P, so
+    through its reduction mod p, by a character of order e, on the
+    generator x of H^1 and y of H^2; the first invariant of positive
+    degree is x y^(e-1), in degree 2e - 1.
+    """
+    if G.order % p != 0:
+        raise ValueError(f"{p} does not divide the group order {G.order}")
+    if not _has_cyclic_sylow(G, p):
+        raise ValueError(f"the Sylow {p}-subgroup is not cyclic")
+    _, _, nc = subgroup_structure(G, sylow(G, p))
     return 2 * nc - 1

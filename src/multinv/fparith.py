@@ -87,15 +87,18 @@ def matmul_fp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def nullspace_fp(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right nullspace, one row per basis vector."""
+def nullspace_fp(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis of the right nullspace, one row per basis vector, and the free
+    (non-pivot) columns.  On the free columns the basis is the identity, so
+    a nullspace vector x is the combination of the rows with coefficients
+    x[free]."""
     A = np.asarray(mat, dtype=np.int64)
     R, piv = rref_fp(A, p)
     free = np.delete(np.arange(A.shape[1]), piv)
     basis = np.zeros((free.size, A.shape[1]), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, piv] = (-R[:, free].T) % p
-    return basis
+    return basis, free
 
 
 class SpanFp:
@@ -110,6 +113,11 @@ class SpanFp:
         self.width = width
         self._rows = np.zeros((0, width), dtype=np.int64)
         self._pivots: list[int] = []
+
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot columns, in insertion order."""
+        return list(self._pivots)
 
     def residues(self, batch) -> np.ndarray:
         """The rows of ``batch`` reduced by the stored rows, on the non-pivot

@@ -320,7 +320,7 @@ def check_g1_decomposition(p: int, B: int) -> BallDecomposition:
     dim_twisted = rk_all - rk_out
 
     # explicit basis of the twisted part that lies inside the ball
-    combos = nullspace_fp(prod_rows[:, outside].T, 2)
+    combos, _ = nullspace_fp(prod_rows[:, outside].T, 2)
     twisted_vecs = (combos @ prod_rows[:, inside]) % 2 if combos.size else \
         np.zeros((0, len(inside)), dtype=np.int64)
     assert rank_fp(twisted_vecs, 2) == dim_twisted

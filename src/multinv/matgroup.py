@@ -30,7 +30,7 @@ from .errors import (
     BoundExceededError,
     NonUnimodularError,
 )
-from .intlinalg import identity_matrix, intmat, is_unimodular
+from .intlinalg import _det_rows, _from_lists, _int_rows, identity_matrix, intmat, is_unimodular
 
 # strong-probable-prime bases: together they admit no composite below MAX_PRIMALITY
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -84,11 +84,13 @@ class ElementProfile:
 class MatGroup:
     """A finite subgroup of GL_n(Z), stored as all elements in canonical order."""
 
-    def __init__(self, n: int, elements: np.ndarray):
-        """``elements``: the (order, n, n) object array of all elements in canonical order."""
+    def __init__(self, n: int, elements: np.ndarray, keys=None):
+        """``elements``: the (order, n, n) object array of all elements in
+        canonical order; ``keys``: their keys, read off them when not given."""
         self.n = n
         self.elements = elements
         elements.setflags(write=False)
+        self._keys: tuple[tuple, ...] = tuple(_keys_of(elements) if keys is None else keys)
         self._table: tuple[tuple[int, ...], ...] | None = None
         self._picks: tuple[int, ...] | None = None
         self._subgroups: list["MatGroup"] | None = None
@@ -109,10 +111,6 @@ class MatGroup:
     def generators(self) -> list[np.ndarray]:
         """The elements at ``small_generating_indices()`` (none for the trivial group)."""
         return [self.elements[i] for i in self.small_generating_indices()]
-
-    @cached_property
-    def _keys(self) -> tuple[tuple, ...]:
-        return tuple(_keys_of(self.elements))
 
     @cached_property
     def _index(self) -> dict[tuple, int]:
@@ -232,9 +230,7 @@ class MatGroup:
         table, by composing rows, on its first ``mult_table`` call; most
         subgroups made (by ``subgroups``, say) never need one."""
         idx = sorted(set(indices))
-        H = MatGroup(self.n, self.elements[idx])
-        H._keys = tuple(map(self._keys.__getitem__, idx))
-        return H
+        return MatGroup(self.n, self.elements[idx], map(self._keys.__getitem__, idx))
 
     def closure_indices(self, seed) -> frozenset[int]:
         """Indices of the subgroup generated by the given element indices
@@ -322,19 +318,22 @@ def trivial_group(n: int) -> MatGroup:
 def generate(gens, max_order: int = MAX_GROUP_ORDER) -> MatGroup:
     """Close a list of unimodular matrices under multiplication.
 
-    Raises NonUnimodularError for a generator outside GL_n(Z) and
+    Every generator is read first, so a malformed one raises ValueError
+    before any is checked.  Then, in order, each must be n x n, for the n of
+    the first, and lie in GL_n(Z): NonUnimodularError for |det| != 1.
     BoundExceededError when the closure passes ``max_order`` (the group is
     infinite or larger than requested).
     """
-    mats = [intmat(g) for g in gens]
-    if not mats:
+    read = [_int_rows(g) for g in gens]
+    if not read:
         raise ValueError("need at least one generator (use trivial_group(n) otherwise)")
-    n = mats[0].shape[0]
-    for g in mats:
-        if g.shape != (n, n):
+    n = len(read[0])
+    for rows in read:
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("generators of mixed dimensions")
-        if not is_unimodular(g):
+        if abs(_det_rows([row[:] for row in rows])) != 1:
             raise NonUnimodularError("generator has |det| != 1")
+    mats = [_from_lists(rows, n) for rows in read]
     frontier = identity_matrix(n)[None]
     found = set(_keys_of(frontier))
     while len(frontier):
@@ -348,7 +347,8 @@ def generate(gens, max_order: int = MAX_GROUP_ORDER) -> MatGroup:
                         raise BoundExceededError(
                             f"closure exceeded max_order={max_order}")
         frontier = np.array(new, dtype=object).reshape(-1, n, n)
-    return MatGroup(n, np.array(sorted(found), dtype=object).reshape(-1, n, n))
+    keys = sorted(found)
+    return MatGroup(n, np.array(keys, dtype=object).reshape(-1, n, n), keys)
 
 
 def _check_subgroup_bound(order: int) -> None:

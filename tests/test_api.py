@@ -46,6 +46,7 @@ def test_every_parameter_is_read():
 LIBRARY_ONLY = {
     "action.py stabilizer": "API: the stabilizer of a point; bench/checks.py checks witnesses with it",
     "action.py realizable_subgroups": "verify_certificate's R6 re-check, through mu_action",
+    "cli.py build_parser": "API: the full parser, which parse_args matches reading each argument once",
     "cohomology.py FpResolution.check_complex": "test oracle: consecutive boundaries compose to 0",
     "cohomology.py FpResolution.is_minimal": "test oracle: boundaries in the augmentation ideal",
     "cohomology.py h_dim": "test oracle: one cohomology dimension",
@@ -54,6 +55,7 @@ LIBRARY_ONLY = {
     "intlinalg.py Sublattice.__repr__": "printing a lattice (demos/01)",
     "intlinalg.py Sublattice.from_columns": "API over Sublattice._span, which moved_lattice reaches",
     "intlinalg.py hnf_columns": "API over _hnf_columns, which every lattice reaches",
+    "intlinalg.py is_unimodular": "act and MatGroup.validate check their matrices with it",
     "intlinalg.py kernel_basis": "API over _kernel_columns, which fixed_lattice reaches",
     "intlinalg.py quotient_invariants": "API over the invariant factors that saturation reads",
     "intlinalg.py rank": "API over the Smith form",

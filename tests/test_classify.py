@@ -117,6 +117,10 @@ def test_r7_detects_excess_height():
 
 QUAT_I = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 QUAT_J = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
+# i -> j -> k -> i on the basis 1, i, j, k: an automorphism of order 3 of the
+# quaternion units, so <QUAT_I, QUAT_J, QUAT_CYCLE> is Q8 x| C3 = SL(2, 3)
+QUAT_CYCLE = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
+SL23_GENERATORS = [QUAT_I, QUAT_J, QUAT_CYCLE]
 
 
 def test_fixed_point_free_equivalence_fires():

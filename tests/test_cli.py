@@ -375,14 +375,42 @@ def test_parser_built_once_and_flags_do_not_carry_over(tmp_path, capsys):
 
     fresh = []
     for argv in calls:
-        multinv.cli.build_parser.cache_clear()
+        multinv.cli._parsers.cache_clear()
         fresh.append(report(argv))
-    multinv.cli.build_parser.cache_clear()
+    multinv.cli._parsers.cache_clear()
     reused = [report(argv) for argv in calls]
-    assert multinv.cli.build_parser.cache_info().misses == 1
+    assert multinv.cli._parsers.cache_info().misses == 1
     assert reused == fresh
     assert fresh[0]["notes"] and not fresh[1]["notes"]
     assert fresh[3]["depth"] == 3 and fresh[4]["ball"] == 1
+
+
+def _parsed(parse, argv, capsys):
+    """(namespace, exit code, stdout, stderr) of one parse."""
+    try:
+        args, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    captured = capsys.readouterr()
+    return args, code, captured.out, captured.err
+
+
+PARSE_CASES = [
+    [], ["bogus"], ["-h"], ["--human"], ["classify", "-h"], ["classify", "--bogus"],
+    ["cohomology", "--depth", "x"], ["classify", "--builtin", "nope"],
+    ["classify", "--builtin", "s3", "extra", "--more"], ["selftest", "--input", "x"],
+    ["classify", "--builtin", "s3"], ["classify", "--input", "job.json", "--audit", "--human"],
+    ["analyze", "--builtin", "s4"], ["analyze", "--input", "-"],
+    ["cohomology", "--group", "s3", "--depth", "4"], ["cohomology", "--input", "job.json"],
+    ["invariants", "--builtin", "gamma", "--ball", "2"], ["invariants", "--input", "job.json"],
+    ["selftest"], ["selftest", "--human"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_each_argument_is_parsed_once_as_by_the_full_parser(argv, capsys):
+    full = _parsed(multinv.cli.build_parser().parse_args, argv, capsys)
+    assert _parsed(multinv.cli.parse_args, argv, capsys) == full
 
 
 def test_input_file_is_closed(tmp_path, capsys):

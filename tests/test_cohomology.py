@@ -12,8 +12,16 @@ from multinv.cohomology import (
 )
 from multinv.corpus import corpus_group, corpus_names
 from multinv.errors import MAX_RESOLUTION_DEPTH, BoundExceededError
+from multinv.fparith import SpanFp, rref_fp
 from multinv.intlinalg import intmat
-from multinv.matgroup import generate, subgroup_conjugacy_classes, sylow, trivial_group
+from multinv.matgroup import (
+    _p_part,
+    generate,
+    subgroup_conjugacy_classes,
+    subgroups,
+    sylow,
+    trivial_group,
+)
 from test_action import B3_GENERATORS, CENSUS_MAXIMAL
 from test_fparith import ReferenceSpan
 from test_limits import F54_GENERATORS
@@ -124,14 +132,19 @@ def test_mu_formula_examples():
 
 def test_mu_formula_precondition():
     rot4, _ = corpus_group("rot4")
-    with pytest.raises(ValueError):
-        mu_p_formula(rot4, 2)  # Sylow order 4, not exactly p
+    assert mu_p_formula(rot4, 2) == 1  # a cyclic Sylow subgroup of order 4
+    gamma, _ = corpus_group("gamma")
+    with pytest.raises(ValueError, match="not cyclic"):
+        mu_p_formula(gamma, 2)
+    with pytest.raises(ValueError, match="does not divide"):
+        mu_p_formula(rot4, 3)
 
 
 def test_mu_formula_matches_resolution_on_corpus():
     for name in corpus_names():
         G, p = corpus_group(name)
-        if sylow(G, p).order != p:
+        P = sylow(G, p)
+        if max(P.element_orders()) != P.order:
             continue
         # mu_p may stop before any resolution, so the full resolution is read too
         formula = mu_p_formula(G, p)
@@ -235,3 +248,57 @@ def test_nonmodular_resolution_matches_elimination(name, p, monkeypatch):
     assert ([res.cohomology_dim(r) for r in range(6)]
             == [ref.cohomology_dim(r) for r in range(6)]
             == [1] + [0] * 5)
+
+
+def full_width_module_generators(kernel_rows, perms, gen_perms, p):
+    """The module generators as picked on the full-width kernel rows, the
+    reference for the picks in kernel coordinates.  First each row outside
+    I*ker plus the rows picked before it: the pivot columns of the
+    transposed matrix of residues mod I*ker.  Then, unless G is a p-group,
+    each first row outside the module generated so far."""
+    k, width = kernel_rows.shape
+    if k == 0:
+        return kernel_rows
+    translates = cohomology._translates
+    ideal = SpanFp(p, width)
+    for perm in gen_perms:
+        ideal.add(translates(kernel_rows, perm[None])[0] - kernel_rows)
+    _, picks = rref_fp(ideal.residues(kernel_rows).T, p)
+    n = perms.shape[0]
+    if _p_part(n, p) != n:
+        span = SpanFp(p, width)
+        for i in picks:
+            span.add(translates(kernel_rows[i:i + 1], perms))
+        rest = np.flatnonzero(~span.contains(kernel_rows))
+        while rest.size:
+            picks.append(int(rest[0]))
+            span.add(translates(kernel_rows[rest[:1]], perms))
+            rest = rest[~span.contains(kernel_rows[rest])]
+    return kernel_rows[picks]
+
+
+GENERATOR_FAMILIES = {
+    "corpus": [corpus_group(name)[0] for name in corpus_names()],
+    "B3 classes": [cls[0] for cls in subgroup_conjugacy_classes(generate(B3_GENERATORS))],
+    **{f"census {name}": subgroups(generate(gens)) for name, gens in CENSUS_MAXIMAL.items()},
+}
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+def test_module_generators_match_the_full_width_picks(family, monkeypatch):
+    """Every step of every resolution to depth 6 picks the same kernel rows
+    in kernel coordinates as on the full-width rows."""
+    picked = []
+    fast = cohomology._module_generators
+
+    def checked(kernel_rows, free, perms, gen_perms, p):
+        rows = fast(kernel_rows, free, perms, gen_perms, p)
+        assert np.array_equal(rows, full_width_module_generators(kernel_rows, perms, gen_perms, p))
+        picked.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(cohomology, "_module_generators", checked)
+    for G in GENERATOR_FAMILIES[family]:
+        for p in (2, 3):
+            resolution(G, p, 6)
+    assert sum(picked) > 0

@@ -71,10 +71,13 @@ def test_nullspace_annihilates_and_has_corank_dimension(p):
     for _ in range(10):
         M = np.array(random_matrix(rng, p, 5, 8), dtype=np.int64)
         rank = rank_fp(M, p)
-        N = nullspace_fp(M, p)
+        N, free = nullspace_fp(M, p)
         assert N.shape == (8 - rank, 8)
         assert rank_fp(N, p) == 8 - rank
         assert not matmul_fp(N, M.T, p).any()
+        # the free columns are the non-pivot ones, where the basis is the identity
+        assert free.tolist() == sorted(set(range(8)) - set(rref_fp(M, p)[1]))
+        assert np.array_equal(N[:, free], np.eye(len(free), dtype=np.int64))
 
 
 def python_matmul(a, b, p):
@@ -129,6 +132,10 @@ class ReferenceSpan:
         self._rref = np.zeros((0, width), dtype=np.int64)
         self._pivots = []
 
+    @property
+    def pivots(self):
+        return list(self._pivots)
+
     def residues(self, batch):
         B = np.mod(batch, self.p, dtype=np.int64).reshape(-1, self.width)
         free = np.delete(np.arange(self.width), self._pivots)
@@ -177,7 +184,7 @@ def test_incremental_span_matches_reference(p):
             ref.add(batch)
             order = np.argsort(span._pivots)
             rref, pivots = rref_fp(seen, p)
-            assert sorted(span._pivots) == ref._pivots == pivots
+            assert sorted(span.pivots) == ref.pivots == pivots
             assert span._rows[order].tolist() == ref._rref.tolist() == rref.tolist()
             candidates = np.vstack([probes, batch])
             assert span.residues(candidates).tolist() == ref.residues(candidates).tolist()

@@ -37,7 +37,7 @@ from multinv.fparith import rank_fp
 from multinv.laurent import box_orbits
 from multinv.matgroup import generate, is_prime, subgroups, trivial_group
 from test_action import B3_GENERATORS
-from test_classify import QUAT_I, QUAT_J
+from test_classify import QUAT_I, QUAT_J, SL23_GENERATORS
 
 
 def _block_diag(blocks):
@@ -62,9 +62,6 @@ B4_GENERATORS = [[[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
                  [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                  [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
 SHEAR = [[1, 1], [0, 1]]  # infinite order
-# S3 on the A2 root lattice: rot3 and a reflection; at p = 3 its Sylow
-# subgroup is fixed-point-free and it has no quotient of order 3
-S3_A2_GENERATORS = [ROT3, [[0, 1], [1, 0]]]
 S3_GENERATORS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]]]
 Z2_GENERATORS = [[[-1]]]
 
@@ -257,20 +254,22 @@ def test_the_entry_bound_trips_before_the_step_past_it(monkeypatch):
 
 
 def test_the_entry_bound_makes_r6_inapplicable(tmp_path, capsys, monkeypatch):
-    # S3 on the A2 lattice at p = 3 has ranks 1, 2, 3, 3: R6 resolves S3, and
-    # its third step eliminates 2 * 3 * 6^2 = 216 entries
-    G = generate(S3_A2_GENERATORS)
-    assert applicable_rules(G, 3)["R6"] == "CM"
-    monkeypatch.setattr(cohomology, "MAX_RESOLUTION_ENTRIES", 215)
-    reason = "bound exceeded: degree 3 eliminates 216 entries, past the resolution entry bound 215"
-    v = classify(G, 3, ClassifyOptions(audit=True))
-    assert (v.status, v.rule, v.notes) == ("CM", "R2", (f"R6 skipped: {reason}",))
-    assert "R6" not in applicable_rules(G, 3)
-    path = tmp_path / "s3.json"
-    path.write_text(json.dumps({"n": 2, "p": 3, "generators": S3_A2_GENERATORS}))
+    # SL(2, 3) on Z^4 at p = 2 has ranks 1, 2, 2, 2: its Sylow subgroup Q8 is
+    # not cyclic and it has no 2-quotient, so R6 resolves it, and its third
+    # step eliminates 2 * 2 * 24^2 = 2304 entries
+    G = generate(SL23_GENERATORS)
+    assert applicable_rules(G, 2)["R6"] == "CM"
+    monkeypatch.setattr(cohomology, "MAX_RESOLUTION_ENTRIES", 2303)
+    reason = "bound exceeded: degree 3 eliminates 2304 entries, past the resolution entry bound 2303"
+    v = classify(G, 2, ClassifyOptions(audit=True))
+    assert (v.status, v.rule, v.notes) == ("Unknown", "R8", (f"R6 skipped: {reason}",))
+    assert {"rule": "R6", "reason": reason} in v.certificate["inapplicable"]
+    assert "R6" not in applicable_rules(G, 2)
+    path = tmp_path / "sl23.json"
+    path.write_text(json.dumps({"n": 4, "p": 2, "generators": SL23_GENERATORS}))
     for argv in (["analyze", "--input", str(path)],
                  ["cohomology", "--input", str(path), "--depth", "3"]):
         assert main(argv) == 3
-        assert "resolution entry bound 215" in capsys.readouterr().err
+        assert "resolution entry bound 2303" in capsys.readouterr().err
     assert main(["cohomology", "--input", str(path), "--depth", "2"]) == 0
     capsys.readouterr()

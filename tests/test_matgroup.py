@@ -53,6 +53,45 @@ def test_generate_rejects_non_unimodular():
         generate([[[2, 0], [0, 1]]])
 
 
+def _raised(gens):
+    try:
+        generate(gens)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_generate_reads_every_generator_before_checking_any():
+    """A malformed generator anywhere raises before the first shape or
+    determinant check; then each generator in turn is checked for its size
+    and then for |det| = 1."""
+    double = [[2, 0], [0, 1]]
+    swap3 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    cases = [
+        ([double, [[1, 0], [0]]], ("ValueError", "ragged rows in matrix data")),
+        ([double, [[True, 0], [0, 1]]], ("ValueError", "non-integer entry True at (0, 0)")),
+        ([double, [[1, 0], [0, 1.0]]], ("ValueError", "non-integer entry 1.0 at (1, 1)")),
+        ([[[1, 0], [0]], [[1.0]]], ("ValueError", "ragged rows in matrix data")),
+        ([[[1.0]], [[1, 0], [0]]], ("ValueError", "non-integer entry 1.0 at (0, 0)")),
+        ([double, swap3], ("NonUnimodularError", "generator has |det| != 1")),
+        ([ROT4, swap3, double], ("ValueError", "generators of mixed dimensions")),
+        ([swap3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], ROT4],
+         ("NonUnimodularError", "generator has |det| != 1")),
+        ([[[1, 0, 0], [0, 1, 0]], ROT4], ("ValueError", "generators of mixed dimensions")),
+        ([ROT4, [[1, 0]]], ("ValueError", "generators of mixed dimensions")),
+        ([], ("ValueError", "need at least one generator (use trivial_group(n) otherwise)")),
+        ([ROT4, [[0, 1], [1, 0]]], None),
+    ]
+    for gens, expected in cases:
+        assert _raised(gens) == expected, gens
+
+
+def test_generate_keys_match_the_elements():
+    G = generate([SWAP12, SWAP23, NEG3])
+    assert G.canonical_key() == tuple(map(tuple, G.elements.reshape(G.order, -1).tolist()))
+    assert G.canonical_key() == tuple(sorted(G.canonical_key()))
+
+
 def test_generate_order_bound():
     shear = [[1, 1], [0, 1]]  # infinite order
     with pytest.raises(BoundExceededError):

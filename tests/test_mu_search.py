@@ -4,7 +4,15 @@ search they replace is kept here as the reference."""
 import pytest
 
 from multinv.action import mu_action, realizable_subgroups
-from multinv.cohomology import INFINITY, FpResolution, MuValue, mu_p, resolution
+from multinv.cohomology import (
+    INFINITY,
+    FpResolution,
+    MuValue,
+    _first_nonzero_degree,
+    has_p_quotient,
+    mu_p,
+    resolution,
+)
 from multinv.corpus import corpus_group, corpus_names
 from multinv.errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from multinv.matgroup import (
@@ -16,7 +24,7 @@ from multinv.matgroup import (
     sylow,
 )
 from test_action import B3_GENERATORS, CENSUS_MAXIMAL
-from test_classify import QUAT_I, QUAT_J
+from test_classify import QUAT_I, QUAT_J, SL23_GENERATORS
 from test_limits import F54_GENERATORS
 
 LIMITS = range(5)
@@ -105,7 +113,10 @@ def test_mu_action_b3_builds_no_resolution_degree(monkeypatch):
     assert mu_action(generate(B3_GENERATORS), 2) == MuValue(1, True)
     assert degrees == []
     s3, _ = corpus_group("s3")
-    assert mu_p(s3, 3) == MuValue(3, True)
+    assert mu_p(s3, 3) == MuValue(3, True)  # the closed form: the Sylow subgroup is cyclic
+    assert degrees == []
+    # the Sylow 2-subgroup Q8 is not cyclic, and SL(2, 3) has no 2-quotient
+    assert mu_p(generate(SL23_GENERATORS), 2) == MuValue(3, True)
     assert len(degrees) == 4  # H^3 needs a resolution of depth 4
 
 
@@ -143,3 +154,51 @@ def test_mu_of_the_group_is_mu_of_the_action_when_sylow_is_fixed_point_free(fami
                 (name, p, limit)
     if family == "limits":
         assert {(name, p) for name, _, p in cases} == {("Q8", 2), ("Q8", 3), ("F54", 2)}
+
+
+def _permutation_matrix(images):
+    """The matrix that sends basis vector x to basis vector images[x]."""
+    n = len(images)
+    return [[int(images[c] == r) for c in range(n)] for r in range(n)]
+
+
+def _affine_group(m, unit):
+    """x -> x + 1 and x -> unit * x on Z/m, as permutation matrices."""
+    return generate([_permutation_matrix([(x + 1) % m for x in range(m)]),
+                     _permutation_matrix([unit * x % m for x in range(m)])])
+
+
+CLOSED_FORM_FAMILIES = {
+    "corpus": {name: corpus_group(name)[0] for name in corpus_names()},
+    "B3 classes": {f"B3c{k}": cls[0] for k, cls in
+                   enumerate(subgroup_conjugacy_classes(generate(B3_GENERATORS)))},
+    **{f"census {name}": {f"{name}.{k}": H for k, H in enumerate(subgroups(generate(gens)))}
+       for name, gens in CENSUS_MAXIMAL.items()},
+    # D9 = Z/9 x| {+-1}, F21 = Z/7 x| <2>, F42 = Z/7 x| <3>: at p = 7 the
+    # closed form gives 5 for F21 and 11, past every limit, for F42
+    "permutation groups": {"D9": _affine_group(9, -1), "F21": _affine_group(7, 2),
+                           "F42": _affine_group(7, 3), "SL(2,3)": generate(SL23_GENERATORS)},
+}
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
+def test_mu_p_matches_the_search_for_every_limit(family):
+    """mu_p, the closed form when the Sylow subgroup is cyclic, gives the
+    value and exactness of the search through one resolution, for every
+    limit up to MAX_RESOLUTION_DEPTH - 1 and every prime dividing |G|."""
+    closed_form, raised = [], []
+    for name, G in CLOSED_FORM_FAMILIES[family].items():
+        for p in (q for q in range(2, G.order + 1) if G.order % q == 0 and is_prime(q)):
+            P = sylow(G, p)
+            if max(P.element_orders()) == P.order and not has_p_quotient(G, p):
+                closed_form.append((name, p))
+            res = FpResolution(p, G)
+            for limit in range(MAX_RESOLUTION_DEPTH):
+                try:
+                    expected = _first_nonzero_degree(res, limit + 1)
+                except BoundExceededError:
+                    raised.append((name, p, limit, mu_p(G, p, limit)))
+                    continue
+                assert mu_p(G, p, limit) == expected, (name, p, limit)
+    assert closed_form
+    assert raised == []  # no search raised where the closed form answers
