@@ -9,7 +9,6 @@ from multinv import (
     intmat,
     moved_lattice,
     quotient_invariants,
-    rank,
     snf,
 )
 
@@ -21,7 +20,7 @@ S, U, V = snf(diff)
 print("Smith form of (g1 - 1):")
 print("  diagonal:", [int(S[i, i]) for i in range(3)])
 print("  U @ M @ V == S:", all(int(a) == int(b) for a, b in zip((U @ diff @ V).flat, S.flat)))
-print("  rank:", rank(diff))
+print("  rank (nonzero diagonal entries):", sum(1 for i in range(3) if S[i, i] != 0))
 
 fixed = fixed_lattice([g1])
 moved = moved_lattice([g1])

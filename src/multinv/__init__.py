@@ -37,24 +37,17 @@ from .intlinalg import (
     Sublattice,
     det,
     fixed_lattice,
-    hnf_columns,
     identity_matrix,
     intmat,
-    kernel_basis,
     moved_lattice,
     quotient_invariants,
-    rank,
     snf,
     unimodular_inverse,
 )
 from .laurent import (
     BallDecomposition,
-    LaurentPoly,
-    act,
     check_g1_decomposition,
     invariant_dim_in_ball,
-    is_invariant,
-    orbit_sum,
 )
 from .matgroup import (
     ElementProfile,
@@ -74,17 +67,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallDecomposition", "BoundExceededError", "ClassifyOptions", "CorpusEntry",
-    "ElementProfile", "FpResolution", "INFINITY",
-    "InconsistentRulesError", "IsotropyReport", "LaurentPoly", "MatGroup",
-    "MuValue", "NonUnimodularError", "Sublattice", "Verdict", "act",
-    "applicable_rules", "classification_cases", "classify",
-    "check_g1_decomposition", "corpus_entry", "corpus_group", "corpus_names",
-    "det", "element_profiles", "fixed_lattice", "generate", "h_dim", "height_ir",
-    "hnf_columns", "identity_matrix", "intmat",
-    "invariant_dim_in_ball", "is_fixed_point_free", "is_invariant",
-    "isotropy_subgroups", "kernel_basis", "moved_lattice", "mu_action", "mu_p",
-    "mu_p_formula", "op_core", "orbit_sum", "quotient_invariants", "rank",
-    "resolution", "snf", "stabilizer", "subgroup_conjugacy_classes",
-    "subgroup_structure", "subgroups", "sylow",
+    "ElementProfile", "FpResolution", "INFINITY", "InconsistentRulesError",
+    "IsotropyReport", "MatGroup", "MuValue", "NonUnimodularError", "Sublattice",
+    "Verdict", "applicable_rules", "classification_cases", "classify",
+    "check_g1_decomposition", "corpus_entry", "corpus_group", "corpus_names", "det",
+    "element_profiles", "fixed_lattice", "generate", "h_dim", "height_ir",
+    "identity_matrix", "intmat", "invariant_dim_in_ball", "is_fixed_point_free",
+    "isotropy_subgroups", "moved_lattice", "mu_action", "mu_p", "mu_p_formula",
+    "op_core", "quotient_invariants", "resolution", "snf", "stabilizer",
+    "subgroup_conjugacy_classes", "subgroup_structure", "subgroups", "sylow",
     "trivial_group", "unimodular_inverse", "verify_certificate",
 ]

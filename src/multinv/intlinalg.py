@@ -127,10 +127,6 @@ def _det_rows(A: list[list[int]]) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def is_unimodular(M: np.ndarray) -> bool:
-    return M.shape[0] == M.shape[1] and abs(det(M)) == 1
-
-
 def unimodular_inverse(M) -> np.ndarray:
     """Exact inverse of an integer matrix with integer inverse (|det| = 1).
 
@@ -257,29 +253,11 @@ def diagonal_of(S: np.ndarray) -> list[int]:
     return [int(S[i, i]) for i in range(min(S.shape))]
 
 
-def rank(M) -> int:
-    """Integer rank: the number of nonzero diagonal entries of the Smith form."""
-    S, _, _ = snf(M)
-    return sum(1 for d in diagonal_of(S) if d != 0)
-
-
 def _kernel_columns(rows: list[list[int]], n: int) -> list[list[int]]:
     """Column Hermite basis of {x in Z^n : rows @ x = 0} (``rows`` is consumed)."""
     S, _, V = _snf_lists(rows, n, track_u=False)
     free = [j for j in range(n) if j >= len(S) or S[j][j] == 0]
     return _hnf_columns([[V[i][j] for i in range(n)] for j in free], n)
-
-
-def kernel_basis(M) -> np.ndarray:
-    """Basis of {x in Z^cols : M x = 0}, in canonical column Hermite form.
-
-    The kernel of an integer matrix is saturated (Z^cols / ker embeds in the
-    image, which is torsion free), so the returned basis spans a saturated
-    sublattice.
-    """
-    rows = _int_rows(M)
-    n = len(rows[0]) if rows else 0
-    return _from_columns(_kernel_columns(rows, n), n)
 
 
 def _hnf_columns(cols: list[list[int]], n: int) -> list[list[int]]:
@@ -319,18 +297,6 @@ def _hnf_columns(cols: list[list[int]], n: int) -> list[list[int]]:
     return cols[:r]
 
 
-def hnf_columns(M) -> np.ndarray:
-    """Canonical column Hermite form of the lattice spanned by the columns.
-
-    Zero columns are dropped; the result has one column per basis vector,
-    pivot rows strictly increasing, positive pivots, and entries left of each
-    pivot reduced into ``[0, pivot)``.
-    """
-    rows = _int_rows(M)
-    n = len(rows)
-    return _from_columns(_hnf_columns([list(c) for c in zip(*rows)], n), n)
-
-
 # ---------------------------------------------------------------------------
 # sublattices
 
@@ -352,14 +318,6 @@ class Sublattice:
         self.saturated = saturated
         self._basis = None
         self._factors = None
-
-    @classmethod
-    def from_columns(cls, ambient_rank: int, columns) -> "Sublattice":
-        rows = _int_rows(columns)
-        if len(rows) != ambient_rank:
-            raise ValueError(
-                f"columns live in Z^{len(rows)}, expected Z^{ambient_rank}")
-        return cls._span(ambient_rank, [list(c) for c in zip(*rows)])
 
     @classmethod
     def _span(cls, ambient_rank: int, cols: list[list[int]]) -> "Sublattice":

@@ -1,10 +1,12 @@
-"""Sparse Laurent polynomials over F_p with a matrix-group action on monomials.
+"""Orbits of exponent boxes under a matrix group, and the invariants they span.
 
-A polynomial is a finite map from exponent vectors in Z^n to nonzero
-coefficients in F_p.  A unimodular matrix g acts by sending the monomial with
-exponent a to the monomial with exponent g a; the action permutes monomials,
-so orbit sums of distinct orbits have disjoint supports and span the
-invariants.
+A finite G <= GL_n(Z) acts on F_p[Z^n] by sending the monomial with exponent a
+to the monomial with exponent g a.  The action permutes monomials, so the orbit
+sums of distinct orbits have disjoint supports and span the invariants: the
+invariants supported on a G-stable set of exponents have one basis vector per
+orbit in it.  ``box_orbits`` lists the orbits of the exponent box
+{ a : |a|_inf <= B }, and ``check_g1_decomposition`` splits the invariants of
+one rank-3 example inside such a box.
 """
 
 from __future__ import annotations
@@ -17,122 +19,7 @@ import numpy as np
 from .errors import MAX_BOX_POINTS, MAX_ORBIT_SPREAD, BoundExceededError
 from .corpus import corpus_group
 from .fparith import nullspace_fp, rank_fp
-from .intlinalg import intmat, is_unimodular
 from .matgroup import MatGroup
-
-
-class LaurentPoly:
-    """Finitely supported map Z^n -> F_p, no stored zero coefficients."""
-
-    __slots__ = ("n", "p", "terms")
-
-    def __init__(self, n: int, p: int, terms=None):
-        self.n = n
-        self.p = p
-        clean: dict[tuple[int, ...], int] = {}
-        for expo, coeff in (terms or {}).items():
-            e = tuple(int(x) for x in expo)
-            if len(e) != n:
-                raise ValueError(f"exponent {e} has length {len(e)}, expected {n}")
-            c = int(coeff) % p
-            if c:
-                clean[e] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, n: int, p: int) -> "LaurentPoly":
-        return cls(n, p)
-
-    @classmethod
-    def one(cls, n: int, p: int) -> "LaurentPoly":
-        return cls(n, p, {(0,) * n: 1})
-
-    @classmethod
-    def monomial(cls, n: int, p: int, exponents, coeff: int = 1) -> "LaurentPoly":
-        return cls(n, p, {tuple(exponents): coeff})
-
-    def _check_compatible(self, other: "LaurentPoly") -> None:
-        if self.n != other.n or self.p != other.p:
-            raise ValueError("polynomials over different rings")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = (out.get(e, 0) + c) % self.p
-        return LaurentPoly(self.n, self.p, out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = (out.get(e, 0) - c) % self.p
-        return LaurentPoly(self.n, self.p, out)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_compatible(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = (out.get(e, 0) + c1 * c2) % self.p
-        return LaurentPoly(self.n, self.p, out)
-
-    def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly(self.n, self.p, {e: v * c for e, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LaurentPoly) and self.n == other.n
-                and self.p == other.p and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.p, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in self.support():
-            c = self.terms[e]
-            mono = "*".join(f"X{i}^{v}" for i, v in enumerate(e) if v) or "1"
-            bits.append(mono if c == 1 and mono != "1" else f"{c}*{mono}" if mono != "1" else str(c))
-        return " + ".join(bits)
-
-
-def _apply_rows(rows: list[list[int]], pt: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(r[j] * pt[j] for j in range(len(pt))) for r in rows)
-
-
-def act(g, f: LaurentPoly) -> LaurentPoly:
-    """The ring automorphism sending the monomial at a to the monomial at g a."""
-    mat = intmat(g)
-    if not is_unimodular(mat):
-        raise ValueError("action matrices must be unimodular")
-    rows = mat.tolist()
-    if len(rows) != f.n:
-        raise ValueError(f"matrix is {len(rows)}x{len(rows)}, polynomial lives in rank {f.n}")
-    return LaurentPoly(f.n, f.p, {_apply_rows(rows, e): c for e, c in f.terms.items()})
-
-
-def orbit_sum(G: MatGroup, a, p: int) -> LaurentPoly:
-    """Sum of the distinct monomials in the orbit of the exponent a."""
-    pt = tuple(int(x) for x in a)
-    if len(pt) != G.n:
-        raise ValueError("exponent vector has wrong length")
-    images = G.elements @ np.array(pt, dtype=object)
-    return LaurentPoly(G.n, p, {tuple(q): 1 for q in images.tolist()})
-
-
-def is_invariant(f: LaurentPoly, G: MatGroup) -> bool:
-    gens = G.generators or list(G.elements)
-    return all(act(g, f) == f for g in gens)
 
 
 # entries of one block of the key matrix, which is never held whole: its
@@ -161,8 +48,9 @@ def box_orbits(G: MatGroup, B: int) -> tuple[list[list[list[int]]], int]:
     Returns the orbits, each as its sorted support (exponent vectors as
     lists, points outside the box included), in the order of their first box
     point in ``itertools.product`` order, and the number of orbits recounted
-    by averaging fixed points.  A box of more than ``MAX_BOX_POINTS`` points
-    raises BoundExceededError before anything is allocated.
+    by averaging fixed points.  A negative radius raises ValueError, and a box
+    of more than ``MAX_BOX_POINTS`` points raises BoundExceededError before
+    anything is allocated.
 
     The largest coordinate of an image of the box is M = B * max_{g,i}
     |row_i(g)|_1; it must not exceed the norm guard ``MAX_ORBIT_SPREAD`` * B.
@@ -176,6 +64,8 @@ def box_orbits(G: MatGroup, B: int) -> tuple[list[list[list[int]]], int]:
     b^n <= 17^12 < 5.9 * 10^14 (B = 1, n = 12) over every accepted box.  The
     box of B = 0 is the origin, one orbit whatever the entries of G.
     """
+    if B < 0:
+        raise ValueError(f"the box radius {B} is negative")
     n, mats = G.n, G.elements
     size = (2 * B + 1) ** n
     if size > MAX_BOX_POINTS:
@@ -189,7 +79,7 @@ def box_orbits(G: MatGroup, B: int) -> tuple[list[list[list[int]]], int]:
     if reach > guard:
         g, i = divmod(row_norms.index(max(row_norms)), n)
         corner = [B * ((v > 0) - (v < 0)) for v in mats[g, i].tolist()]
-        raise BoundExceededError(f"orbit point {_apply_rows(mats[g].tolist(), corner)} "
+        raise BoundExceededError(f"orbit point {tuple((mats[g] @ corner).tolist())} "
                                  f"escapes the norm guard {guard}")
     base = 2 * reach + 1
     assert base ** n < 2 ** 63
@@ -292,7 +182,6 @@ def check_g1_decomposition(p: int, B: int) -> BallDecomposition:
         raise ValueError("decomposition check is stated for characteristic 2 only")
     group, _ = corpus_group("g1")
     overgroup, _ = corpus_group("gamma")
-    twist = LaurentPoly(3, 2, {e: 1 for e in _TWIST_EXPONENTS})
 
     dim_invariants = len(_orbits_within(group, B))
     base_orbits = _orbits_within(overgroup, B)
@@ -310,10 +199,10 @@ def check_g1_decomposition(p: int, B: int) -> BallDecomposition:
 
     prod_rows = np.zeros((len(source_orbits), len(mono_index)), dtype=np.int64)
     for k, orbit in enumerate(source_orbits):
-        s = LaurentPoly(3, 2, {e: 1 for e in orbit})
-        prod = twist * s
-        for e, c in prod.terms.items():
-            prod_rows[k, mono_index[e]] = c
+        # twist times the orbit sum over F_2: add 1 at e + t for each point e and twist exponent t
+        for e in orbit:
+            for t in _TWIST_EXPONENTS:
+                prod_rows[k, mono_index[tuple(a + b for a, b in zip(e, t))]] ^= 1
 
     rk_all = rank_fp(prod_rows, 2)
     rk_out = rank_fp(prod_rows[:, outside], 2)

@@ -30,7 +30,7 @@ from .errors import (
     BoundExceededError,
     NonUnimodularError,
 )
-from .intlinalg import _det_rows, _from_lists, _int_rows, identity_matrix, intmat, is_unimodular
+from .intlinalg import _det_rows, _from_lists, _int_rows, det, identity_matrix, intmat
 
 # strong-probable-prime bases: together they admit no composite below MAX_PRIMALITY
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -293,7 +293,7 @@ class MatGroup:
     def validate(self) -> None:
         """Re-check the group axioms and element invariants (used in tests)."""
         assert list(self._keys) == sorted(set(self._keys)), "elements repeated or out of order"
-        assert all(is_unimodular(m) for m in self.elements), "non-unimodular element"
+        assert all(abs(det(m)) == 1 for m in self.elements), "non-unimodular element"
         # checked before mult_table, whose lookups would raise KeyError instead
         index = self._index.get
         products = [tuple(map(index, _keys_of(a @ self.elements))) for a in self.elements]

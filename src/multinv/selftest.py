@@ -66,7 +66,7 @@ def _mu_formula_agreement():
             if not mu.exact or mu.value != expected:
                 return False, f"mu_{p}({name}) by {how} = {mu}, expected exact {expected}"
         P = sylow(G, p)
-        if P.order == p:
+        if P.order in P.element_orders():  # P is cyclic
             formula = mu_p_formula(G, p)
             if formula != full.value:
                 return False, (f"{name}, p={p}: resolution gives {full.value}, "

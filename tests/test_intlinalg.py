@@ -6,15 +6,14 @@ import pytest
 from multinv.errors import NonUnimodularError
 from multinv.intlinalg import (
     Sublattice,
+    _hnf_columns,
+    _kernel_columns,
     det,
     diagonal_of,
     fixed_lattice,
-    hnf_columns,
     intmat,
-    kernel_basis,
     moved_lattice,
     quotient_invariants,
-    rank,
     snf,
     unimodular_inverse,
 )
@@ -79,20 +78,22 @@ def test_snf_random_shapes():
         check_snf_contract(M)
 
 
-def test_rank_examples():
-    assert rank(intmat([[1, 0], [0, 1]])) == 2
-    neg2 = intmat([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])
-    assert rank(neg2) == 3
-    assert rank(intmat(G1_MINUS_I)) == 2
+def _smith_rank(M):
+    """The number of nonzero diagonal entries of the Smith form."""
+    return sum(1 for d in diagonal_of(snf(M)[0]) if d != 0)
 
 
 def test_rank_plus_kernel_rank_is_cols():
+    assert _smith_rank(intmat([[1, 0], [0, 1]])) == 2
+    assert _smith_rank(intmat([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])) == 3
+    assert _smith_rank(intmat(G1_MINUS_I)) == 2
     rng = random.Random(7253)
     for _ in range(100):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        M = intmat([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
-        assert rank(M) + kernel_basis(M).shape[1] == cols
+        M = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        kernel = _kernel_columns([row[:] for row in M], cols)
+        assert _smith_rank(intmat(M)) + len(kernel) == cols
 
 
 def test_hnf_is_idempotent_and_canonical():
@@ -100,13 +101,13 @@ def test_hnf_is_idempotent_and_canonical():
     for _ in range(100):
         n = rng.randint(1, 4)
         m = rng.randint(0, 4)
-        M = intmat([[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)])
-        H = hnf_columns(M)
-        assert mats_equal(hnf_columns(H), H)
+        rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
+        cols = [list(c) for c in zip(*rows)]
+        H = _hnf_columns([c[:] for c in cols], n)
+        assert _hnf_columns([c[:] for c in H], n) == H
         # unimodular column operations do not change the canonical form
-        perm = list(range(m))
-        rng.shuffle(perm)
-        assert mats_equal(hnf_columns(M[:, perm]), H)
+        rng.shuffle(cols)
+        assert _hnf_columns(cols, n) == H
 
 
 def test_fixed_lattice_examples():
@@ -186,10 +187,10 @@ def test_intmat_validation():
 @pytest.mark.parametrize("bad", [1.0, True, 1.5, np.float64(2.0), np.bool_(True)])
 def test_outside_entries_are_validated(bad):
     rows = [[1, 0, 0], [0, bad, 0], [0, 0, 1]]
-    readers = [intmat, kernel_basis, hnf_columns, det, snf, unimodular_inverse,
-               lambda m: fixed_lattice([m])]
-    for build in readers + [lambda m: Sublattice.from_columns(3, m),
-                            lambda m: fixed_lattice([G1, m])]:
+    readers = [intmat, det, snf, unimodular_inverse,
+               lambda m: fixed_lattice([m]), lambda m: moved_lattice([m])]
+    for build in readers + [lambda m: fixed_lattice([G1, m]),
+                            lambda m: moved_lattice([G1, m])]:
         with pytest.raises(ValueError):
             build(rows)
     obj = np.empty((3, 3), dtype=object)

@@ -245,6 +245,12 @@ def test_validate_reports_a_set_not_closed_under_products():
         MatGroup(2, np.array([eye, rot4], dtype=object)).validate()
 
 
+def test_validate_reports_a_non_unimodular_element():
+    double = intmat([[2, 0], [0, 1]])
+    with pytest.raises(AssertionError, match="non-unimodular element"):
+        MatGroup(2, np.array([identity_matrix(2), double], dtype=object)).validate()
+
+
 def test_validate_reports_a_missing_inverse():
     G = generate([ROT4])
     G.validate()
