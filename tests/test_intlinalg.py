@@ -83,10 +83,13 @@ def _smith_rank(M):
     return sum(1 for d in diagonal_of(snf(M)[0]) if d != 0)
 
 
-def test_rank_plus_kernel_rank_is_cols():
+def test_rank_examples():
     assert _smith_rank(intmat([[1, 0], [0, 1]])) == 2
     assert _smith_rank(intmat([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])) == 3
     assert _smith_rank(intmat(G1_MINUS_I)) == 2
+
+
+def test_rank_plus_kernel_rank_is_cols():
     rng = random.Random(7253)
     for _ in range(100):
         rows = rng.randint(1, 4)
