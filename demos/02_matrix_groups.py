@@ -2,7 +2,6 @@
 
 from multinv import (
     corpus_group,
-    element_profiles,
     generate,
     op_core,
     subgroup_structure,
@@ -21,11 +20,12 @@ print(f"Sylow 3-subgroup has order {P.order}; [N:C] = {nc}")
 print("smallest normal subgroup with 3-group quotient:", op_core(s3, 3).order)
 print("smallest normal subgroup with 2-group quotient:", op_core(s3, 2).order)
 
+# rank(g - 1) = n - rank Fix(g): at most 1 for a reflection, 2 for a bireflection
 print("\nelement profiles (order, rank drop) for S3:")
-for pr in element_profiles(s3):
-    tag = "reflection" if pr.is_reflection else (
-        "bireflection" if pr.is_bireflection else "-")
-    print(f"  order {pr.order}, rank drop {pr.rank_drop} {tag}")
+for order, fixed in zip(s3.element_orders(), s3.element_fixed_ranks()):
+    drop = s3.n - fixed
+    tag = "reflection" if drop <= 1 else ("bireflection" if drop <= 2 else "-")
+    print(f"  order {order}, rank drop {drop} {tag}")
 
 rot6 = generate([[[0, -1], [1, 1]]])
 print("\nthe order-6 planar rotation group has element orders",

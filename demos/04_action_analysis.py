@@ -5,7 +5,7 @@ sublattice is not covered by the fixed sublattices of the outside elements;
 the witness point is part of the report.
 """
 
-from multinv import corpus_group, height_ir, isotropy_subgroups, mu_action, subgroups
+from multinv import corpus_group, isotropy_subgroups, mu_action, subgroups
 
 for name in ("inversion3", "g1", "s3"):
     G, p = corpus_group(name)
@@ -13,10 +13,11 @@ for name in ("inversion3", "g1", "s3"):
     report = isotropy_subgroups(G)
     for H, witness in report.entries:
         print(f"  stabilizer of {witness} has order {H.order}")
-    mu = mu_action(G, p)
+    mu = mu_action(report, p)
     print(f"  mu of the action = {mu.value} (exact={mu.exact})")
+    # the ideal moved by H has height n - rank Fix(H)
     print("  heights of the moved-monomial ideals by subgroup order:",
-          sorted({(H.order, height_ir(H)) for H in subgroups(G)}))
+          sorted({(H.order, G.n - H.fixed_rank()) for H in subgroups(G)}))
     print()
 
 # the rotation subgroup of S3 is NOT realizable: anything fixed by a

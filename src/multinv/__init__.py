@@ -9,7 +9,6 @@ the invariant ring.
 
 from .action import (
     IsotropyReport,
-    height_ir,
     isotropy_subgroups,
     mu_action,
     stabilizer,
@@ -44,15 +43,9 @@ from .intlinalg import (
     snf,
     unimodular_inverse,
 )
-from .laurent import (
-    BallDecomposition,
-    check_g1_decomposition,
-    invariant_dim_in_ball,
-)
+from .laurent import BallDecomposition, check_g1_decomposition
 from .matgroup import (
-    ElementProfile,
     MatGroup,
-    element_profiles,
     generate,
     is_fixed_point_free,
     op_core,
@@ -67,14 +60,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallDecomposition", "BoundExceededError", "ClassifyOptions", "CorpusEntry",
-    "ElementProfile", "FpResolution", "INFINITY", "InconsistentRulesError",
-    "IsotropyReport", "MatGroup", "MuValue", "NonUnimodularError", "Sublattice",
-    "Verdict", "applicable_rules", "classification_cases", "classify",
-    "check_g1_decomposition", "corpus_entry", "corpus_group", "corpus_names", "det",
-    "element_profiles", "fixed_lattice", "generate", "h_dim", "height_ir",
-    "identity_matrix", "intmat", "invariant_dim_in_ball", "is_fixed_point_free",
-    "isotropy_subgroups", "moved_lattice", "mu_action", "mu_p", "mu_p_formula",
-    "op_core", "quotient_invariants", "resolution", "snf", "stabilizer",
+    "FpResolution", "INFINITY", "InconsistentRulesError", "IsotropyReport", "MatGroup",
+    "MuValue", "NonUnimodularError", "Sublattice", "Verdict", "applicable_rules",
+    "classification_cases", "classify", "check_g1_decomposition", "corpus_entry",
+    "corpus_group", "corpus_names", "det", "fixed_lattice", "generate", "h_dim",
+    "identity_matrix", "intmat", "is_fixed_point_free", "isotropy_subgroups",
+    "moved_lattice", "mu_action", "mu_p", "mu_p_formula", "op_core",
+    "quotient_invariants", "resolution", "snf", "stabilizer",
     "subgroup_conjugacy_classes", "subgroup_structure", "subgroups", "sylow",
     "trivial_group", "unimodular_inverse", "verify_certificate",
 ]

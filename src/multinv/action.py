@@ -1,8 +1,7 @@
-"""Analytics of the lattice action: realizable stabilizers, heights, and mu.
+"""Analytics of the lattice action: realizable stabilizers and mu.
 
-The height of the ideal of the Laurent ring R generated by (h - 1)(R) is
-n - rank Fix(H), and rank Fix(H) = tr(S_H)/|H| for the Reynolds sum
-S_H = Σ_{h∈H} h.  Only the witness search needs a basis of Fix(H)
+A stabilizer H is recognized from its Reynolds sum S_H = Σ_{h∈H} h, whose
+columns span Fix(H) over Q.  Only the witness search needs a basis of Fix(H)
 (``intlinalg.fixed_lattice``).
 """
 
@@ -95,11 +94,6 @@ def _witness(ambient: Sublattice, outside: np.ndarray) -> tuple[int, ...]:
     raise AssertionError("unreachable")
 
 
-def realizable_subgroups(G: MatGroup) -> list[MatGroup]:
-    """The groups of ``isotropy_subgroups(G)``, without witnesses."""
-    return [H for H, _ in _realizable_classes(G)]
-
-
 def isotropy_subgroups(G: MatGroup) -> IsotropyReport:
     """Conjugacy-class representatives of subgroups realized as stabilizers,
     each with a witness: among the points of the first coordinate shell of
@@ -110,21 +104,15 @@ def isotropy_subgroups(G: MatGroup) -> IsotropyReport:
                                 for H, outside in _realizable_classes(G)))
 
 
-def height_ir(H: MatGroup) -> int:
-    """Height of the moved-monomial ideal: n - rank(fixed lattice)."""
-    return H.n - H.fixed_rank()
-
-
-def mu_action(G: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1,
-              isotropy: IsotropyReport | None = None) -> MuValue:
-    """Least positive degree where the action's cohomology is nonzero.
+def mu_action(isotropy: IsotropyReport, p: int,
+              search_limit: int = MAX_RESOLUTION_DEPTH - 1) -> MuValue:
+    """Least positive degree where the action's cohomology is nonzero, for
+    the group whose ``isotropy_subgroups`` report is ``isotropy``.
 
     Equals the minimum of mu_p over the realizable stabilizer subgroups
     (conjugates contribute equal values, so class representatives suffice).
     The result is exact when the minimum is certified: attained by an exact
-    contribution that no inexact lower bound can undercut.  ``isotropy`` is
-    ``isotropy_subgroups(G)`` when the caller already has it;
-    without it the witness-free ``realizable_subgroups`` gives the groups.
+    contribution that no inexact lower bound can undercut.
 
     The search stops at its answer and gives what the full search gives, the
     minimum over ``mu_p(H, p, search_limit)`` for every stabilizer H, with
@@ -148,9 +136,7 @@ def mu_action(G: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1,
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    groups = (realizable_subgroups(G) if isotropy is None
-              else [H for H, _ in isotropy.entries])
-    dividing = [H for H in groups if H.order % p == 0]
+    dividing = [H for H, _ in isotropy.entries if H.order % p == 0]
     for H in dividing:
         _check_resolution_bounds(H.order, search_limit + 1)
     if search_limit >= 1 and any(has_p_quotient(H, p) for H in dividing):

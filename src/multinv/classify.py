@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .action import mu_action
-from .cohomology import mu_p
+from .cohomology import INFINITY, MuValue, mu_from_resolution, mu_p, resolution
 from .errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from .intlinalg import fixed_lattice
 from .matgroup import (
@@ -166,8 +165,9 @@ def _rule_r5(ctx: _Context):
 
 def _rule_r6(ctx: _Context):
     """mu of the action is mu_p(G) here, with the same value, exactness,
-    limit checks and messages as ``mu_action(G)``, which takes the minimum of
-    mu_p over the realizable stabilizers of order divisible by p.
+    limit checks and messages as ``mu_action`` on G's isotropy report, which
+    takes the minimum of mu_p over the realizable stabilizers of order
+    divisible by p.
 
     Lemma: if P acts fixed-point-freely, G = Stab(0) is the only such
     stabilizer.  Suppose H = Stab(x) with x != 0 had p dividing |H|.  Then H
@@ -312,7 +312,8 @@ def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
                 and P.order == cert["sylow_order"] and verdict.status == CM)
     if verdict.rule == "R4":
         P = sylow(G, p)
-        if P.order != cert["sylow_order"]:
+        # _rule_r4 nests only these, so no chain of R4 certificates recurses
+        if P.order != cert["sylow_order"] or cert["sylow_rule"] not in ("R1", "R2", "R3"):
             return False
         sub_verdict = Verdict(CM, cert["sylow_rule"], cert["sylow_certificate"])
         return verify_certificate(P, p, sub_verdict) and verdict.status == CM
@@ -330,7 +331,9 @@ def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
                 and verdict.status == NOT_CM)
     if verdict.rule == "R6":
         # searching exactly to the claimed mu finds a smaller mu and misses a
-        # larger one; mu_action, not the mu_p that _rule_r6 reads, re-checks it
+        # larger one.  By _rule_r6's lemma G is then the only realizable
+        # stabilizer of order divisible by p, so mu of the action is mu_p(G),
+        # re-read from a plain resolution of G with none of mu_p's shortcuts
         limit = 0 if cert["mu"] == "infinity" else cert["mu"]
         if type(limit) is not int or not 0 <= limit < MAX_RESOLUTION_DEPTH:
             return False
@@ -338,7 +341,8 @@ def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
         if cert["fixed_point_free"] is not True or not is_fixed_point_free(P):
             return False
         try:
-            mu = mu_action(G, p, search_limit=limit)
+            mu = (MuValue(INFINITY, True) if G.order % p
+                  else mu_from_resolution(resolution(G, p, limit + 1)))
         except BoundExceededError:  # no R6 verdict is made past a limit
             return False
         if not mu.exact:

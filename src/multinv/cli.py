@@ -27,7 +27,7 @@ import sys
 import time
 from itertools import chain
 
-from .action import height_ir, isotropy_subgroups, mu_action
+from .action import isotropy_subgroups, mu_action
 from .classify import ClassifyOptions, classify
 from .cohomology import _check_resolution_bounds, mu_from_resolution, resolution
 from .corpus import corpus_entry, corpus_names
@@ -43,7 +43,6 @@ from .laurent import box_orbits
 from .matgroup import (
     MatGroup,
     _check_subgroup_bound,
-    element_profiles,
     generate,
     is_prime,
     subgroup_conjugacy_classes,
@@ -168,7 +167,6 @@ def cmd_analyze(args) -> tuple[int, dict]:
     _check_subgroup_bound(G.order)
     if G.order % p == 0:
         _check_resolution_bounds(G.order, options["cohomology_depth"])
-    profiles = element_profiles(G)
     primes = sorted({q for q in range(2, G.order + 1) if is_prime(q) and G.order % q == 0})
     sylows = {}
     for q in primes:
@@ -177,27 +175,30 @@ def cmd_analyze(args) -> tuple[int, dict]:
             "order": P.order,
             "generators": P.elements[list(P.small_generating_indices())].tolist(),
         }
+    # the ideal of R generated by (h - 1)(R), h in H, has height n - rank Fix(H)
     heights = []
     for cls in subgroup_conjugacy_classes(G):
         H = cls[0]
+        fixed_rank = H.fixed_rank()
         heights.append({
             "order": H.order,
             "class_size": len(cls),
-            "fixed_rank": H.fixed_rank(),
-            "height": height_ir(H),
+            "fixed_rank": fixed_rank,
+            "height": G.n - fixed_rank,
         })
     report_iso = isotropy_subgroups(G)
     iso = [{"order": H.order, "witness": list(w)} for H, w in report_iso.entries]
-    mu = mu_action(G, p, options["cohomology_depth"] - 1, isotropy=report_iso)
+    mu = mu_action(report_iso, p, options["cohomology_depth"] - 1)
+    drops = [G.n - r for r in G.element_fixed_ranks()]  # rank(g - 1)
     report = {
         "command": "analyze",
         "group_order": G.order,
         "n": G.n,
         "p": p,
         "element_profiles": [
-            {"matrix": g, "order": pr.order, "rank_drop": pr.rank_drop,
-             "is_reflection": pr.is_reflection, "is_bireflection": pr.is_bireflection}
-            for g, pr in zip(G.elements.tolist(), profiles)
+            {"matrix": g, "order": order, "rank_drop": drop,
+             "is_reflection": drop <= 1, "is_bireflection": drop <= 2}
+            for g, order, drop in zip(G.elements.tolist(), G.element_orders(), drops)
         ],
         "sylow": sylows,
         "subgroup_heights": heights,

@@ -125,19 +125,6 @@ def box_orbits(G: MatGroup, B: int) -> tuple[list[list[list[int]]], int]:
     return orbits, burnside
 
 
-def invariant_dim_in_ball(G: MatGroup, B: int) -> tuple[int, int]:
-    """Dimension of the invariants supported on the orbit closure of a box.
-
-    Let S be the G-closure of { a : |a|_inf <= B }.  The orbit sums of the
-    orbits in S are a basis of the invariants supported on S, so the
-    dimension equals the orbit count; it is recomputed independently by the
-    averaged fixed-point count over the group and both counts are asserted
-    equal before returning the pair.
-    """
-    orbits, burnside = box_orbits(G, B)
-    return len(orbits), burnside
-
-
 # ---------------------------------------------------------------------------
 # decomposition of the order-2 sign-and-swap invariants over the Klein-four
 # invariant ring, in characteristic 2
@@ -154,7 +141,8 @@ class BallDecomposition:
     dim_base: invariants of the Klein four overgroup inside the ball;
     dim_twisted: the part of (twist monomial) * (overgroup invariants) that
     lands inside the ball.  ``holds`` records dim_invariants ==
-    dim_base + dim_twisted with the sum direct.
+    dim_base + dim_twisted with the sum direct and every base and twisted
+    vector constant on each orbit of the order-2 group in the ball.
     """
 
     ball: int
@@ -183,7 +171,8 @@ def check_g1_decomposition(p: int, B: int) -> BallDecomposition:
     group, _ = corpus_group("g1")
     overgroup, _ = corpus_group("gamma")
 
-    dim_invariants = len(_orbits_within(group, B))
+    group_orbits = _orbits_within(group, B)
+    dim_invariants = len(group_orbits)
     base_orbits = _orbits_within(overgroup, B)
     dim_base = len(base_orbits)
 
@@ -220,7 +209,12 @@ def check_g1_decomposition(p: int, B: int) -> BallDecomposition:
         for e in orbit:
             base_vecs[k, inside_pos[mono_index[e]]] = 1
 
-    stacked = np.vstack([base_vecs, twisted_vecs]) if dim_twisted else base_vecs
+    stacked = np.vstack([base_vecs, twisted_vecs])
     is_direct = rank_fp(stacked, 2) == dim_base + dim_twisted
-    holds = is_direct and dim_invariants == dim_base + dim_twisted
+    # an invariant of the group takes one value on each of its orbits
+    first = np.arange(len(inside))
+    for orbit in group_orbits:
+        first[[inside_pos[mono_index[e]] for e in orbit]] = inside_pos[mono_index[orbit[0]]]
+    is_invariant = bool((stacked == stacked[:, first]).all())
+    holds = is_direct and is_invariant and dim_invariants == dim_base + dim_twisted
     return BallDecomposition(B, dim_invariants, dim_base, dim_twisted, is_direct, holds)

@@ -17,7 +17,6 @@ closed under conjugation by the picks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,20 +64,6 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class ElementProfile:
-    """Order of a finite-order element together with rank(g - 1)."""
-
-    order: int
-    rank_drop: int
-    is_reflection: bool
-    is_bireflection: bool
-
-    @classmethod
-    def of(cls, order: int, rank_drop: int) -> "ElementProfile":
-        return cls(order, rank_drop, rank_drop <= 1, rank_drop <= 2)
 
 
 class MatGroup:
@@ -505,13 +490,6 @@ def op_core(G: MatGroup, p: int) -> MatGroup:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return G.subgroup_from_indices(_op_core_indices(G, p))
-
-
-def element_profiles(G: MatGroup) -> list[ElementProfile]:
-    """The order and rank(g - 1) of every element g of G, in canonical order,
-    read from the group's element orders and fixed ranks."""
-    return [ElementProfile.of(o, G.n - r)
-            for o, r in zip(G.element_orders(), G.element_fixed_ranks())]
 
 
 def is_fixed_point_free(H: MatGroup) -> bool:

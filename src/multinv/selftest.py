@@ -24,7 +24,7 @@ from .intlinalg import (
     snf,
     unimodular_inverse,
 )
-from .laurent import check_g1_decomposition, invariant_dim_in_ball
+from .laurent import box_orbits, check_g1_decomposition
 from .matgroup import generate, op_core, subgroups, sylow
 
 
@@ -118,9 +118,9 @@ def _burnside_double_count():
         if G.n > 4:
             continue
         for B in (0, 1, 2):
-            dim, burn = invariant_dim_in_ball(G, B)
-            if dim != burn:
-                return False, f"{name} B={B}: orbit count {dim} != averaged count {burn}"
+            orbits, burn = box_orbits(G, B)
+            if len(orbits) != burn:
+                return False, f"{name} B={B}: orbit count {len(orbits)} != averaged count {burn}"
             checked += 1
     return True, f"{checked} (group, ball) pairs agree"
 

@@ -42,6 +42,32 @@ def test_every_parameter_is_read():
     assert [u for u in unread if u not in UNREAD_BY_CONVENTION] == []
 
 
+def _unused_imports(source: str) -> list[str]:
+    """The names that ``source`` imports and never reads, ``__future__``
+    features aside."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_every_import_is_used():
+    """Every name a package module imports is read there; ``__init__.py``
+    re-exports, which ``test_every_export_resolves`` checks."""
+    planted = "from __future__ import annotations\nimport os.path\nimport numpy as np\nnp.eye(2)"
+    assert _unused_imports(planted) == ["os"], "the walk misses an unused import"
+    unused = [f"{path.name} {name}" for path in sorted(SRC.glob("*.py"))
+              if path.name != "__init__.py"
+              for name in _unused_imports(path.read_text(encoding="utf-8"))]
+    assert unused == []
+
+
 def test_every_export_resolves():
     """``__all__`` names exactly the public names that ``__init__.py`` binds,
     and each of them is an attribute of the package."""
@@ -60,7 +86,6 @@ def test_every_export_resolves():
 # functions that no command reaches, each with the reason it stays
 LIBRARY_ONLY = {
     "action.py stabilizer": "API: the stabilizer of a point; bench/checks.py checks witnesses with it",
-    "action.py realizable_subgroups": "verify_certificate's R6 re-check, through mu_action",
     "cli.py build_parser": "API: the full parser, which parse_args matches reading each argument once",
     "cohomology.py FpResolution.check_complex": "test oracle: consecutive boundaries compose to 0",
     "cohomology.py FpResolution.is_minimal": "test oracle: boundaries in the augmentation ideal",

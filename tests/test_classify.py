@@ -1,5 +1,7 @@
 import pytest
 
+import multinv.cohomology
+import multinv.matgroup
 from multinv.classify import (
     ClassifyOptions,
     Verdict,
@@ -137,6 +139,28 @@ def test_fixed_point_free_equivalence_fires():
     for forged in (0, 2, 10, "infinity", "1"):
         cert = dict(v.certificate, mu=forged)
         assert not verify_certificate(Q8, 2, Verdict(v.status, "R6", cert)), forged
+
+
+def test_r6_recheck_shares_no_shortcut_with_the_rule(monkeypatch):
+    G = generate(SL23_GENERATORS)
+    v = classify(G, 2, ClassifyOptions(audit=True))
+    assert (v.status, v.rule) == ("CM", "R6")
+    assert v.certificate == {"mu": 3, "dim": 4, "fixed_point_free": True}
+    assert verify_certificate(G, 2, v)
+
+    def unclosed_core(G, p):  # the elements of order prime to p, not their closure
+        orders = G.element_orders()
+        return frozenset(i for i in range(G.order) if orders[i] % p)
+
+    # cohomology imports _op_core_indices by name, so it is patched there too
+    for module in (multinv.matgroup, multinv.cohomology):
+        monkeypatch.setattr(module, "_op_core_indices", unclosed_core)
+    wrong = classify(G, 2, ClassifyOptions(audit=True))
+    assert (wrong.status, wrong.rule, wrong.certificate["mu"]) == ("NotCM", "R6", 1)
+    assert not verify_certificate(G, 2, wrong)
+    monkeypatch.undo()
+    assert not verify_certificate(G, 2, wrong)
+    assert verify_certificate(G, 2, v)
 
 
 def test_inexact_mu_downgrades_to_unknown_with_note():
@@ -309,3 +333,14 @@ def test_malformed_certificates_are_rejected():
                         (name, p, v.rule, cert)
                     checked[v.rule] = checked.get(v.rule, 0) + 1
     assert set(checked) == {"R1", "R2", "R3", "R4", "R5", "R6", "R7"}, checked
+    # an R4 certificate nests only R1-R3: chains of R4 around g1's R3
+    # certificate are rejected, a deep one without recursing
+    G, p = corpus_group("g1")
+    v = classify(G, p)
+    assert v.rule == "R3" and verify_certificate(G, p, v)
+    chain, rule = v.certificate, v.rule
+    for layers in range(1, 5001):
+        chain = {"sylow_order": G.order, "sylow_rule": rule, "sylow_certificate": chain}
+        rule = "R4"
+        if layers in (1, 3, 5000):
+            assert verify_certificate(G, p, Verdict("CM", "R4", chain)) is (layers == 1), layers

@@ -145,6 +145,9 @@ def test_analyze_report(capsys):
     report = json.loads(out)
     assert report["group_order"] == 2
     assert report["mu"] == {"exact": True, "value": 1}
+    # the generator fixes a rank-1 lattice: a bireflection, not a reflection
+    assert [(e["order"], e["rank_drop"], e["is_reflection"], e["is_bireflection"])
+            for e in report["element_profiles"]] == [(2, 2, False, True), (1, 0, True, True)]
     heights = {h["order"]: h["height"] for h in report["subgroup_heights"]}
     assert heights == {1: 0, 2: 2}
     assert [e["order"] for e in report["isotropy"]] == [1, 2]

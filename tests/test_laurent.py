@@ -5,17 +5,23 @@ import pytest
 import multinv.laurent as laurent
 from multinv.corpus import corpus_group, corpus_names
 from multinv.errors import MAX_BOX_POINTS, MAX_ORBIT_SPREAD, BoundExceededError
-from multinv.laurent import box_orbits, check_g1_decomposition, invariant_dim_in_ball
+from multinv.laurent import box_orbits, check_g1_decomposition
 from multinv.matgroup import generate, subgroup_conjugacy_classes, trivial_group
+
+
+def _orbit_counts(G, B):
+    """The orbit count of the box and its averaged recount."""
+    orbits, burnside = box_orbits(G, B)
+    return len(orbits), burnside
 
 
 def test_invariant_dim_examples():
     inv1, _ = corpus_group("inversion1")
-    assert invariant_dim_in_ball(inv1, 2) == (3, 3)
+    assert _orbit_counts(inv1, 2) == (3, 3)
     triv2 = trivial_group(2)
-    assert invariant_dim_in_ball(triv2, 1) == (9, 9)
+    assert _orbit_counts(triv2, 1) == (9, 9)
     g2, _ = corpus_group("g2")
-    assert invariant_dim_in_ball(g2, 1) == (45, 45)
+    assert _orbit_counts(g2, 1) == (45, 45)
 
 
 def test_invariant_dim_norm_guard():
@@ -23,9 +29,9 @@ def test_invariant_dim_norm_guard():
     # point with y != 0 out of the box, so each box point is its own orbit;
     # at the guard MAX_ORBIT_SPREAD * B, b = 7 passes and b = 8 trips
     for B in (1, 2):
-        assert invariant_dim_in_ball(generate([[[1, 7], [0, -1]]]), B) == ((2 * B + 1) ** 2,) * 2
+        assert _orbit_counts(generate([[[1, 7], [0, -1]]]), B) == ((2 * B + 1) ** 2,) * 2
         with pytest.raises(BoundExceededError, match=f"norm guard {MAX_ORBIT_SPREAD * B}"):
-            invariant_dim_in_ball(generate([[[1, 8], [0, -1]]]), B)
+            box_orbits(generate([[[1, 8], [0, -1]]]), B)
 
 
 # (dim_invariants, dim_base, dim_twisted) for balls 0 to 4
@@ -40,6 +46,17 @@ def test_ball_decomposition_dimensions():
         assert r.is_direct_sum
 
 
+@pytest.mark.parametrize("twist", [((1, 1, 0),), ((1, 1, 0), (-1, 1, 0))])
+def test_ball_decomposition_rejects_a_twist_that_is_not_invariant(monkeypatch, twist):
+    # these twists give the real twist's dimensions, but their products with
+    # the Klein-four invariants are not invariants of the order-2 group
+    monkeypatch.setattr(laurent, "_TWIST_EXPONENTS", twist)
+    for B in (1, 2, 3):
+        r = check_g1_decomposition(2, B)
+        assert (r.dim_invariants, r.dim_base, r.dim_twisted) == BALL_DECOMPOSITIONS[B], B
+        assert not r.holds, B
+
+
 def test_ball_decomposition_requires_char_two():
     with pytest.raises(ValueError):
         check_g1_decomposition(3, 1)
@@ -47,8 +64,7 @@ def test_ball_decomposition_requires_char_two():
 
 def test_negative_radius_is_refused():
     G, _ = corpus_group("inversion1")
-    for check in (lambda: box_orbits(G, -1), lambda: invariant_dim_in_ball(G, -1),
-                  lambda: check_g1_decomposition(2, -1)):
+    for check in (lambda: box_orbits(G, -1), lambda: check_g1_decomposition(2, -1)):
         with pytest.raises(ValueError, match="radius -1 is negative"):
             check()
 
@@ -112,7 +128,6 @@ def test_box_orbits_match_reference(name):
     for B in range(3 if G.n >= 4 else 4):
         orbits, burnside = box_orbits(G, B)
         assert (orbits, burnside) == _reference_orbits(G, B), (name, B)
-        assert invariant_dim_in_ball(G, B) == (len(orbits), burnside)
 
 
 @pytest.mark.parametrize("gens", INVOLUTIONS)

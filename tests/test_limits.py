@@ -35,7 +35,7 @@ from multinv.errors import (
 )
 from multinv.fparith import rank_fp
 from multinv.laurent import box_orbits
-from multinv.matgroup import generate, is_prime, subgroups, trivial_group
+from multinv.matgroup import MatGroup, generate, is_prime, subgroups, trivial_group
 from test_action import B3_GENERATORS
 from test_classify import QUAT_I, QUAT_J, SL23_GENERATORS
 
@@ -192,8 +192,9 @@ def test_analyze_refuses_its_order_bounds_before_any_work(tmp_path, capsys, monk
     def refuse(*_):
         raise AssertionError("analyze worked on a group past its bounds")
 
-    for name in ("element_profiles", "sylow", "subgroup_conjugacy_classes"):
+    for name in ("isotropy_subgroups", "sylow", "subgroup_conjugacy_classes"):
         monkeypatch.setattr(multinv.cli, name, refuse)
+    monkeypatch.setattr(MatGroup, "mult_table", refuse)
     resolution_bound = f"exceeds the resolution order bound {MAX_RESOLUTION_ORDER}"
     cases = [(_diag(6), 2, f"group order 64 {resolution_bound}"),
              # 128 at p = 2 passes the count bound MAX_SUBGROUPS too
@@ -232,6 +233,8 @@ def test_r6_reads_mu_from_the_group_past_the_subgroup_bound():
     outcomes = {rule: outcome for rule, outcome, _ in evaluations}
     assert outcomes["R6"] == ("CM", {"mu": "infinity", "dim": 4, "fixed_point_free": True})
     assert notes == ()
+    # p does not divide |B4|, so the re-check resolves nothing
+    assert verify_certificate(B4, 5, Verdict("CM", "R6", outcomes["R6"][1]))
     v = classify(B4, 5, ClassifyOptions(audit=True))
     assert (v.status, v.rule, v.notes) == ("CM", "R1", ())
     assert applicable_rules(B4, 5) == {"R1": "CM", "R2": "CM", "R3": "CM",

@@ -9,11 +9,9 @@ from multinv.corpus import corpus_entry, corpus_group, corpus_names
 from multinv.errors import MAX_PRIMALITY, BoundExceededError, NonUnimodularError
 from multinv.intlinalg import fixed_lattice, identity_matrix, intmat
 from multinv.matgroup import (
-    ElementProfile,
     MatGroup,
     _conjugates,
     _p_part,
-    element_profiles,
     generate,
     is_fixed_point_free,
     is_prime,
@@ -210,15 +208,13 @@ def _reference_order(g, bound: int) -> int:
 def test_rank_drop_matches_fixed_lattice():
     for name in ("s3", "gamma", "rot4", "rot4_nonsplit", "g2"):
         G, _ = corpus_group(name)
-        assert element_profiles(G) == [
-            ElementProfile.of(_reference_order(g, G.order), G.n - fixed_lattice([g]).rank)
-            for g in G.elements]
+        assert G.element_orders() == tuple(_reference_order(g, G.order) for g in G.elements)
+        assert G.element_fixed_ranks() == tuple(fixed_lattice([g]).rank for g in G.elements)
     # a reflection, a bireflection that is no reflection, and neither
-    for gen, flags in ((SWAP12, (2, 1, True, True)), ([[-1, 0], [0, -1]], (2, 2, False, True)),
-                       (NEG3, (2, 3, False, False))):
+    for gen, drop in ((SWAP12, 1), ([[-1, 0], [0, -1]], 2), (NEG3, 3)):
         G = generate([gen])
-        pr = element_profiles(G)[1 - G.identity_index]
-        assert (pr.order, pr.rank_drop, pr.is_reflection, pr.is_bireflection) == flags
+        g = 1 - G.identity_index
+        assert (G.element_orders()[g], G.n - G.element_fixed_ranks()[g]) == (2, drop)
 
 
 def test_subgroups_inherit_element_lattices_in_their_own_order():

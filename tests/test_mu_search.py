@@ -3,7 +3,7 @@ search they replace is kept here as the reference."""
 
 import pytest
 
-from multinv.action import mu_action, realizable_subgroups
+from multinv.action import isotropy_subgroups, mu_action
 from multinv.cohomology import (
     INFINITY,
     FpResolution,
@@ -45,11 +45,16 @@ def reference_mu_p(group, p, search_limit):
 
 def reference_mu_action(G, p, search_limit):
     """The minimum over full searches of every realizable stabilizer."""
-    values = [reference_mu_p(H, p, search_limit) for H in realizable_subgroups(G)]
+    values = [reference_mu_p(H, p, search_limit) for H, _ in isotropy_subgroups(G).entries]
     best = min(v.value for v in values)
     if best == INFINITY:
         return MuValue(INFINITY, True)
     return MuValue(best, any(v.exact and v.value == best for v in values))
+
+
+def mu_of_action(G, p, search_limit=MAX_RESOLUTION_DEPTH - 1):
+    """``mu_action`` on the isotropy report of G."""
+    return mu_action(isotropy_subgroups(G), p, search_limit)
 
 
 def _groups():
@@ -82,14 +87,15 @@ def test_mu_p_matches_full_resolution(name):
 @pytest.mark.parametrize("name", GROUPS)
 def test_mu_action_matches_full_searches(name):
     G = GROUPS[name]
+    isotropy = isotropy_subgroups(G)
     for p in (2, 3):
         for limit in LIMITS:
-            assert mu_action(G, p, limit) == reference_mu_action(G, p, limit), (p, limit)
+            assert mu_action(isotropy, p, limit) == reference_mu_action(G, p, limit), (p, limit)
 
 
 def test_limit_zero_stays_inexact():
     z2, _ = corpus_group("inversion1")
-    assert mu_p(z2, 2, 0) == mu_action(z2, 2, 0) == MuValue(1, False)
+    assert mu_p(z2, 2, 0) == mu_of_action(z2, 2, 0) == MuValue(1, False)
 
 
 def test_limits_raise_as_in_the_full_search():
@@ -100,7 +106,7 @@ def test_limits_raise_as_in_the_full_search():
     cases = [(F54, 2, 1), (F54, 3, 1), (F54, 3, 4),
              (z2, 2, MAX_RESOLUTION_DEPTH), (GROUPS["s3"], 3, MAX_RESOLUTION_DEPTH)]
     for G, p, limit in cases:
-        for fast, slow in ((mu_p, reference_mu_p), (mu_action, reference_mu_action)):
+        for fast, slow in ((mu_p, reference_mu_p), (mu_of_action, reference_mu_action)):
             expected = _outcome(slow, G, p, limit)
             assert expected[0] == "raised"
             assert _outcome(fast, G, p, limit) == expected, (fast.__name__, p, limit)
@@ -110,7 +116,7 @@ def test_mu_action_b3_builds_no_resolution_degree(monkeypatch):
     degrees = []
     extend = FpResolution.extend
     monkeypatch.setattr(FpResolution, "extend", lambda res: degrees.append(1) or extend(res))
-    assert mu_action(generate(B3_GENERATORS), 2) == MuValue(1, True)
+    assert mu_of_action(generate(B3_GENERATORS), 2) == MuValue(1, True)
     assert degrees == []
     s3, _ = corpus_group("s3")
     assert mu_p(s3, 3) == MuValue(3, True)  # the closed form: the Sylow subgroup is cyclic
@@ -141,16 +147,17 @@ FIXED_POINT_FREE = _fixed_point_free_families()
 
 @pytest.mark.parametrize("family", FIXED_POINT_FREE)
 def test_mu_of_the_group_is_mu_of_the_action_when_sylow_is_fixed_point_free(family):
-    """R6 reads mu_p(G) for mu_action(G): value, exactness and errors agree,
+    """R6 reads mu_p(G) for mu of the action: value, exactness and errors agree,
     since G is the only realizable stabilizer of order divisible by p."""
     cases = FIXED_POINT_FREE[family]
     assert cases
     limits = [*LIMITS, MAX_RESOLUTION_DEPTH] if family == "limits" else LIMITS
     for name, G, p in cases:
-        dividing = [H for H in realizable_subgroups(G) if H.order % p == 0]
+        isotropy = isotropy_subgroups(G)
+        dividing = [H for H, _ in isotropy.entries if H.order % p == 0]
         assert dividing == ([G] if G.order % p == 0 else []), (name, p)
         for limit in limits:
-            assert _outcome(mu_p, G, p, limit) == _outcome(mu_action, G, p, limit), \
+            assert _outcome(mu_p, G, p, limit) == _outcome(mu_action, isotropy, p, limit), \
                 (name, p, limit)
     if family == "limits":
         assert {(name, p) for name, _, p in cases} == {("Q8", 2), ("Q8", 3), ("F54", 2)}
