@@ -333,7 +333,9 @@ def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
         # searching exactly to the claimed mu finds a smaller mu and misses a
         # larger one.  By _rule_r6's lemma G is then the only realizable
         # stabilizer of order divisible by p, so mu of the action is mu_p(G),
-        # re-read from a plain resolution of G with none of mu_p's shortcuts
+        # re-read with none of mu_p's shortcuts from a resolution of
+        # G/O_p'(G), which has G's cohomology; the resolution re-checks that
+        # the core is a normal subgroup of order prime to p
         limit = 0 if cert["mu"] == "infinity" else cert["mu"]
         if type(limit) is not int or not 0 <= limit < MAX_RESOLUTION_DEPTH:
             return False

@@ -221,6 +221,7 @@ def cmd_cohomology(args) -> tuple[int, dict]:
         "p": p,
         "depth": depth,
         "free_ranks": list(res.ranks),
+        "resolved_order": res.resolved_order,
         "dims": dims,
         "mu_p": _mu_json(mu),
     }

@@ -1,46 +1,51 @@
 """Mod-p group cohomology of small finite groups via truncated free resolutions.
 
 The group is a ``MatGroup``; every finite group is one, through its
-permutation matrices.  F_p[G] has the group's elements as basis, in canonical
-order, and its multiplication table gives the left translations.
+permutation matrices.
 
-A free resolution of the trivial module over F_p[G] is built degree by
+F_p is resolved over F_p[G/K], where K = O_p'(G) is the largest normal
+subgroup of order prime to p (``p_prime_core``).  H^r(K, F_p) = 0 for
+r > 0, so the Lyndon-Hochschild-Serre spectral sequence collapses and
+inflation H^*(G/K, F_p) -> H^*(G, F_p) is an isomorphism (Brown, Cohomology
+of Groups, ch. VII): the smaller group gives the same dimensions and mu_p.
+When p does not divide |G|, K = G, F_p[G/K] = F_p and the augmentation has
+zero kernel, so the ranks are [1, 0, 0, ...]; for a p-group K = 1.
+F_p[G/K] has the cosets as basis, numbered in the canonical order of their
+first elements, and G's multiplication table gives their left translations.
+
+A free resolution of the trivial module over F_p[G/K] is built degree by
 degree: the kernel of each boundary map is computed as an F_p subspace, a
 short list of module generators is extracted, and the next free module maps
 onto them.  The generators are first a basis of the kernel modulo I*ker,
-where I is the augmentation ideal; for a p-group I is the radical of F_p[G],
-so by Nakayama that basis generates the kernel and the resolution is minimal.
-For other groups, kernel rows outside the module generated so far are added
-until it is the whole kernel.
+where I is the augmentation ideal; for a p-group I is the radical of its
+group algebra, so by Nakayama that basis generates the kernel and the
+resolution is minimal.  For other groups, kernel rows outside the module
+generated so far are added until it is the whole kernel.
 
 The picks are made in kernel coordinates.  The kernel basis that
 ``nullspace_fp`` returns is the identity on its free columns, so x -> x[free]
 is injective on the kernel, and the kernel is a submodule, so each translate
 g * v of a kernel row is known by its k free coordinates.  The spans behind
 the picks (I*ker and the module generated so far) are then k wide, not
-ranks[d] * |G|, and give the same rows in the same order.
+ranks[d] * |G/K|, and give the same rows in the same order.  The same holds
+one degree up: the next boundary maps into that kernel, so only its rows at
+the free columns are eliminated; they span the same row space as the whole
+map, and ``nullspace_fp`` returns the same basis.
 
-When p does not divide |G| > 1 (the non-modular case) no kernel is computed.
-e = |G|^-1 * sum_g g is a central idempotent of F_p[G] with augmentation 1,
-so F_p = e F_p[G]; multiplication by e has kernel (1 - e) F_p[G], and
-multiplication by 1 - e has kernel e F_p[G].  The resolution has rank 1 in
-every degree, with generator image 1 - e in odd degrees and e in even ones.
-Its Hom complex gives H^0 = F_p and H^r = 0 for r > 0, as Maschke's theorem
-requires.  The trivial group keeps the elimination route: F_p[G] = F_p, and
-the augmentation has zero kernel.
-
-I*ker needs only a generating set S of G (``small_generating_indices``), not
-every element: I is the sum of the right ideals (s - 1) F_p[G] for s in S
-(Brown, Cohomology of Groups, ch. I-II), and the kernel is a submodule, so
-I*ker is spanned by (s - 1) v for s in S and v in an F_p-basis of the kernel.
+I*ker needs only a generating set S of G/K (the cosets of G's picks,
+``small_generating_indices``), not every element: I is the sum of the right
+ideals (s - 1) F_p[G/K] for s in S (Brown, ch. I-II), and the kernel is a
+submodule, so I*ker is spanned by (s - 1) v for s in S and v in an F_p-basis
+of the kernel.  The rows (s - 1) v of several generators go into one span
+insert, in blocks of at most ``fparith._BLOCK_ENTRIES`` entries.
 
 Cohomology dimensions are read from the induced complex Hom(F_*, F_p): the
 differential of that complex is the entry-wise augmentation of the boundary
 matrices, so dim H^r is computed from the free ranks and the F_p ranks of two
-augmented boundaries.  For p-groups the augmented boundaries vanish and the
-dimensions coincide with the free ranks; for groups that are not p-groups a
-free resolution with that property does not exist (projective covers are not
-free), and the Hom complex is the honest route.  Each augmented boundary is
+augmented boundaries.  When G/K is a p-group the augmented boundaries vanish
+and the dimensions coincide with the free ranks; otherwise a free resolution
+with that property does not exist (projective covers are not free), and the
+Hom complex is the honest route.  Each augmented boundary is
 ranked once per resolution.
 
 mu_p, the least r > 0 with H^r(G, F_p) != 0, stops at its answer.
@@ -69,12 +74,13 @@ from .errors import (
     MAX_RESOLUTION_ORDER,
     BoundExceededError,
 )
-from .fparith import SpanFp, matmul_fp, nullspace_fp, rank_fp
+from .fparith import _BLOCK_ENTRIES, SpanFp, matmul_fp, nullspace_fp, rank_fp
 from .matgroup import (
     MatGroup,
     _op_core_indices,
     _p_part,
     is_prime,
+    p_prime_core,
     subgroup_structure,
     sylow,
 )
@@ -114,28 +120,53 @@ def _check_resolution_bounds(order: int, depth: int) -> None:
 
 
 class FpResolution:
-    """Truncated free resolution of the trivial module over F_p[G].
+    """Truncated free resolution of the trivial module over F_p[G/K], where
+    K = O_p'(G) is the largest normal subgroup of order prime to p.
+
+    H^*(G, F_p) is read from it: inflation from G/K is an isomorphism (see
+    the module docstring), so ``cohomology_dim`` gives dim H^r(G, F_p).  K
+    comes from ``p_prime_core`` and is re-checked here: a subgroup, normal
+    under G's generators and of order prime to p, or a ValueError.  The
+    cosets are numbered in the canonical order of their first elements, and
+    the cosets of G's picks generate G/K.  ``resolved_order`` is |G/K|, the
+    order of the group algebra the ``ranks`` are over; ``group_order`` is
+    |G|.  When p does not divide |G|, K = G and the ranks are [1, 0, 0, ...];
+    when K = 1 this is the resolution over F_p[G] itself.
 
     ``ranks[r]`` is the rank of the free module in homological degree r;
     ``generator_images[r-1]`` holds the images of the free basis of degree r
-    in degree r-1, one column per module generator, in the group-element
-    basis.  Only these are stored: ``boundary(r)``, the full F_p matrix of the
+    in degree r-1, one column per module generator, in the coset basis.
+    Only these are stored: ``boundary(r)``, the full F_p matrix of the
     boundary map, is rebuilt from them by translation when needed.  A new
-    resolution has depth 0 (F_0 = F_p[G] with the augmentation); ``extend``
-    adds one degree.  When p does not divide |G| > 1 every degree has rank 1
-    and its generator image is one of the two idempotents 1 - e and e,
-    e = |G|^-1 * sum_g g, taken in turn; otherwise kernels are eliminated.
+    resolution has depth 0 (F_0 = F_p[G/K] with the augmentation); ``extend``
+    adds one degree.
     """
 
     def __init__(self, p: int, G: MatGroup):
         self.p = p
         self.group_order = G.order
+        core = p_prime_core(G, p)
+        _check_core(G, p, core)
+        # number the cosets gK in the canonical order of their first elements
+        table = G.mult_table()
+        labels = [-1] * G.order
+        reps: list[int] = []
+        for g in range(G.order):
+            if labels[g] < 0:
+                for k in core:
+                    labels[table[g][k]] = len(reps)
+                reps.append(g)
+        self.resolved_order = len(reps)
+        labels = np.array(labels, dtype=np.intp)
+        self._perms = labels[np.array(table, dtype=np.intp)[np.ix_(reps, reps)]]
+        self._inverse_perms = np.argsort(self._perms, axis=1)
+        picks = dict.fromkeys(labels[list(G.small_generating_indices())].tolist())
+        picks.pop(int(labels[G.identity_index]), None)
+        self._gen_perms = self._perms[list(picks)]
         self.ranks = [1]
         self.generator_images: list[np.ndarray] = []
         self._augmented_ranks: list[int | None] = []
-        self._perms = np.array(G.mult_table(), dtype=np.intp)
-        self._gen_perms = self._perms[list(G.small_generating_indices())]
-        self._idempotents = _idempotent_images(G, p)
+        self._free = np.zeros(0, dtype=np.intp)
 
     @property
     def depth(self) -> int:
@@ -144,37 +175,46 @@ class FpResolution:
     def extend(self) -> None:
         """Add degree depth + 1: module generators of the kernel of the last
         map (the augmentation at depth 0), which the new free basis maps onto.
-        In the non-modular case the generator is 1 - e in odd degrees and e in
-        even ones, with no kernel computed.
 
-        The last map has ranks[d-1] * ranks[d] * |G|^2 entries at depth d; past
-        ``MAX_RESOLUTION_ENTRIES`` it raises before it is built.
+        The last map's image lies in the previous kernel, whose basis is the
+        identity on its free columns, so an image vector is zero exactly when
+        it is zero there: the rows of the last map at those columns have the
+        same row space as the whole map, and only they are eliminated.
+
+        The last map has ranks[d-1] * ranks[d] * |G/K|^2 entries at depth d;
+        past ``MAX_RESOLUTION_ENTRIES`` it raises before it is built.
         """
-        n, p = self.group_order, self.p
+        m, p = self.resolved_order, self.p
         if self.depth:
-            entries = self.ranks[-2] * self.ranks[-1] * n * n
+            entries = self.ranks[-2] * self.ranks[-1] * m * m
             if entries > MAX_RESOLUTION_ENTRIES:
                 raise BoundExceededError(
                     f"degree {self.depth + 1} eliminates {entries} entries, past the "
                     f"resolution entry bound {MAX_RESOLUTION_ENTRIES}")
-        if self._idempotents is not None:
-            images = self._idempotents[self.depth % 2]
+        if not self.ranks[-1]:  # the last module is 0, and so is every later one
+            images = np.zeros((0, 0), dtype=np.int64)
         else:
-            last = self.boundary(self.depth) if self.depth else np.ones((1, n), dtype=np.int64)
-            kernel, free = nullspace_fp(last, p)
-            images = _module_generators(kernel, free, self._perms, self._gen_perms, p).T
+            last = (self.boundary(self.depth, self._free) if self.depth
+                    else np.ones((1, m), dtype=np.int64))
+            kernel, self._free = nullspace_fp(last, p)
+            images = _module_generators(kernel, self._free, self._perms, self._gen_perms, p).T
         self.ranks.append(images.shape[1])
         self.generator_images.append(images)
         self._augmented_ranks.append(None)
 
-    def boundary(self, r: int) -> np.ndarray:
-        """The full boundary map from degree r to degree r-1: the translates
-        g * v of every generator image v, in columns ordered (generator, g)."""
+    def boundary(self, r: int, rows=None) -> np.ndarray:
+        """The boundary map from degree r to degree r-1, or its ``rows`` only
+        (row indices into degree r-1): column (i, g), in that order, is the
+        translate g * v of the i-th generator image v.  In each block of
+        |G/K| coordinates g * v holds at h the entry of v at g^-1 h."""
         if not 1 <= r <= self.depth:
             raise ValueError(f"no boundary in degree {r}")
         gens = self.generator_images[r - 1].T
         k, width = gens.shape
-        return _translates(gens, self._perms).transpose(2, 1, 0).reshape(width, k * self.group_order)
+        m = self.resolved_order
+        rows = np.arange(width) if rows is None else np.asarray(rows, dtype=np.intp)
+        coords = rows - rows % m + self._inverse_perms[:, rows % m]  # (g, row)
+        return gens[np.arange(k)[:, None], coords.T[:, None, :]].reshape(rows.size, k * m)
 
     def augmented_boundary(self, r: int) -> np.ndarray:
         """Entry-wise augmentation of the degree-r boundary map.
@@ -185,7 +225,7 @@ class FpResolution:
         if not 1 <= r <= self.depth:
             raise ValueError(f"no boundary in degree {r}")
         gi = self.generator_images[r - 1]
-        shape = (self.ranks[r - 1], self.group_order, self.ranks[r])
+        shape = (self.ranks[r - 1], self.resolved_order, self.ranks[r])
         return gi.reshape(shape).sum(axis=1) % self.p
 
     def augmented_rank(self, r: int) -> int:
@@ -216,35 +256,15 @@ class FpResolution:
             assert not prod.any(), f"d_{r} . d_{r + 1} != 0"
 
 
-def _idempotent_images(G: MatGroup, p: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns 1 - e and e, e = |G|^-1 * sum_g g in F_p[G], when p does
-    not divide |G| > 1; None otherwise.  Every coordinate of e is |G|^-1 mod
-    p, and 1 - e is -e with 1 added at the identity."""
-    n = G.order
-    if n == 1 or n % p == 0:
-        return None
-    inverse = pow(n, -1, p)
-    e = np.full((n, 1), inverse, dtype=np.int64)
-    one_minus_e = np.full((n, 1), -inverse % p, dtype=np.int64)
-    one_minus_e[G.identity_index] = (1 - inverse) % p
-    for image in (one_minus_e, e):
-        image.setflags(write=False)
-    return one_minus_e, e
-
-
-def _translates(rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """g * row for every left multiplication g in ``perms`` and every row.
-
-    A row is a run of blocks of |G| coordinates; g moves the coordinate of h
-    to that of g h in each block.  Shape (len(perms), len(rows), width).
-    """
-    k, width = rows.shape
-    m, n = perms.shape
-    src = rows.reshape(k, width // n, n)
-    out = np.empty((m, k, width // n, n), dtype=rows.dtype)
-    for j, perm in enumerate(perms):
-        out[j][..., perm] = src
-    return out.reshape(m, k, width)
+def _check_core(G: MatGroup, p: int, core: frozenset[int]) -> None:
+    """Refuse a core that is not a subgroup, not normal under G's generators,
+    or of order divisible by p: the quotient would not give H^*(G, F_p)."""
+    if G.closure_indices(core) != core:
+        raise ValueError("the p'-core is not a subgroup")
+    if any(G.conjugate_indices(g, core) != core for g in G.small_generating_indices()):
+        raise ValueError("the p'-core is not normal")
+    if len(core) % p == 0:
+        raise ValueError(f"the p'-core has order {len(core)}, divisible by {p}")
 
 
 def _module_generators(kernel_rows: np.ndarray, free: np.ndarray, perms: np.ndarray,
@@ -260,8 +280,8 @@ def _module_generators(kernel_rows: np.ndarray, free: np.ndarray, perms: np.ndar
     First each row outside I*ker plus the rows picked before it.  e_i lies in
     that sum exactly when some vector of I*ker has its last nonzero coordinate
     at i, that is when i is a pivot of the echelon form of I*ker with its
-    columns reversed.  Then, unless G is a p-group, each first row outside
-    the module generated so far.
+    columns reversed.  Then, unless the group of ``perms`` is a p-group, each
+    first row outside the module generated so far.
     """
     k = kernel_rows.shape[0]
     if k == 0:
@@ -272,8 +292,12 @@ def _module_generators(kernel_rows: np.ndarray, free: np.ndarray, perms: np.ndar
     blocks, positions = free - free % n, free % n
     identity = np.eye(k, dtype=np.int64)
     ideal = SpanFp(p, k)
-    for inverse in np.argsort(gen_perms, axis=1):
-        ideal.add((kernel_rows[:, blocks + inverse[positions]] - identity)[:, ::-1])
+    # the k rows of each generator, stacked in blocks of at most _BLOCK_ENTRIES entries
+    inverses = np.argsort(gen_perms, axis=1)[:, positions]
+    step = max(1, _BLOCK_ENTRIES // (k * k))
+    for s in range(0, len(inverses), step):
+        moved = kernel_rows[:, blocks + inverses[s:s + step]] - identity[:, None]
+        ideal.add(moved.transpose(1, 0, 2)[..., ::-1])
     reversed_pivots = set(ideal.pivots)
     picks = [i for i in range(k) if k - 1 - i not in reversed_pivots]
     if _p_part(n, p) != n:
@@ -291,7 +315,8 @@ def _module_generators(kernel_rows: np.ndarray, free: np.ndarray, perms: np.ndar
 
 
 def resolution(group: MatGroup, p: int, depth: int) -> FpResolution:
-    """Free resolution of the trivial F_p[G]-module, truncated at ``depth``."""
+    """Free resolution of F_p over F_p[G/O_p'(G)], truncated at ``depth``.
+    The order bound is on |G|, checked before the p'-core is sought."""
     _check_group(group)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -485,6 +485,41 @@ def _op_core_indices(G: MatGroup, p: int) -> frozenset[int]:
     return core
 
 
+def p_prime_core(G: MatGroup, p: int) -> frozenset[int]:
+    """The element indices of O_p'(G), the largest normal subgroup of order
+    prime to p.
+
+    The product NM of two normal p'-subgroups is again one, of order
+    |N||M|/|N ∩ M|, so O_p'(G) holds every normal p'-subgroup.  The search is
+    greedy over the elements in canonical order: an element x of order prime
+    to p joins the core K when the normal closure of K ∪ {x} still has order
+    prime to p.  K stays a normal p'-subgroup, so K ≤ O_p'(G) and every x in
+    O_p'(G) joins; an x outside it would make a normal p'-subgroup that
+    O_p'(G) does not hold.  A rejected x rejects its whole conjugacy class,
+    since K only grows.  K = G at once when p does not divide |G|, and K = 1
+    at once for a p-group.  ``FpResolution`` re-checks K (a subgroup, normal,
+    of order prime to p), so a fault here can cost speed, never a wrong
+    dimension or a wrong R6 certificate.
+    """
+    if G.order % p:
+        return frozenset(range(G.order))
+    core = G.closure_indices(())
+    if _p_part(G.order, p) == G.order:
+        return core
+    orders, seen = G.element_orders(), set(core)
+    for x in range(G.order):
+        if x in seen or orders[x] % p == 0:
+            continue
+        # the normal closure of K ∪ {x} is generated by K and the class of x
+        cls = frozenset().union(*_conjugates(G, frozenset((x,))))
+        seen |= cls
+        joined = G.closure_indices(core | cls)
+        if len(joined) % p:
+            core = joined
+            seen |= core
+    return core
+
+
 def op_core(G: MatGroup, p: int) -> MatGroup:
     """O^p(G), the smallest normal subgroup with p-group quotient."""
     if not is_prime(p):

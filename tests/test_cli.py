@@ -137,6 +137,7 @@ def test_cohomology_report(capsys):
     report = json.loads(out)
     assert report["dims"] == [1, 0, 0, 1, 1, 0, 0]
     assert report["mu_p"] == {"exact": True, "value": 3}
+    assert (report["free_ranks"], report["resolved_order"]) == ([1, 2, 3, 3, 2, 2, 2, 2], 6)
 
 
 def test_analyze_report(capsys):

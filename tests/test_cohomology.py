@@ -12,17 +12,20 @@ from multinv.cohomology import (
 )
 from multinv.corpus import corpus_group, corpus_names
 from multinv.errors import MAX_RESOLUTION_DEPTH, BoundExceededError
-from multinv.fparith import SpanFp, rref_fp
+from multinv.classify import ClassifyOptions, classify, verify_certificate
+from multinv.fparith import SpanFp, nullspace_fp, rref_fp
 from multinv.intlinalg import intmat
 from multinv.matgroup import (
     _p_part,
     generate,
+    p_prime_core,
     subgroup_conjugacy_classes,
     subgroups,
     sylow,
     trivial_group,
 )
 from test_action import B3_GENERATORS, CENSUS_MAXIMAL
+from test_classify import SL23_GENERATORS
 from test_fparith import ReferenceSpan
 from test_limits import F54_GENERATORS
 
@@ -35,10 +38,11 @@ def test_resolution_ranks_z2():
     assert res.is_minimal()
 
 
-# free ranks to degree 6; every corpus group not listed has rank 1 throughout
+# free ranks to degree 6, over F_p[G/O_p'(G)]; a corpus group not listed has
+# rank 1 throughout when p divides its order, and ranks [1, 0, ...] when not
 PINNED_RANKS = {
-    "s3": {2: [1, 2, 2, 2, 2, 2, 2], 3: [1, 2, 3, 3, 2, 2, 2]},
-    "s4": {2: [1, 3, 4, 4, 5, 6, 6], 3: [1, 3, 6, 8, 7, 8, 12]},
+    "s3": {2: [1] * 7, 3: [1, 2, 3, 3, 2, 2, 2]},  # S3/C3 = C2 at p = 2
+    "s4": {2: [1, 3, 4, 4, 5, 6, 6], 3: [1, 2, 3, 3, 2, 2, 2]},  # S4/V4 = S3 at p = 3
     "gamma": {2: [1, 2, 3, 4, 5, 6, 7]},
 }
 
@@ -47,8 +51,8 @@ PINNED_RANKS = {
 def test_resolution_ranks_pinned(name):
     G, _ = corpus_group(name)
     for p in (2, 3):
-        expected = PINNED_RANKS.get(name, {}).get(p, [1] * 7)
-        assert resolution(G, p, 6).ranks == expected
+        default = [1] * 7 if G.order % p == 0 else [1] + [0] * 6
+        assert resolution(G, p, 6).ranks == PINNED_RANKS.get(name, {}).get(p, default)
 
 
 def test_resolution_ranks_trivial_group():
@@ -97,6 +101,17 @@ def test_s3_mod3_dimension_table():
     s3, _ = corpus_group("s3")
     res = resolution(s3, 3, 7)
     assert [res.cohomology_dim(r) for r in range(7)] == [1, 0, 0, 1, 1, 0, 0]
+
+
+def test_s4_mod3_is_resolved_over_s3():
+    # O_3'(S4) is the Klein four-group V4, and S4/V4 is S3
+    s3, _ = corpus_group("s3")
+    s4, _ = corpus_group("s4")
+    res, quotient = resolution(s4, 3, 7), resolution(s3, 3, 7)
+    assert (res.group_order, res.resolved_order) == (24, 6)
+    assert res.ranks == quotient.ranks
+    assert ([res.cohomology_dim(r) for r in range(7)]
+            == [quotient.cohomology_dim(r) for r in range(7)] == [1, 0, 0, 1, 1, 0, 0])
 
 
 def test_mu_p_examples():
@@ -223,6 +238,14 @@ def test_resolution_matches_reference_span(name, monkeypatch):
                 == [ref.cohomology_dim(r) for r in range(5)])
 
 
+def plain_resolution(G, p, depth, monkeypatch):
+    """The resolution over F_p[G] itself: the p'-core patched to the trivial
+    subgroup."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "p_prime_core", lambda G, p: G.closure_indices(()))
+        return resolution(G, p, depth)
+
+
 NONMODULAR_GROUPS = dict(DIFFERENTIAL_GROUPS)
 NONMODULAR_GROUPS.update(
     (f"Hc{k}", cls[0])
@@ -233,21 +256,32 @@ NONMODULAR_CASES = [(name, p) for name, G in sorted(NONMODULAR_GROUPS.items())
 
 @pytest.mark.parametrize(("name", "p"), NONMODULAR_CASES)
 def test_nonmodular_resolution_matches_elimination(name, p, monkeypatch):
-    """When p does not divide |G| > 1 the idempotent resolution has rank 1 in
-    every degree and the cohomology of the eliminated one; the trivial group
-    keeps the eliminated resolution, [1, 0, ...]."""
+    """When p does not divide |G| the p'-core is G: the resolution is over
+    F_p[G/G] = F_p, with ranks [1, 0, ...], and has the cohomology of the
+    resolution eliminated over F_p[G]."""
     G = NONMODULAR_GROUPS[name]
     res = resolution(G, p, 6)
     res.check_complex()
-    assert res.ranks == ([1] * 7 if G.order > 1 else [1] + [0] * 6)
-    with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "_idempotent_images", lambda G, p: None)
-        ref = resolution(G, p, 6)
-    assert ref._idempotents is None
+    assert (res.resolved_order, res.ranks) == (1, [1] + [0] * 6)
+    ref = plain_resolution(G, p, 6, monkeypatch)
+    assert ref.resolved_order == G.order
     ref.check_complex()
     assert ([res.cohomology_dim(r) for r in range(6)]
             == [ref.cohomology_dim(r) for r in range(6)]
             == [1] + [0] * 5)
+
+
+def translates(rows, perms):
+    """g * row for every left multiplication g in ``perms`` and every row,
+    shape (len(perms), len(rows), width): g moves the coordinate of h to
+    that of g h in each block of |G| coordinates."""
+    k, width = rows.shape
+    m, n = perms.shape
+    src = rows.reshape(k, width // n, n)
+    out = np.empty((m, k, width // n, n), dtype=rows.dtype)
+    for j, perm in enumerate(perms):
+        out[j][..., perm] = src
+    return out.reshape(m, k, width)
 
 
 def full_width_module_generators(kernel_rows, perms, gen_perms, p):
@@ -259,7 +293,6 @@ def full_width_module_generators(kernel_rows, perms, gen_perms, p):
     k, width = kernel_rows.shape
     if k == 0:
         return kernel_rows
-    translates = cohomology._translates
     ideal = SpanFp(p, width)
     for perm in gen_perms:
         ideal.add(translates(kernel_rows, perm[None])[0] - kernel_rows)
@@ -302,3 +335,79 @@ def test_module_generators_match_the_full_width_picks(family, monkeypatch):
         for p in (2, 3):
             resolution(G, p, 6)
     assert sum(picked) > 0
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+def test_kernels_from_the_free_rows_match_the_full_boundary(family, monkeypatch):
+    """Each step eliminates the last boundary only at the previous kernel's
+    free columns, and gets the basis and free columns of the whole map; the
+    whole map is the translates of the generator images, as the loop in
+    ``translates`` forms them."""
+    steps = []
+
+    def recorded(mat, p):
+        basis, free = nullspace_fp(mat, p)
+        steps.append((mat, basis, free))
+        return basis, free
+
+    monkeypatch.setattr(cohomology, "nullspace_fp", recorded)
+    checked = 0
+    for G in GENERATOR_FAMILIES[family]:
+        for p in (2, 3):
+            res = resolution(G, p, 0)
+            for d in range(6):
+                steps.clear()
+                res.extend()
+                if not res.ranks[-2]:  # nothing left to resolve
+                    assert steps == [] and res.ranks[-1] == 0
+                    continue
+                (mat, basis, free), = steps
+                if d:
+                    full = res.boundary(d)
+                    gens = res.generator_images[d - 1].T
+                    assert np.array_equal(full, translates(gens, res._perms).transpose(2, 1, 0)
+                                          .reshape(full.shape))
+                    assert np.array_equal(mat, full[last_free])
+                    full_basis, full_free = nullspace_fp(full, p)
+                    assert np.array_equal(basis, full_basis)
+                    assert np.array_equal(free, full_free)
+                    checked += full.shape[0] > mat.shape[0]
+                last_free = free
+    assert checked > 0
+
+
+QUOTIENT_FAMILIES = [family for family in GENERATOR_FAMILIES if family != "corpus"]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("family", QUOTIENT_FAMILIES)
+def test_quotient_resolution_matches_the_plain_one(family, p, monkeypatch):
+    """Resolved over G/O_p'(G) or over G itself, the cohomology is the same
+    to depth 6; where O_p'(G) = 1 the two are one resolution."""
+    for G in GENERATOR_FAMILIES[family]:
+        res, plain = resolution(G, p, 6), plain_resolution(G, p, 6, monkeypatch)
+        res.check_complex()
+        plain.check_complex()
+        assert res.resolved_order * len(p_prime_core(G, p)) == G.order == plain.resolved_order
+        assert ([res.cohomology_dim(r) for r in range(6)]
+                == [plain.cohomology_dim(r) for r in range(6)])
+        if res.resolved_order == G.order:
+            assert res.ranks == plain.ranks
+
+
+def test_a_core_that_is_not_normal_or_not_prime_to_p_is_refused(monkeypatch):
+    s3, _ = corpus_group("s3")
+    orders = s3.element_orders()
+    reflection = s3.closure_indices([orders.index(2)])
+    rotations = s3.closure_indices([orders.index(3)])
+    assert len(p_prime_core(s3, 3)) == 1 and len(p_prime_core(s3, 2)) == 3
+    for core, message in ((reflection, "not normal"), (rotations, "divisible by 3"),
+                          (frozenset([orders.index(2)]), "not a subgroup")):
+        monkeypatch.setattr(cohomology, "p_prime_core", lambda G, p, core=core: core)
+        with pytest.raises(ValueError, match=message):
+            resolution(s3, 3, 2)
+    monkeypatch.undo()
+    G = generate(SL23_GENERATORS)
+    v = classify(G, 2, ClassifyOptions(audit=True))
+    assert (v.rule, v.certificate["mu"]) == ("R6", 3)
+    assert verify_certificate(G, 2, v)

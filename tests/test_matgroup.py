@@ -16,6 +16,7 @@ from multinv.matgroup import (
     is_fixed_point_free,
     is_prime,
     op_core,
+    p_prime_core,
     subgroup_conjugacy_classes,
     subgroup_structure,
     subgroups,
@@ -192,6 +193,36 @@ def test_op_core_is_normal():
         core = op_core(G, p)
         cidx = G.indices_of_subgroup(core)
         assert all(G.conjugate_indices(g, cidx) == cidx for g in range(G.order))
+
+
+CORE_FAMILIES = {
+    **{f"census {name}": subgroups(generate(gens)) for name, gens in CENSUS_MAXIMAL.items()},
+    "B3 classes": [cls[0] for cls in subgroup_conjugacy_classes(generate(B3_GENERATORS))],
+}
+
+
+def _is_normal(G, H):
+    idx = G.indices_of_subgroup(H)
+    return all(G.conjugate_indices(g, idx) == idx for g in G.small_generating_indices())
+
+
+@pytest.mark.parametrize("family", CORE_FAMILIES)
+def test_p_prime_core_is_the_largest_normal_p_prime_subgroup(family):
+    for G in CORE_FAMILIES[family]:
+        normal = [H for H in subgroups(G) if _is_normal(G, H)]
+        for p in (2, 3, 5):
+            candidates = [H for H in normal if H.order % p]
+            largest = max(candidates, key=lambda H: H.order)
+            assert all(largest.contains_subgroup(H) for H in candidates)
+            assert p_prime_core(G, p) == G.indices_of_subgroup(largest)
+
+
+def test_p_prime_core_examples():
+    s4, _ = corpus_group("s4")
+    assert [len(p_prime_core(s4, p)) for p in (2, 3, 5)] == [1, 4, 24]
+    c6 = generate([ROT6])
+    assert [len(p_prime_core(c6, p)) for p in (2, 3, 5)] == [3, 2, 6]
+    assert len(p_prime_core(trivial_group(2), 2)) == 1
 
 
 def _reference_order(g, bound: int) -> int:
