@@ -25,6 +25,7 @@ from .cohomology import (
     INFINITY,
     FpResolution,
     MuValue,
+    cohomology_table,
     h_dim,
     mu_p,
     mu_p_formula,
@@ -62,9 +63,9 @@ __all__ = [
     "BallDecomposition", "BoundExceededError", "ClassifyOptions", "CorpusEntry",
     "FpResolution", "INFINITY", "InconsistentRulesError", "IsotropyReport", "MatGroup",
     "MuValue", "NonUnimodularError", "Sublattice", "Verdict", "applicable_rules",
-    "classification_cases", "classify", "check_g1_decomposition", "corpus_entry",
-    "corpus_group", "corpus_names", "det", "fixed_lattice", "generate", "h_dim",
-    "identity_matrix", "intmat", "is_fixed_point_free", "isotropy_subgroups",
+    "classification_cases", "classify", "check_g1_decomposition", "cohomology_table",
+    "corpus_entry", "corpus_group", "corpus_names", "det", "fixed_lattice", "generate",
+    "h_dim", "identity_matrix", "intmat", "is_fixed_point_free", "isotropy_subgroups",
     "moved_lattice", "mu_action", "mu_p", "mu_p_formula", "op_core",
     "quotient_invariants", "resolution", "snf", "stabilizer",
     "subgroup_conjugacy_classes", "subgroup_structure", "subgroups", "sylow",

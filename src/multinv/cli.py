@@ -29,7 +29,7 @@ from itertools import chain
 
 from .action import isotropy_subgroups, mu_action
 from .classify import ClassifyOptions, classify
-from .cohomology import _check_resolution_bounds, mu_from_resolution, resolution
+from .cohomology import _check_resolution_bounds, cohomology_table
 from .corpus import corpus_entry, corpus_names
 from .errors import (
     MAX_BOX_RADIUS,
@@ -212,18 +212,16 @@ def cmd_cohomology(args) -> tuple[int, dict]:
     G, p, options = _load_job(args)
     depth = args.depth if args.depth is not None else options["cohomology_depth"]
     _check_depth(depth)
-    res = resolution(G, p, depth)
-    dims = [res.cohomology_dim(r) for r in range(depth)]
-    mu = mu_from_resolution(res)
+    table = cohomology_table(G, p, depth)
     report = {
         "command": "cohomology",
         "group_order": G.order,
         "p": p,
         "depth": depth,
-        "free_ranks": list(res.ranks),
-        "resolved_order": res.resolved_order,
-        "dims": dims,
-        "mu_p": _mu_json(mu),
+        "route": table.route,
+        "dims": list(table.dims),
+        "mu_p": _mu_json(table.mu),
+        **table.details,
     }
     return EXIT_OK, report
 

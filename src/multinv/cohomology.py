@@ -1,7 +1,29 @@
-"""Mod-p group cohomology of small finite groups via truncated free resolutions.
+"""Mod-p group cohomology of finite groups, from the invariants of a Sylow
+subgroup's cohomology or from truncated free resolutions.
 
 The group is a ``MatGroup``; every finite group is one, through its
 permutation matrices.
+
+``cohomology_table``, which the ``cohomology`` command calls, takes the
+first of two routes that applies:
+- "sylow-invariants", when p divides |G| and the Sylow p-subgroup P is
+  elementary abelian.  For abelian P, restriction is an isomorphism of
+  H^*(G, F_p) onto the N_G(P)-invariants of H^*(P, F_p) (Swan, The p-period
+  of a finite group, Illinois J. Math. 4, 1960; Brown, Cohomology of
+  Groups, III.10).  With V = Hom(P, F_p), the degree-r part M_r of
+  H^*(P, F_p) is S^r V for p = 2 and the sum of Lambda^i V (x) S^j V over
+  i + 2j = r for odd p, so dim H^r(G, F_p) = dim M_r less the ``rank_fp``
+  of the stack of rho_r(n) - 1 over the generators n of N_G(P) that act
+  nontrivially on P.  No resolution is built.  The report keys are
+  ``route`` and ``sylow_order`` = |P|.  The work bound is
+  ``MAX_RESOLUTION_ENTRIES`` on (acting generators) * dim(M_r)^2 entries
+  per degree, checked before anything is built; ``MAX_RESOLUTION_ORDER``
+  does not apply, so ``cohomology --depth 10`` answers B4 (order 384) at
+  p = 3, S5 and B5 (3840) at p = 3 and 5, S7 (5040) at p = 3, 5 and 7, and
+  W(F4) (1152) at p = 3, which it refused before this route.
+- "resolution" otherwise, p not dividing |G| included: the resolution
+  below, under all three resolution bounds.  The report keys are
+  ``route``, ``free_ranks`` and ``resolved_order``.
 
 F_p is resolved over F_p[G/K], where K = O_p'(G) is the largest normal
 subgroup of order prime to p (``p_prime_core``).  H^r(K, F_p) = 0 for
@@ -53,18 +75,19 @@ H^1(G, F_p) = Hom(G, F_p) is nonzero exactly when G has a quotient of order
 p, that is when O^p(G) != G (Brown, ch. III), so mu_p = 1 is read from the
 closure that ``op_core`` uses, with no resolution.  When the Sylow
 p-subgroup P is cyclic, of any order, mu_p = 2 [N_G(P):C_G(P)] - 1, the
-closed form of ``mu_p_formula`` (Swan, The p-period of a finite group,
-Illinois J. Math. 4, 1960), again with no resolution.  Otherwise the
-resolution is extended one degree at a time (``FpResolution.extend``, the
-step ``resolution`` repeats) until the first nonzero H^r.  The order and
-depth limits are checked before any route, so they trip as for a full
-search.
+closed form of ``mu_p_formula`` (Swan), again with no resolution.  When P
+is elementary abelian, the Sylow invariants are read degree by degree up
+to the first nonzero one.  Otherwise the resolution is extended one degree
+at a time (``FpResolution.extend``, the step ``resolution`` repeats) until
+the first nonzero H^r.  The order and depth limits are checked before any
+route, so they trip as for a full search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -115,6 +138,10 @@ def _check_resolution_bounds(order: int, depth: int) -> None:
     if order > MAX_RESOLUTION_ORDER:
         raise BoundExceededError(f"group order {order} exceeds the resolution "
                                  f"order bound {MAX_RESOLUTION_ORDER}")
+    _check_depth_bound(depth)
+
+
+def _check_depth_bound(depth: int) -> None:
     if depth > MAX_RESOLUTION_DEPTH:
         raise BoundExceededError(f"depth {depth} exceeds the resolution bound {MAX_RESOLUTION_DEPTH}")
 
@@ -346,8 +373,9 @@ def mu_p(group: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1) 
     no resolution when G has a p-quotient; else, when the Sylow p-subgroup is
     cyclic, the closed form ``mu_p_formula``, exact when it is at most
     ``search_limit`` and the inexact marker ``search_limit + 1`` otherwise;
-    else the first degree with nonzero cohomology as the resolution is
-    extended.  When p does not divide |G| no resolution is built and no limit
+    else, when it is elementary abelian, the first nonzero degree of its
+    N_G(P)-invariants; else the first degree with nonzero cohomology as the
+    resolution is extended.  When p does not divide |G| no resolution is built and no limit
     applies.
     """
     _check_group(group)
@@ -362,6 +390,9 @@ def mu_p(group: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1) 
     if _has_cyclic_sylow(group, p):
         mu = mu_p_formula(group, p)
         return MuValue(mu, True) if mu < marker else MuValue(marker, False)
+    action = _elementary_abelian_sylow(group, p, marker)
+    if action is not None:
+        return _first_nonzero(map(action.dim, range(1, marker)), marker)
     return _first_nonzero_degree(FpResolution(p, group), marker)
 
 
@@ -380,12 +411,21 @@ def mu_from_resolution(res: FpResolution) -> MuValue:
 def _first_nonzero_degree(res: FpResolution, depth: int) -> MuValue:
     """The least r in 1..depth-1 with H^r != 0, extending ``res`` one degree
     at a time as far as it needs; the inexact marker ``depth`` if none."""
-    for r in range(1, depth):
+    def dim(r: int) -> int:
         while res.depth <= r:
             res.extend()
-        if res.cohomology_dim(r) != 0:
+        return res.cohomology_dim(r)
+
+    return _first_nonzero(map(dim, range(1, depth)), depth)
+
+
+def _first_nonzero(dims, marker: int) -> MuValue:
+    """mu read from dim H^1, dim H^2, ..., taken one at a time up to the
+    first nonzero one: its degree, or the inexact ``marker`` if none is."""
+    for r, dim in enumerate(dims, 1):
+        if dim:
             return MuValue(r, True)
-    return MuValue(depth, False)
+    return MuValue(marker, False)
 
 
 def _has_cyclic_sylow(G: MatGroup, p: int) -> bool:
@@ -411,3 +451,215 @@ def mu_p_formula(G: MatGroup, p: int) -> int:
         raise ValueError(f"the Sylow {p}-subgroup is not cyclic")
     _, _, nc = subgroup_structure(G, sylow(G, p))
     return 2 * nc - 1
+
+
+@dataclass(frozen=True)
+class CohomologyTable:
+    """dim H^r(G, F_p) for r < depth, mu_p read from them, the route that
+    found them, and that route's own report keys (``details``)."""
+
+    route: str
+    dims: tuple[int, ...]
+    mu: MuValue
+    details: dict
+
+
+def cohomology_table(group: MatGroup, p: int, depth: int) -> CohomologyTable:
+    """dim H^r(G, F_p) for r < ``depth``, and mu_p searched in degrees
+    1..depth-1, by the first route that applies:
+    - "sylow-invariants", when p divides |G| and the Sylow p-subgroup P is
+      elementary abelian: the N_G(P)-invariants of H^*(P, F_p), with the
+      details {"sylow_order": |P|};
+    - "resolution" otherwise: ``resolution(G, p, depth)``, with the details
+      {"free_ranks", "resolved_order"}.
+    The depth bound holds on both routes and the entry bound on each in its
+    own count; the order bound only on the resolution route.
+    """
+    _check_group(group)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    _check_depth_bound(depth)
+    if group.order % p == 0:
+        action = _elementary_abelian_sylow(group, p, depth)
+        if action is not None:
+            dims = tuple(map(action.dim, range(depth)))
+            return CohomologyTable("sylow-invariants", dims, _first_nonzero(dims[1:], depth),
+                                   {"sylow_order": p ** action.rank})
+    res = resolution(group, p, depth)
+    dims = tuple(res.cohomology_dim(r) for r in range(depth))
+    return CohomologyTable("resolution", dims, mu_from_resolution(res),
+                           {"free_ranks": list(res.ranks), "resolved_order": res.resolved_order})
+
+
+def _elementary_abelian_sylow(G: MatGroup, p: int, depth: int) -> "_SylowInvariants | None":
+    """The action of N_G(P) on H^*(P, F_p) below ``depth``, for P =
+    ``sylow(G, p)`` elementary abelian; None when P is not.
+
+    P is elementary abelian when every element has order 1 or p and its
+    greedy generators (a basis x_1..x_k, since each one multiplies the span
+    by p) commute.  n in N_G(P) acts on P = F_p^k by the matrix A_n whose
+    column i holds the coordinates of n x_i n^-1, and on V = Hom(P, F_p) by
+    the inverse transpose of A_n.  The A_n^T of N_G(P)'s generators generate
+    the same set of matrices, with the same invariants, so those of them
+    that are not the identity are kept.
+
+    The entry bound is checked for every degree below ``depth`` before any
+    matrix is built, with the true rank and count of acting generators.
+    When G is past ``MAX_RESOLUTION_ORDER``, so that no route is left if
+    this one is not taken, and is not a p-group (where N_G(P) = P acts
+    trivially), it is checked first before G's table is built, with the
+    rank log_p |G|_p that an elementary abelian P has and one acting
+    generator.
+    """
+    q = _p_part(G.order, p)
+    if q < G.order and G.order > MAX_RESOLUTION_ORDER:
+        past = _entries_past_bound(p, round(math.log(q, p)), 1, depth)
+        if past is not None:
+            raise BoundExceededError(
+                f"group order {G.order} exceeds the resolution order bound "
+                f"{MAX_RESOLUTION_ORDER}, and degree {past[0]} of H^*(P, F_{p}) for an "
+                f"elementary abelian P of order {q} ranks at least {past[1]} entries, "
+                f"past the resolution entry bound {MAX_RESOLUTION_ENTRIES}")
+    members = G.indices_of_subgroup(sylow(G, p))
+    orders = G.element_orders()
+    if any(orders[i] not in (1, p) for i in members):
+        return None
+    basis = G.small_generating_indices(sorted(members))
+    table = G.mult_table()
+    if any(table[a][b] != table[b][a] for a, b in combinations(basis, 2)):
+        return None
+    k = len(basis)
+    coords = {G.identity_index: (0,) * k}
+    for i, x in enumerate(basis):
+        row = table[x]
+        for h, c in list(coords.items()):  # c is 0 from coordinate i on
+            for t in range(1, p):
+                h = row[h]  # x_i^t times the element at c
+                coords[h] = c[:i] + (t,) + c[i + 1:]
+    inverse = G.inverse_indices()
+
+    def conjugates(n: int) -> list[int]:
+        return [table[table[n][x]][inverse[n]] for x in basis]
+
+    normalizer = [n for n in range(G.order) if all(c in coords for c in conjugates(n))]
+    identity = np.eye(k, dtype=np.int64)
+    matrices = []
+    for n in G.small_generating_indices(normalizer):
+        transpose = np.array([coords[c] for c in conjugates(n)], dtype=np.int64)
+        if not np.array_equal(transpose, identity):
+            matrices.append(transpose)
+    past = _entries_past_bound(p, k, len(matrices), depth)
+    if past is not None:
+        raise BoundExceededError(
+            f"degree {past[0]} of H^*(P, F_{p}) for P of order {p ** k} ranks {past[1]} "
+            f"entries, past the resolution entry bound {MAX_RESOLUTION_ENTRIES}")
+    return _SylowInvariants(p, k, matrices)
+
+
+def _blocks(p: int, k: int, r: int) -> list[tuple[int, int]]:
+    """The (i, j) with H^r(P, F_p) = sum of Lambda^i V (x) S^j V, for P
+    elementary abelian of rank k: (0, r) for p = 2, where H^* is the
+    polynomial ring on V in degree 1; for odd p, H^* is the exterior algebra
+    on V in degree 1 tensor the polynomial ring on its Bocksteins in degree
+    2, so i + 2j = r."""
+    if p == 2:
+        return [(0, r)]
+    return [(i, (r - i) // 2) for i in range(r % 2, min(k, r) + 1, 2)]
+
+
+def _entries_past_bound(p: int, k: int, acting: int, depth: int) -> tuple[int, str] | None:
+    """The first degree r below ``depth`` whose invariants stack ``acting``
+    square matrices of side dim H^r(P, F_p), P elementary abelian of rank k,
+    past ``MAX_RESOLUTION_ENTRIES`` entries, and that count as a product;
+    None if none does."""
+    for r in range(depth):
+        size = sum(math.comb(k, i) * math.comb(j + k - 1, j) for i, j in _blocks(p, k, r))
+        if acting * size * size > MAX_RESOLUTION_ENTRIES:
+            return r, f"{acting} x {size}^2 = {acting * size * size}"
+    return None
+
+
+class _SylowInvariants:
+    """dim H^r(G, F_p) = dim H^r(P, F_p)^{N_G(P)} for an elementary abelian
+    Sylow p-subgroup P of rank k (Swan, The p-period of a finite group,
+    1960; Brown, Cohomology of Groups, III.10).
+
+    ``matrices`` substitute the degree-1 generators f_1..f_k of H^*(P, F_p):
+    column i of a matrix M is the image of f_i.  On each block Lambda^i V (x)
+    S^j V of degree r (``_blocks``) M acts by the Kronecker product of its
+    i-th exterior and j-th symmetric powers, and the invariants of the block
+    are the common kernel of (power - 1) over the matrices: the block's
+    dimension less the ``rank_fp`` of their stack.
+    """
+
+    def __init__(self, p: int, k: int, matrices: list[np.ndarray]):
+        self.p, self.rank = p, k
+        self._matrices = matrices
+        # (exterior, degree) -> the power of each matrix, built on first use
+        self._powers: dict[tuple[bool, int], list[np.ndarray]] = {}
+
+    def dim(self, r: int) -> int:
+        total = 0
+        for i, j in _blocks(self.p, self.rank, r):
+            size = math.comb(self.rank, i) * math.comb(j + self.rank - 1, j)
+            total += size
+            if self._matrices:
+                eye = np.eye(size, dtype=np.int64)
+                stack = [(a[:, None, :, None] * b[None, :, None, :]).reshape(size, size) - eye
+                         for a, b in zip(self._power(True, i), self._power(False, j))]
+                total -= rank_fp(np.vstack(stack), self.p)
+        return total
+
+    def _power(self, exterior: bool, d: int) -> list[np.ndarray]:
+        """The d-th exterior or symmetric power of each matrix, on the sorted
+        index tuples of ``_monomials`` as basis; column m is the image of
+        monomial m, the product of the image of m[:-1] with that of f_m[-1]."""
+        key = (exterior, d)
+        if key not in self._powers:
+            if d == 0:
+                self._powers[key] = [np.ones((1, 1), dtype=np.int64)] * len(self._matrices)
+            else:
+                previous = self._power(exterior, d - 1)
+                steps = _product_steps(self.rank, d, exterior)
+                self._powers[key] = [_raise_power(C, M, steps, self.p)
+                                     for C, M in zip(previous, self._matrices)]
+        return self._powers[key]
+
+
+def _monomials(k: int, d: int, exterior: bool) -> list[tuple[int, ...]]:
+    """The basis of Lambda^d or S^d of F_p^k: sorted index tuples, strictly
+    increasing for the exterior power."""
+    return list((combinations if exterior else combinations_with_replacement)(range(k), d))
+
+
+def _product_steps(k: int, d: int, exterior: bool):
+    """How degree d - 1 times degree 1 lands in degree d: per monomial m of
+    degree d, its head m[:-1] and last index m[-1]; per variable v, the
+    degree d - 1 monomials a with a * f_v != 0, the index of a * f_v, and
+    its sign (f_a ^ f_v moves f_v past the indices of a above v)."""
+    lower, upper = _monomials(k, d - 1, exterior), _monomials(k, d, exterior)
+    lower_index = {m: a for a, m in enumerate(lower)}
+    upper_index = {m: b for b, m in enumerate(upper)}
+    head = np.array([lower_index[m[:-1]] for m in upper], dtype=np.intp)
+    last = np.array([m[-1] for m in upper], dtype=np.intp)
+    by_variable = []
+    for v in range(k):
+        rows = [a for a, m in enumerate(lower) if not (exterior and v in m)]
+        targets = [upper_index[tuple(sorted(lower[a] + (v,)))] for a in rows]
+        signs = [(-1) ** sum(u > v for u in lower[a]) if exterior else 1 for a in rows]
+        by_variable.append((np.array(rows, dtype=np.intp), np.array(targets, dtype=np.intp),
+                            np.array(signs, dtype=np.int64)[:, None]))
+    return head, last, by_variable
+
+
+def _raise_power(previous: np.ndarray, M: np.ndarray, steps, p: int) -> np.ndarray:
+    """The degree-d power of M from its degree d - 1 power ``previous``:
+    column m is the image of m[:-1] (a column of ``previous``) times the
+    image of f_m[-1] (a column of M).  For each variable v the rows a land
+    on distinct monomials a * f_v, so each v is one indexed add."""
+    head, last, by_variable = steps
+    images, linear = previous[:, head], M[:, last]
+    out = np.zeros((len(head), len(head)), dtype=np.int64)
+    for v, (rows, targets, signs) in enumerate(by_variable):
+        out[targets] = (out[targets] + signs * images[rows] * linear[v]) % p
+    return out

@@ -12,7 +12,13 @@ import time
 from dataclasses import dataclass
 
 from .classify import ClassifyOptions, applicable_rules, classify, verify_certificate
-from .cohomology import mu_from_resolution, mu_p, mu_p_formula, resolution
+from .cohomology import (
+    cohomology_table,
+    mu_from_resolution,
+    mu_p,
+    mu_p_formula,
+    resolution,
+)
 from .corpus import classification_cases, corpus_entry, corpus_group, corpus_names
 from .errors import MAX_RESOLUTION_DEPTH
 from .intlinalg import (
@@ -94,6 +100,26 @@ def _cohomology_tables():
     if dims != [1, 0, 0, 1, 1, 0, 0]:
         return False, f"S3 mod 3 dims {dims}"
     return True, f"Z/2:{dims2} Z/3:{dims3} S3@3:{dims}"
+
+
+def _sylow_invariants():
+    cases = []
+    for name in corpus_names():
+        G, _ = corpus_group(name)
+        for p in (2, 3):
+            table = cohomology_table(G, p, 6)
+            if table.route != "sylow-invariants":
+                continue
+            res = resolution(G, p, 6)
+            dims = tuple(res.cohomology_dim(r) for r in range(6))
+            mu = mu_from_resolution(res)
+            if (table.dims, table.mu) != (dims, mu):
+                return False, (f"{name}@{p}: Sylow invariants give {table.dims}, {table.mu}; "
+                               f"the resolution gives {dims}, {mu}")
+            cases.append(f"{name}@{p}")
+    if not cases:
+        return False, "no corpus group took the Sylow route"
+    return True, f"{len(cases)} cases agree to depth 6: " + " ".join(cases)
 
 
 def _rank_duality():
@@ -232,6 +258,8 @@ _CRITERIA = [
     ("inversion-family", "inversion family verdicts with certificates", _inversion_family, 1.0),
     ("mu-formula", "mu from resolutions matches the closed form", _mu_formula_agreement, 10.0),
     ("cohomology-tables", "cohomology dimension tables", _cohomology_tables, None),
+    ("sylow-invariants", "Sylow invariants match a plain resolution on the corpus at p = 2, 3",
+     _sylow_invariants, 5.0),
     ("rank-duality", "fixed rank + moved rank = n over the subgroup lattice", _rank_duality, None),
     ("burnside", "orbit count equals averaged fixed-point count", _burnside_double_count, None),
     ("ball-decomposition", "invariant decomposition in truncation balls", _ball_decomposition, 30.0),

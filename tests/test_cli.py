@@ -14,8 +14,11 @@ import multinv.matgroup
 from multinv.cli import main, parse_jobspec
 from multinv.cohomology import mu_p
 from multinv.corpus import corpus_entry, corpus_names
+from multinv.errors import MAX_RESOLUTION_ORDER
 from multinv.laurent import box_orbits
 from multinv.matgroup import generate, subgroup_conjugacy_classes, subgroups
+from test_action import W_F4_GENERATORS
+from test_limits import B4_GENERATORS
 
 INV3 = {"n": 3, "p": 2, "generators": [[[-1, 0, 0], [0, -1, 0], [0, 0, -1]]]}
 
@@ -132,12 +135,39 @@ def test_parse_jobspec_applies_default_options():
 
 
 def test_cohomology_report(capsys):
+    # the Sylow 3-subgroup of S3 is C3, elementary abelian: no resolution
     code, out, _ = run_cli(capsys, "cohomology", "--group", "s3", "--depth", "7")
     assert code == 0
     report = json.loads(out)
     assert report["dims"] == [1, 0, 0, 1, 1, 0, 0]
     assert report["mu_p"] == {"exact": True, "value": 3}
-    assert (report["free_ranks"], report["resolved_order"]) == ([1, 2, 3, 3, 2, 2, 2, 2], 6)
+    assert (report["route"], report["sylow_order"]) == ("sylow-invariants", 3)
+    assert "free_ranks" not in report and "resolved_order" not in report
+    # the Sylow 2-subgroup of S4 is dihedral of order 8: resolved over all of S4
+    code, out, _ = run_cli(capsys, "cohomology", "--group", "s4", "--depth", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["route"] == "resolution" and "sylow_order" not in report
+    assert (report["free_ranks"], report["resolved_order"]) == ([1, 3, 4, 4, 5, 6], 24)
+
+
+def test_cohomology_past_the_resolution_order_bound(tmp_path, capsys):
+    # each Sylow subgroup is elementary abelian, so no resolution is needed
+    s5 = [[[int(c == perm[r]) for c in range(5)] for r in range(5)]
+          for perm in ([1, 0, 2, 3, 4], [1, 2, 3, 4, 0])]
+    jobs = [(B4_GENERATORS, 3, 3, [1, 0, 0, 1, 1, 0, 0, 1, 1, 0]),
+            (s5, 3, 3, [1, 0, 0, 1, 1, 0, 0, 1, 1, 0]),
+            (s5, 5, 5, [1, 0, 0, 0, 0, 0, 0, 1, 1, 0]),
+            (W_F4_GENERATORS, 3, 9, [1, 0, 0, 2, 2, 0, 1, 4, 3, 0])]
+    path = tmp_path / "job.json"
+    for gens, p, sylow_order, dims in jobs:
+        path.write_text(json.dumps({"n": len(gens[0]), "p": p, "generators": gens}))
+        code, out, _ = run_cli(capsys, "cohomology", "--input", str(path), "--depth", "10")
+        assert code == 0
+        report = json.loads(out)
+        assert report["group_order"] > MAX_RESOLUTION_ORDER
+        assert (report["route"], report["sylow_order"], report["dims"]) == \
+            ("sylow-invariants", sylow_order, dims)
 
 
 def test_analyze_report(capsys):
@@ -173,7 +203,7 @@ def test_selftest_command_passes(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
-    assert len(report["criteria"]) == 9
+    assert len(report["criteria"]) == 10
     assert all(c["passed"] for c in report["criteria"])
 
 
@@ -240,14 +270,13 @@ def test_invariants_text_is_canonical_json(capsys, n):
 
 
 def test_cohomology_builds_one_resolution_per_job(capsys, monkeypatch):
-    calls = []
-    real = multinv.cli.resolution
+    calls, routes = [], set()
+    real = multinv.cohomology.resolution
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(multinv.cli, "resolution", counted)
     monkeypatch.setattr(multinv.cohomology, "resolution", counted)
     for name in corpus_names():
         entry = corpus_entry(name)
@@ -261,10 +290,14 @@ def test_cohomology_builds_one_resolution_per_job(capsys, monkeypatch):
                 code, out, _ = run_cli(capsys, "cohomology", "--input", "-",
                                        "--depth", str(depth))
                 assert code == 0
-                assert calls == [depth], (name, p, depth)
+                report = json.loads(out)
+                routes.add(report["route"])
+                resolved = [depth] if report["route"] == "resolution" else []
+                assert calls == resolved, (name, p, depth)
                 mu = mu_p(G, p, depth - 1)
                 value = "infinity" if mu.is_infinite else mu.value
-                assert json.loads(out)["mu_p"] == {"value": value, "exact": mu.exact}
+                assert report["mu_p"] == {"value": value, "exact": mu.exact}
+    assert routes == {"resolution", "sylow-invariants"}
 
 
 # SHA-1 of the canonical JSON of ``analyze --builtin NAME``, taken from the

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from multinv import cohomology
 from multinv.cohomology import (
     MuValue,
+    cohomology_table,
     h_dim,
     mu_from_resolution,
     mu_p,
@@ -20,14 +23,15 @@ from multinv.matgroup import (
     generate,
     p_prime_core,
     subgroup_conjugacy_classes,
+    subgroup_structure,
     subgroups,
     sylow,
     trivial_group,
 )
-from test_action import B3_GENERATORS, CENSUS_MAXIMAL
+from test_action import B3_GENERATORS, B5_GENERATORS, CENSUS_MAXIMAL, W_F4_GENERATORS
 from test_classify import SL23_GENERATORS
 from test_fparith import ReferenceSpan
-from test_limits import F54_GENERATORS
+from test_limits import B4_GENERATORS, F54_GENERATORS
 
 
 def test_resolution_ranks_z2():
@@ -411,3 +415,114 @@ def test_a_core_that_is_not_normal_or_not_prime_to_p_is_refused(monkeypatch):
     v = classify(G, 2, ClassifyOptions(audit=True))
     assert (v.rule, v.certificate["mu"]) == ("R6", 3)
     assert verify_certificate(G, 2, v)
+
+
+def _is_elementary_abelian(P, p):
+    """Every element of order 1 or p, and every pair of elements commuting."""
+    table = P.mult_table()
+    return (all(o in (1, p) for o in P.element_orders())
+            and all(table[a][b] == table[b][a] for a in range(P.order) for b in range(a)))
+
+
+def test_sylow_invariants_match_the_resolution():
+    """The route is taken exactly when p divides |G| and the Sylow subgroup
+    is elementary abelian, and then gives the resolution's dims and mu to
+    depth 6, as mu_p does; on every subgroup of census P, F, I and H and
+    every B3 class representative, at p = 2 and 3."""
+    checked = 0
+    for family in QUOTIENT_FAMILIES:
+        for G in GENERATOR_FAMILIES[family]:
+            for p in (2, 3):
+                table = cohomology_table(G, p, 6)
+                route = G.order % p == 0 and _is_elementary_abelian(sylow(G, p), p)
+                assert table.route == ("sylow-invariants" if route else "resolution")
+                if not route:
+                    continue
+                res = resolution(G, p, 6)
+                assert table.dims == tuple(res.cohomology_dim(r) for r in range(6)), (family, G, p)
+                assert table.mu == mu_from_resolution(res) == mu_p(G, p, 5)
+                assert table.details == {"sylow_order": sylow(G, p).order}
+                checked += 1
+    assert checked == 371
+
+
+def _blocks_of_two(a, b, c, d):
+    """The 4 x 4 matrix [[a, b], [c, d]] of 2 x 2 blocks."""
+    return [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]
+
+
+def test_sylow_invariants_where_the_normalizer_mixes_the_factors():
+    """P = C3 x C3 on Z^2 + Z^2, the order-3 rotation R in either block.  The
+    block swap normalizes it as C3 wr C2 (order 18), and [[0, 1], [S, 0]],
+    with S R S^-1 = R^-1, maps a -> b -> a^-1 (order 36).  Both move a
+    product of the degree-1 classes onto the other order, so each exterior
+    power needs its signs."""
+    R, I, Z, S = [[0, -1], [1, -1]], [[1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 1], [1, 0]]
+    a, b = _blocks_of_two(R, Z, Z, I), _blocks_of_two(I, Z, Z, R)
+    for gens, order in (([a, _blocks_of_two(Z, I, I, Z)], 18),
+                        ([a, b, _blocks_of_two(Z, I, S, Z)], 36)):
+        G = generate(gens)
+        assert G.order == order
+        table, res = cohomology_table(G, 3, 8), resolution(G, 3, 8)
+        assert (table.route, table.details) == ("sylow-invariants", {"sylow_order": 9})
+        assert table.dims == tuple(res.cohomology_dim(r) for r in range(8))
+
+
+def test_a_nonabelian_sylow_subgroup_of_exponent_p_is_resolved():
+    """The Heisenberg group of order 27, as the affine maps of F_3^2 on its
+    nine points: every element has order 1 or 3, but it is not abelian, so
+    the resolution route is taken; H^1 = Hom(G, F_3) is 2-dimensional, not
+    the 3 of an elementary abelian group of order 27."""
+    points = [(u, v) for u in range(3) for v in range(3)]
+
+    def permutation(f):
+        return [[int(points.index(f(*points[c])) == r) for c in range(9)] for r in range(9)]
+
+    G = generate([permutation(lambda u, v: ((u + 1) % 3, v)),
+                  permutation(lambda u, v: (u, (v + u) % 3))])
+    assert (G.order, set(G.element_orders())) == (27, {1, 3})
+    table, res = cohomology_table(G, 3, 5), resolution(G, 3, 5)
+    assert table.route == "resolution"
+    assert table.dims == tuple(res.cohomology_dim(r) for r in range(5))
+    assert table.dims[1] == 2
+
+
+def _symmetric_group(n):
+    """S_n as permutation matrices, generated by the adjacent transpositions."""
+    def swap(i):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = i + 1, i
+        return [[int(c == perm[r]) for c in range(n)] for r in range(n)]
+
+    return generate([swap(i) for i in range(n - 1)])
+
+
+@functools.cache
+def _large_group(name):
+    return {"S5": lambda: _symmetric_group(5), "S7": lambda: _symmetric_group(7),
+            "B4": lambda: generate(B4_GENERATORS), "B5": lambda: generate(B5_GENERATORS)}[name]()
+
+
+@pytest.mark.parametrize(("name", "p"), [("S5", 3), ("S5", 5), ("B4", 3), ("B5", 3),
+                                         ("B5", 5), ("S7", 5), ("S7", 7)])
+def test_sylow_invariants_for_a_sylow_subgroup_of_order_p(name, p):
+    """For |P| = p, H^r(G, F_p) is F_p when r = 0 or -1 mod 2e, where
+    e = [N_G(P):C_G(P)], and 0 otherwise (Swan); mu_p is 2e - 1, the closed
+    form.  Each group is past the resolution order bound."""
+    G = _large_group(name)
+    P = sylow(G, p)
+    assert P.order == p
+    _, _, e = subgroup_structure(G, P)
+    table = cohomology_table(G, p, 10)
+    assert (table.route, table.details) == ("sylow-invariants", {"sylow_order": p})
+    assert table.dims == tuple(int(r % (2 * e) in (0, 2 * e - 1)) for r in range(10))
+    mu = mu_p_formula(G, p)
+    assert mu == 2 * e - 1
+    assert table.mu == (MuValue(mu, True) if mu < 10 else MuValue(10, False))
+
+
+def test_weyl_f4_mod_3():
+    table = cohomology_table(generate(W_F4_GENERATORS), 3, 10)
+    assert (table.route, table.details) == ("sylow-invariants", {"sylow_order": 9})
+    assert table.dims == (1, 0, 0, 2, 2, 0, 1, 4, 3, 0)
+    assert table.mu == MuValue(3, True)

@@ -3,6 +3,8 @@ tripped limit does to a command and to a classify rule."""
 
 import dataclasses
 import json
+import re
+import time
 import tracemalloc
 
 import pytest
@@ -170,11 +172,19 @@ def test_a_tripped_limit_makes_the_rule_inapplicable(tmp_path, capsys):
     assert main(["classify", "--audit", "--input", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["status"], report["rule"], report["notes"]) == ("NotCM", "R5", [note])
-    # outside classify the same limit still fails the command
-    for argv in (["analyze", "--input", str(path)],
-                 ["cohomology", "--input", str(path), "--depth", "2"]):
-        assert main(argv) == 3
-        assert "resolution order bound" in capsys.readouterr().err
+    # outside classify the same limit still fails analyze
+    assert main(["analyze", "--input", str(path)]) == 3
+    assert "resolution order bound" in capsys.readouterr().err
+    # cohomology reads F54 from its Sylow subgroup C2, with no resolution;
+    # B4, whose Sylow 2-subgroup of order 128 is not abelian, is refused
+    assert main(["cohomology", "--input", str(path), "--depth", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["route"], report["sylow_order"], report["dims"]) == ("sylow-invariants", 2, [1, 1])
+    b4 = tmp_path / "b4.json"
+    b4.write_text(json.dumps({"n": 4, "p": 2, "generators": B4_GENERATORS}))
+    assert main(["cohomology", "--input", str(b4), "--depth", "2"]) == 3
+    assert capsys.readouterr().err == (f"error: group order 384 exceeds the resolution "
+                                       f"order bound {MAX_RESOLUTION_ORDER}\n")
     # a box past MAX_BOX_POINTS exits 3 before it is allocated: the 17^6 int64
     # coordinate vectors of length 6 alone would take 1.16 GB
     tracemalloc.start()
@@ -276,3 +286,59 @@ def test_the_entry_bound_makes_r6_inapplicable(tmp_path, capsys, monkeypatch):
         assert "resolution entry bound 2303" in capsys.readouterr().err
     assert main(["cohomology", "--input", str(path), "--depth", "2"]) == 0
     capsys.readouterr()
+
+def _flip(n, t):
+    """diag(1, ..., -1, ..., 1), the sign change of coordinate t of Z^n."""
+    return [[-1 if i == j == t else int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _signs_by_c3(n):
+    """diag(±1)^n ⋊ C3, C3 permuting the first three coordinates: order 3 * 2^n,
+    with the normal elementary abelian Sylow 2-subgroup diag(±1)^n."""
+    cycle = [[int(j == (i + 1) % 3) if i < 3 and j < 3 else int(i == j) for j in range(n)]
+             for i in range(n)]
+    return [_flip(n, 0)] + [_flip(n, t) for t in range(3, n)] + [cycle]
+
+
+def test_the_sylow_route_refuses_a_large_rank_before_the_table(tmp_path, capsys, monkeypatch):
+    # P = diag(±1)^11 and the 3-cycle acts on it; degree 9 of H^*(P, F_2)
+    # alone has C(19, 9) = 92378 monomials, and degree 6 has 8008, past the
+    # entry bound with one acting generator
+    G = generate(_signs_by_c3(11))
+    assert G.order == 6144
+
+    def refuse(*_):
+        raise AssertionError("the table of a group past the bounds was built")
+
+    monkeypatch.setattr(MatGroup, "mult_table", refuse)
+    message = (f"error: group order 6144 exceeds the resolution order bound "
+               f"{MAX_RESOLUTION_ORDER}, and degree 6 of H^*(P, F_2) for an elementary "
+               f"abelian P of order 2048 ranks at least 1 x 8008^2 = 64128064 entries, "
+               f"past the resolution entry bound {MAX_RESOLUTION_ENTRIES}")
+    path = tmp_path / "signs.json"
+    path.write_text(json.dumps({"n": 11, "p": 2, "generators": _signs_by_c3(11)}))
+    # the job with its group already generated (generate alone takes about 1.5 s)
+    monkeypatch.setattr(multinv.cli, "generate", lambda gens, max_order: G)
+    start = time.perf_counter()
+    assert main(["cohomology", "--input", str(path), "--depth", "10"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_the_sylow_entry_bound_trips_one_step_past_it(monkeypatch):
+    # diag(±1)^3 ⋊ C3 (order 24) at p = 2: one generator of N_G(P) = G acts
+    # on P = diag(±1)^3, so degree 4, with C(6, 2) = 15 monomials, stacks
+    # 15^2 entries
+    G = generate(_signs_by_c3(3))
+    entries = 15**2
+    monkeypatch.setattr(cohomology, "MAX_RESOLUTION_ENTRIES", entries)
+    table = cohomology.cohomology_table(G, 2, 5)
+    assert (table.route, table.dims) == ("sylow-invariants", (1, 1, 2, 4, 5))
+    monkeypatch.setattr(cohomology, "MAX_RESOLUTION_ENTRIES", entries - 1)
+    with pytest.raises(BoundExceededError,
+                       match=re.escape(f"degree 4 of H^*(P, F_2) for P of order 8 ranks "
+                                       f"1 x 15^2 = {entries} entries, past the resolution "
+                                       f"entry bound {entries - 1}") + "$"):
+        cohomology.cohomology_table(G, 2, 5)
+    # four degrees stay below the bound
+    assert cohomology.cohomology_table(G, 2, 4).dims == (1, 1, 2, 4)
