@@ -25,7 +25,8 @@ import functools
 import json
 import sys
 import time
-from itertools import chain
+
+import numpy as np
 
 from .action import isotropy_subgroups, mu_action
 from .classify import ClassifyOptions, classify
@@ -39,7 +40,7 @@ from .errors import (
     BoundExceededError,
     NonUnimodularError,
 )
-from .laurent import box_orbits
+from .laurent import _BLOCK_ENTRIES, box_orbits
 from .matgroup import (
     MatGroup,
     _check_subgroup_bound,
@@ -230,42 +231,90 @@ def cmd_invariants(args) -> tuple[int, dict]:
     G, p, options = _load_job(args)
     ball = args.ball if args.ball is not None else options["ball"]
     _require(0 <= ball <= MAX_BOX_RADIUS, f"ball must be between 0 and {MAX_BOX_RADIUS}")
-    orbits, burnside = box_orbits(G, ball)
+    points, sizes, burnside = box_orbits(G, ball)
     report = {
         "command": "invariants",
         "group_order": G.order,
         "p": p,
         "ball": ball,
-        "dim": len(orbits),
+        "dim": len(sizes),
         "burnside": burnside,
-        "orbit_sums": _orbit_sums_json(G.n, orbits),
+        "orbit_sums": _orbit_sums_json(points, sizes),
     }
     return EXIT_OK, report
 
 
-class _JsonText(str):
-    """A report value already written as canonical JSON."""
+class _JsonText:
+    """A report value already written as canonical JSON, as ``text``.  Not a
+    str subclass: making one copies the text, which can be large."""
+
+    def __init__(self, text: str):
+        self.text = text
 
 
-def _orbit_sums_json(n: int, orbits: list) -> _JsonText:
-    """The orbit sums as canonical JSON: per orbit, a list of {"coeff": 1,
-    "exponents": point} objects with sorted keys, as ``json.dumps`` writes
-    them.  One format string per point, repeated per orbit size, takes every
-    coordinate in one pass."""
-    point = '{"coeff": 1, "exponents": [%s]}' % ", ".join(["%d"] * n)
-    by_size = {k: "[" + ", ".join([point] * k) + "]" for k in {len(o) for o in orbits}}
-    layout = ", ".join([by_size[len(o)] for o in orbits])
-    return _JsonText("[" + layout % tuple(chain.from_iterable(chain.from_iterable(orbits))) + "]")
+_POINT_HEAD = np.frombuffer(b'{"coeff": 1, "exponents": [', dtype=np.uint8)
+# what follows a point's last coordinate, padded with zero bytes: the next
+# point of its orbit, the next orbit, or the end of the list
+_POINT_TAILS = np.frombuffer(b"]}, \0\0" b"]}], [" b"]}]]\0\0", dtype=np.uint8).reshape(3, 6)
+
+
+def _orbit_sums_json(points: np.ndarray, sizes: np.ndarray) -> _JsonText:
+    """The orbit sums of ``box_orbits``' ``points`` and ``sizes`` as
+    canonical JSON: per orbit, a list of {"coeff": 1, "exponents": point}
+    objects with sorted keys, the text ``json.dumps`` writes for them.
+
+    Each point is one fixed-width row of bytes: the head, then every
+    coordinate from a table of the values -R..R (R the largest |coordinate|)
+    right-aligned in D = len(str(-R)) bytes after zero bytes and followed by
+    ", " but for the last, then the tail that closes the point and maybe its
+    orbit, padded with zero bytes.  Dropping the zero bytes leaves the text.
+    Rows are filled in blocks of at most ``_BLOCK_ENTRIES`` bytes, so no
+    Python object is made per point and the temporaries stay bounded.
+    """
+    count, n = points.shape
+    reach = max(-int(points.min()), int(points.max()))
+    width = len(str(-reach))
+    spec = f"\0>{width}"
+    cells = np.frombuffer("".join([format(v, spec) + ", " for v in range(-reach, reach + 1)])
+                          .encode(), dtype=np.uint8).reshape(-1, width + 2)
+    kind = np.zeros(count, dtype=np.uint8)
+    kind[np.cumsum(sizes) - 1] = 1
+    kind[-1] = 2
+    # column offsets: the head, the n - 1 coordinates with their ", ", the
+    # last coordinate and the tail
+    head = len(_POINT_HEAD)
+    last = head + (n - 1) * (width + 2)
+    row = last + width + _POINT_TAILS.shape[1]
+    step = max(1, _BLOCK_ENTRIES // row)
+    # room for every row at full width: the pages the text does not reach
+    # are never touched
+    text = np.empty(2 + count * row, dtype=np.uint8)
+    text[:2] = ord("[")
+    end = 2
+    for start in range(0, count, step):
+        index = points[start:start + step] + reach
+        rows = np.empty((len(index), row), dtype=np.uint8)
+        rows[:, :head] = _POINT_HEAD
+        rows[:, head:last] = cells[index[:, :-1]].reshape(len(index), -1)
+        rows[:, last:last + width] = cells[index[:, -1], :width]
+        rows[:, last + width:] = _POINT_TAILS[kind[start:start + step]]
+        chunk = rows[rows != 0]
+        text[end:end + len(chunk)] = chunk
+        end += len(chunk)
+    return _JsonText(str(text[:end], "ascii"))
 
 
 def _canonical_json(report: dict) -> str:
     """``json.dumps(report, sort_keys=True)``, with ``_JsonText`` values
-    written as they stand."""
+    written as they stand and joined once, since they can be large."""
     if not any(isinstance(v, _JsonText) for v in report.values()):
         return json.dumps(report, sort_keys=True)
-    return "{" + ", ".join(
-        f"{json.dumps(k)}: {v if isinstance(v, _JsonText) else json.dumps(v, sort_keys=True)}"
-        for k, v in sorted(report.items())) + "}"
+    parts = ["{"]
+    for k, v in sorted(report.items()):
+        parts += [json.dumps(k), ": ",
+                  v.text if isinstance(v, _JsonText) else json.dumps(v, sort_keys=True), ", "]
+    parts[-1] = "}"
+    return "".join(parts)
 
 
 def cmd_selftest(_args) -> tuple[int, dict]:

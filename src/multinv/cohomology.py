@@ -509,7 +509,9 @@ def _elementary_abelian_sylow(G: MatGroup, p: int, depth: int) -> "_SylowInvaria
     this one is not taken, and is not a p-group (where N_G(P) = P acts
     trivially), it is checked first before G's table is built, with the
     rank log_p |G|_p that an elementary abelian P has and one acting
-    generator.
+    generator.  Past ``MAX_RESOLUTION_ORDER``, an element whose p-part has
+    order above p is then looked for, also before the table: when there is
+    one, P is not elementary abelian and None is returned at once.
     """
     q = _p_part(G.order, p)
     if q < G.order and G.order > MAX_RESOLUTION_ORDER:
@@ -520,6 +522,23 @@ def _elementary_abelian_sylow(G: MatGroup, p: int, depth: int) -> "_SylowInvaria
                 f"{MAX_RESOLUTION_ORDER}, and degree {past[0]} of H^*(P, F_{p}) for an "
                 f"elementary abelian P of order {q} ranks at least {past[1]} entries, "
                 f"past the resolution entry bound {MAX_RESOLUTION_ENTRIES}")
+    if G.order > MAX_RESOLUTION_ORDER:
+        # before the table: an element g with g^e != 1 for e = p |G| / q has
+        # a p-part of order above p, so P is not elementary abelian.  Powers
+        # are taken by squaring in uint64 blocks, modulo 2^64: reduction is
+        # a ring map, so a power != 1 modulo 2^64 is != 1 over Z
+        mats = (G.elements % 2**64).astype(np.uint64)
+        identity = np.eye(G.n, dtype=np.uint64)
+        step = max(1, _BLOCK_ENTRIES // G.n ** 2)
+        for start in range(0, G.order, step):
+            base, power, e = mats[start:start + step], identity, p * G.order // q
+            while e:
+                if e & 1:
+                    power = power @ base
+                e >>= 1
+                base = base @ base
+            if (power != identity).any():
+                return None
     members = G.indices_of_subgroup(sylow(G, p))
     orders = G.element_orders()
     if any(orders[i] not in (1, p) for i in members):

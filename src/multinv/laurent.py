@@ -42,15 +42,18 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return s[_run_starts(s)]
 
 
-def box_orbits(G: MatGroup, B: int) -> tuple[list[list[list[int]]], int]:
+def box_orbits(G: MatGroup, B: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The G-orbits of the exponent box { a : |a|_inf <= B }.
 
-    Returns the orbits, each as its sorted support (exponent vectors as
-    lists, points outside the box included), in the order of their first box
-    point in ``itertools.product`` order, and the number of orbits recounted
-    by averaging fixed points.  A negative radius raises ValueError, and a box
-    of more than ``MAX_BOX_POINTS`` points raises BoundExceededError before
-    anything is allocated.
+    Returns ``(points, sizes, burnside)``.  ``points`` is the (P, n) int64
+    array of every orbit's sorted support (points outside the box included),
+    one orbit after another, the orbits in the order of their first box
+    point in ``itertools.product`` order; ``sizes`` holds the support sizes,
+    so ``np.split(points, np.cumsum(sizes)[:-1])`` lists the orbits; and
+    ``burnside`` is the number of orbits recounted by averaging fixed
+    points.  A negative radius raises ValueError, and a box of more than
+    ``MAX_BOX_POINTS`` points raises BoundExceededError before anything is
+    allocated.
 
     The largest coordinate of an image of the box is M = B * max_{g,i}
     |row_i(g)|_1; it must not exceed the norm guard ``MAX_ORBIT_SPREAD`` * B.
@@ -72,7 +75,7 @@ def box_orbits(G: MatGroup, B: int) -> tuple[list[list[list[int]]], int]:
         raise BoundExceededError(f"the box of {size} points exceeds the box bound "
                                  f"{MAX_BOX_POINTS}")
     if B == 0:
-        return [[[0] * n]], 1
+        return np.zeros((1, n), dtype=np.int64), np.ones(1, dtype=np.int64), 1
     guard = MAX_ORBIT_SPREAD * B
     row_norms = np.abs(mats).sum(axis=2).ravel().tolist()
     reach = B * max(row_norms)
@@ -92,14 +95,30 @@ def box_orbits(G: MatGroup, B: int) -> tuple[list[list[list[int]]], int]:
         return points @ weights.T + offset
 
     def decode(keys):
-        return keys[:, None] // place % base - reach
+        points = keys[:, None] // place
+        np.remainder(points, base, out=points)
+        points -= reach
+        return points
 
-    box = np.indices((2 * B + 1,) * n).reshape(n, -1).T - B
+    # the box in the narrowest integer type that holds its coordinates
+    box = np.indices((2 * B + 1,) * n, dtype=np.min_scalar_type(-2 * B - 1)).reshape(n, -1).T - B
     least, seen = [], []
     for start in range(0, len(box), step):
         keys = keys_of(box[start:start + step])
         least.append(keys.min(axis=1))
         seen.append(_distinct(keys))
+    # recount: fixed points of every element on every visited point, first,
+    # so that the visited keys are freed before the orbits are listed
+    visited = _distinct(np.concatenate(seen))
+    del seen
+    fixed_total = 0
+    for start in range(0, len(visited), step):
+        block = visited[start:start + step]
+        fixed_total += int((keys_of(decode(block)) == block[:, None]).sum())
+    del visited
+    assert fixed_total % G.order == 0
+    burnside = fixed_total // G.order
+
     # an orbit is named by its least key and listed at its first box point
     least = np.concatenate(least)
     order = np.argsort(least, kind="stable")
@@ -107,22 +126,10 @@ def box_orbits(G: MatGroup, B: int) -> tuple[list[list[list[int]]], int]:
     supports = np.sort(keys_of(box[firsts]), axis=1, kind="stable")
     new = np.ones(supports.shape, dtype=bool)
     np.not_equal(supports[:, 1:], supports[:, :-1], out=new[:, 1:])
-    points = decode(supports[new]).tolist()
-    orbits, start = [], 0
-    for size in new.sum(axis=1).tolist():
-        orbits.append(points[start:start + size])
-        start += size
-
-    # recount: fixed points of every element on every visited point
-    visited = _distinct(np.concatenate(seen))
-    fixed_total = 0
-    for start in range(0, len(visited), step):
-        block = visited[start:start + step]
-        fixed_total += int((keys_of(decode(block)) == block[:, None]).sum())
-    assert fixed_total % G.order == 0
-    burnside = fixed_total // G.order
-    assert len(orbits) == burnside, (len(orbits), burnside)
-    return orbits, burnside
+    points = decode(supports[new])
+    sizes = new.sum(axis=1)
+    assert len(sizes) == burnside, (len(sizes), burnside)
+    return points, sizes, burnside
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +161,9 @@ class BallDecomposition:
 
 
 def _orbits_within(G: MatGroup, radius: int) -> list[list[tuple[int, ...]]]:
-    orbits, _ = box_orbits(G, radius)
-    return [[tuple(q) for q in orbit] for orbit in orbits
-            if all(abs(x) <= radius for q in orbit for x in q)]
+    points, sizes, _ = box_orbits(G, radius)
+    return [list(map(tuple, orbit.tolist())) for orbit in np.split(points, np.cumsum(sizes)[:-1])
+            if np.abs(orbit).max() <= radius]
 
 
 def check_g1_decomposition(p: int, B: int) -> BallDecomposition:

@@ -144,9 +144,9 @@ def _burnside_double_count():
         if G.n > 4:
             continue
         for B in (0, 1, 2):
-            orbits, burn = box_orbits(G, B)
-            if len(orbits) != burn:
-                return False, f"{name} B={B}: orbit count {len(orbits)} != averaged count {burn}"
+            _, sizes, burn = box_orbits(G, B)
+            if len(sizes) != burn:
+                return False, f"{name} B={B}: orbit count {len(sizes)} != averaged count {burn}"
             checked += 1
     return True, f"{checked} (group, ball) pairs agree"
 

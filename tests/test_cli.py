@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import io
+import itertools
 import json
 import sys
 import warnings
@@ -14,10 +15,10 @@ import multinv.matgroup
 from multinv.cli import main, parse_jobspec
 from multinv.cohomology import mu_p
 from multinv.corpus import corpus_entry, corpus_names
-from multinv.errors import MAX_RESOLUTION_ORDER
-from multinv.laurent import box_orbits
+from multinv.errors import MAX_ORBIT_SPREAD, MAX_RESOLUTION_ORDER
 from multinv.matgroup import generate, subgroup_conjugacy_classes, subgroups
 from test_action import W_F4_GENERATORS
+from test_laurent import INVOLUTIONS, _off_diagonal, _orbit_lists, _reference_orbits
 from test_limits import B4_GENERATORS
 
 INV3 = {"n": 3, "p": 2, "generators": [[[-1, 0, 0], [0, -1, 0], [0, 0, -1]]]}
@@ -259,7 +260,7 @@ def test_invariants_text_is_canonical_json(capsys, n):
         assert code == 0
         report = json.loads(out)
         assert out.strip() == json.dumps(report, sort_keys=True)
-        orbits, _ = box_orbits(G, ball)
+        orbits, _ = _orbit_lists(G, ball)
         assert report["orbit_sums"] == [[{"exponents": e, "coeff": 1} for e in orbit]
                                         for orbit in orbits]
         assert len(orbits) == report["dim"]
@@ -267,6 +268,87 @@ def test_invariants_text_is_canonical_json(capsys, n):
                                  "--ball", str(ball), "--human")
         assert code == 0
         assert f"\n{report['dim']} orbit sums" in human
+
+
+def _invariants_text(G, p, ball, orbits, dim) -> str:
+    """``json.dumps(report, sort_keys=True)`` for the ``invariants`` report
+    whose ``dim`` orbit sums are those of ``orbits`` in dict form, one orbit
+    dumped at a time, so that a large report is never held as Python
+    objects."""
+    report = {"ball": ball, "burnside": dim, "command": "invariants",
+              "dim": dim, "group_order": G.order, "orbit_sums": [], "p": p}
+    head, tail = json.dumps(report, sort_keys=True).split('"orbit_sums": []')
+    dump = json.JSONEncoder(sort_keys=True).encode
+    sums = ", ".join(dump([{"coeff": 1, "exponents": e} for e in orbit]) for orbit in orbits)
+    return f'{head}"orbit_sums": [{sums}]{tail}'
+
+
+def _text_difference(out: str, expected: str) -> str | None:
+    """None when the texts agree, else their first difference in context:
+    pytest's own diff of texts of many MB would take minutes."""
+    if out == expected:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(out, expected)) if a != b),
+              min(len(out), len(expected)))
+    return f"at {at}: {out[at - 40:at + 40]!r} != {expected[at - 40:at + 40]!r}"
+
+
+def _run_invariants(tmp_path, capsys, gens, ball) -> tuple[object, str]:
+    """The group of ``gens`` and the text ``invariants --ball`` writes for it."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"n": len(gens[0]), "p": 2, "generators": gens}))
+    code, out, _ = run_cli(capsys, "invariants", "--input", str(path), "--ball", str(ball))
+    assert code == 0
+    return generate(gens), out.strip()
+
+
+# (generators, ball) of the orbit-sums writer cases, compared with the reference orbits
+WRITER_CASES = {
+    # a row of norm MAX_ORBIT_SPREAD at ball 2: coordinates -16..16
+    "two-digit": (_off_diagonal(INVOLUTIONS[0], MAX_ORBIT_SPREAD - 1), 2),
+    "rank-1": ([[[-1]]], 3),
+    "rank-40-ball-0": ([[[-int(i == j) for j in range(40)] for i in range(40)]], 0),
+    # the box of ball 0 is one orbit, here of a group on Z^3
+    "one-orbit": (corpus_entry("g1").generators, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_orbit_sums_writer(tmp_path, capsys, case):
+    gens, ball = WRITER_CASES[case]
+    G, out = _run_invariants(tmp_path, capsys, gens, ball)
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True)
+    orbits, burnside = _reference_orbits(G, ball)
+    assert report["orbit_sums"] == [[{"coeff": 1, "exponents": e} for e in orbit]
+                                    for orbit in orbits]
+    assert (report["dim"], report["burnside"]) == (len(orbits), burnside)
+    if case == "two-digit":
+        assert max(abs(x) for orbit in orbits for e in orbit for x in e) == 16
+
+
+def test_orbit_sums_writer_in_blocks(tmp_path, capsys, monkeypatch):
+    # blocks of 64 bytes hold one row each: every point is its own block
+    monkeypatch.setattr(multinv.cli, "_BLOCK_ENTRIES", 64)
+    for gens, ball in [WRITER_CASES["two-digit"], (corpus_entry("s4").generators, 2)]:
+        G, out = _run_invariants(tmp_path, capsys, gens, ball)
+        orbits, burnside = _reference_orbits(G, ball)
+        assert _text_difference(out, _invariants_text(G, 2, ball, orbits, burnside)) is None
+
+
+def test_orbit_sums_writer_at_rank_12(tmp_path, capsys):
+    # the largest key base of test_box_orbits_keys_stay_in_int64: a row of
+    # norm MAX_ORBIT_SPREAD at ball 1 in rank 12, 3^12 points and 62 MB of
+    # text; (x, y, z) -> (x + b y, -y, z) moves every box point with y != 0
+    # out of the box, so each box point is its own orbit (the reference
+    # enumeration would take about a minute here)
+    n, b = 12, MAX_ORBIT_SPREAD - 1
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    g[0][1], g[1][1] = b, -1
+    G, out = _run_invariants(tmp_path, capsys, [g], 1)
+    orbits = ([list(e) for e in sorted({pt, (pt[0] + b * pt[1], -pt[1]) + pt[2:]})]
+              for pt in itertools.product((-1, 0, 1), repeat=n))
+    assert _text_difference(out, _invariants_text(G, 2, 1, orbits, 3 ** n)) is None
 
 
 def test_cohomology_builds_one_resolution_per_job(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import multinv.laurent as laurent
@@ -11,8 +12,17 @@ from multinv.matgroup import generate, subgroup_conjugacy_classes, trivial_group
 
 def _orbit_counts(G, B):
     """The orbit count of the box and its averaged recount."""
-    orbits, burnside = box_orbits(G, B)
-    return len(orbits), burnside
+    _, sizes, burnside = box_orbits(G, B)
+    return len(sizes), burnside
+
+
+def _orbit_lists(G, B):
+    """``box_orbits(G, B)`` in the form ``_reference_orbits`` returns: the
+    orbits as lists of exponent lists, and the recount."""
+    points, sizes, burnside = box_orbits(G, B)
+    assert points.dtype == sizes.dtype == np.int64
+    assert points.shape == (sizes.sum(), G.n) and sizes.min() >= 1
+    return [orbit.tolist() for orbit in np.split(points, np.cumsum(sizes)[:-1])], burnside
 
 
 def test_invariant_dim_examples():
@@ -126,8 +136,7 @@ KERNEL_GROUPS["rot6"] = generate(ROT6)
 def test_box_orbits_match_reference(name):
     G = KERNEL_GROUPS[name]
     for B in range(3 if G.n >= 4 else 4):
-        orbits, burnside = box_orbits(G, B)
-        assert (orbits, burnside) == _reference_orbits(G, B), (name, B)
+        assert _orbit_lists(G, B) == _reference_orbits(G, B), (name, B)
 
 
 @pytest.mark.parametrize("gens", INVOLUTIONS)
@@ -136,9 +145,9 @@ def test_box_orbits_norm_guard_trips_at_the_escape(gens):
     # MAX_ORBIT_SPREAD + 1 escapes it
     for B in (1, 2):
         G = generate(_off_diagonal(gens, MAX_ORBIT_SPREAD - 1))
-        orbits, burnside = box_orbits(G, B)
-        assert max(abs(x) for orbit in orbits for q in orbit for x in q) == MAX_ORBIT_SPREAD * B
-        assert (orbits, burnside) == _reference_orbits(G, B)
+        points, _, _ = box_orbits(G, B)
+        assert np.abs(points).max() == MAX_ORBIT_SPREAD * B
+        assert _orbit_lists(G, B) == _reference_orbits(G, B)
         G = generate(_off_diagonal(gens, MAX_ORBIT_SPREAD))
         for impl in (box_orbits, _reference_orbits):
             with pytest.raises(BoundExceededError, match=f"norm guard {MAX_ORBIT_SPREAD * B}"):
@@ -151,7 +160,7 @@ def test_box_orbits_in_blocks(monkeypatch):
     for name in ("s4", "rot4_nonsplit", "B3c32", "rot6"):
         G = KERNEL_GROUPS[name]
         for B in (1, 2):
-            assert box_orbits(G, B) == _reference_orbits(G, B), (name, B)
+            assert _orbit_lists(G, B) == _reference_orbits(G, B), (name, B)
 
 
 def test_box_orbits_keys_stay_in_int64():
@@ -163,7 +172,7 @@ def test_box_orbits_keys_stay_in_int64():
     # the box of ball 0 is the origin alone, whatever the entries: here they
     # pass int64 (rot4 conjugated by the shear [[1, 10^10], [0, 1]])
     huge = generate([[[10**10, -1 - 10**20], [1, -10**10]]])
-    assert box_orbits(huge, 0) == _reference_orbits(huge, 0) == ([[[0, 0]]], 1)
+    assert _orbit_lists(huge, 0) == _reference_orbits(huge, 0) == ([[[0, 0]]], 1)
     # the largest key base: a row of norm MAX_ORBIT_SPREAD at ball 1 in rank
     # 12, the largest whose unit box fits MAX_BOX_POINTS, keys up to 17^12 - 1
     n = 12
@@ -171,7 +180,7 @@ def test_box_orbits_keys_stay_in_int64():
     b = MAX_ORBIT_SPREAD - 1
     g = [[int(i == j) for j in range(n)] for i in range(n)]
     g[0][1], g[1][1] = b, -1
-    orbits, burnside = box_orbits(generate([g]), 1)
+    orbits, burnside = _orbit_lists(generate([g]), 1)
     # (x, y, z) -> (x + b y, -y, z) moves every box point with y != 0 out
     # of the box, so each box point is its own orbit
     assert burnside == len(orbits) == 3 ** n

@@ -325,6 +325,63 @@ def test_the_sylow_route_refuses_a_large_rank_before_the_table(tmp_path, capsys,
     assert capsys.readouterr().err == message + "\n"
 
 
+def _signed_permutations(n):
+    """B_n, the signed permutation matrices of rank n: the transpositions
+    (i, i + 1) and the sign change of coordinate 0."""
+    def swap(i):
+        return [[int(j == (i + 1 if r == i else i if r == i + 1 else r)) for j in range(n)]
+                for r in range(n)]
+    return [swap(i) for i in range(n - 1)] + [_flip(n, 0)]
+
+
+def test_a_sylow_element_of_order_p_squared_refuses_before_the_table(tmp_path, capsys,
+                                                                      monkeypatch):
+    # B5 (order 3840) at p = 2 and depth 6: an elementary abelian P of rank 7
+    # would pass the entry bound (degree 5 has C(11, 5) = 462 monomials), but
+    # the signed transposition (x, y) -> (y, -x) has order 4, so P is not
+    # elementary abelian and the resolution order bound refuses at once
+    assert generate(_signed_permutations(4)) == generate(B4_GENERATORS)
+
+    def refuse(*_):
+        raise AssertionError("the table of a group past the bounds was built")
+
+    monkeypatch.setattr(MatGroup, "mult_table", refuse)
+    path = tmp_path / "b5.json"
+    path.write_text(json.dumps({"n": 5, "p": 2, "generators": _signed_permutations(5)}))
+    start = time.perf_counter()
+    assert main(["cohomology", "--input", str(path), "--depth", "6"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (f"error: group order 3840 exceeds the resolution "
+                                       f"order bound {MAX_RESOLUTION_ORDER}\n")
+
+
+@pytest.mark.parametrize("shear", [10**5, 10**10])
+def test_the_search_for_order_p_squared_past_64_bits(tmp_path, capsys, shear):
+    # S5 (order 120, past the resolution order bound) at p = 3, conjugated
+    # by the shear [[1, s], [0, 1]] in its first two coordinates: its
+    # entries reach s^2, so at s = 10^5 their products pass 2^64 and at
+    # s = 10^10 the entries do.  The search for an element of order p^2,
+    # taken modulo 2^64, finds none, as without the shear, and the table
+    # finds the Sylow subgroup C3
+    n = 5
+    Q = [[int(i == j) + (shear if (i, j) == (0, 1) else 0) for j in range(n)] for i in range(n)]
+    Qinv = [[int(i == j) - (shear if (i, j) == (0, 1) else 0) for j in range(n)] for i in range(n)]
+
+    def times(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    plain = _signed_permutations(n)[:-1]
+    reports = []
+    for gens in (plain, [times(times(Q, g), Qinv) for g in plain]):
+        path = tmp_path / "s5.json"
+        path.write_text(json.dumps({"n": n, "p": 3, "generators": gens}))
+        assert main(["cohomology", "--input", str(path), "--depth", "5"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert max(abs(x) for g in generate(gens).elements for x in g.flat) >= shear**2
+    assert reports[0] == reports[1]
+    assert (reports[0]["route"], reports[0]["group_order"]) == ("sylow-invariants", 120)
+
+
 def test_the_sylow_entry_bound_trips_one_step_past_it(monkeypatch):
     # diag(±1)^3 ⋊ C3 (order 24) at p = 2: one generator of N_G(P) = G acts
     # on P = diag(±1)^3, so degree 4, with C(6, 2) = 15 monomials, stacks
