@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import INFINITY, MuValue, _check_resolution_bounds, has_p_quotient, mu_p
+from .cohomology import INFINITY, MuValue, check_resolution_depth, has_p_quotient, mu_p
 from .errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from .intlinalg import Sublattice, fixed_lattice
 from .matgroup import MatGroup, is_prime, subgroup_conjugacy_classes
@@ -119,9 +119,10 @@ def mu_action(isotropy: IsotropyReport, p: int,
     its exactness and its errors.  A stabilizer of order prime to p adds the
     exact INFINITY; for one of order divisible by p, ``mu_p`` with limit L
     returns its mu exactly when mu <= L, else the inexact marker L + 1.
-    - Errors: the resolution limits are checked on every stabilizer of order
-      divisible by p, in order, before any is searched, so the first one past
-      a limit raises as the full search would.
+    - Errors: the depth limit is checked before any stabilizer is searched,
+      when some order is divisible by p, so it raises as the full search
+      would.  The order limit is met only where ``mu_p`` builds a resolution
+      of a stabilizer, so the shortcuts below answer past it.
     - Shortcut: for L >= 1, a stabilizer with a p-quotient has the exact
       mu = 1, and no contribution is below 1, so the minimum is exact 1.
     - Otherwise stabilizer i is searched to L_i = min(L, b - 1), where b is
@@ -137,8 +138,8 @@ def mu_action(isotropy: IsotropyReport, p: int,
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     dividing = [H for H, _ in isotropy.entries if H.order % p == 0]
-    for H in dividing:
-        _check_resolution_bounds(H.order, search_limit + 1)
+    if dividing:
+        check_resolution_depth(search_limit + 1)
     if search_limit >= 1 and any(has_p_quotient(H, p) for H in dividing):
         return MuValue(1, True)
     best, limit = MuValue(INFINITY, True), search_limit

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .cohomology import INFINITY, MuValue, mu_from_resolution, mu_p, resolution
+from .cohomology import INFINITY, MuValue, check_resolution_order, mu_from_resolution, mu_p, resolution
 from .errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from .intlinalg import fixed_lattice
 from .matgroup import (
@@ -164,10 +164,11 @@ def _rule_r5(ctx: _Context):
 
 
 def _rule_r6(ctx: _Context):
-    """mu of the action is mu_p(G) here, with the same value, exactness,
-    limit checks and messages as ``mu_action`` on G's isotropy report, which
-    takes the minimum of mu_p over the realizable stabilizers of order
-    divisible by p.
+    """mu of the action is mu_p(G) here, with the same value and exactness
+    as ``mu_action`` on G's isotropy report, which takes the minimum of mu_p
+    over the realizable stabilizers of order divisible by p.  The resolution
+    order bound is checked first: ``verify_certificate`` re-reads mu from a
+    plain resolution of G, so R6 refuses where that would.
 
     Lemma: if P acts fixed-point-freely, G = Stab(0) is the only such
     stabilizer.  Suppose H = Stab(x) with x != 0 had p dividing |H|.  Then H
@@ -177,6 +178,7 @@ def _rule_r6(ctx: _Context):
     P = ctx.sylow
     if not is_fixed_point_free(P):
         return None, "Sylow subgroup does not act fixed-point-freely"
+    check_resolution_order(ctx.G.order, ctx.p)
     mu = mu_p(ctx.G, ctx.p, ctx.opts.mu_search_limit)
     if not mu.exact:
         ctx.notes.append(

@@ -30,7 +30,7 @@ import numpy as np
 
 from .action import isotropy_subgroups, mu_action
 from .classify import ClassifyOptions, classify
-from .cohomology import _check_resolution_bounds, cohomology_table
+from .cohomology import check_resolution_order, cohomology_table
 from .corpus import corpus_entry, corpus_names
 from .errors import (
     MAX_BOX_RADIUS,
@@ -40,7 +40,8 @@ from .errors import (
     BoundExceededError,
     NonUnimodularError,
 )
-from .laurent import _BLOCK_ENTRIES, box_orbits
+from .fparith import _BLOCK_ENTRIES
+from .laurent import box_orbits
 from .matgroup import (
     MatGroup,
     _check_subgroup_bound,
@@ -163,11 +164,9 @@ def cmd_classify(args) -> tuple[int, dict]:
 
 def cmd_analyze(args) -> tuple[int, dict]:
     G, p, options = _load_job(args)
-    # refuse before any work: the classes need the subgroup lattice, and G is
-    # the stabilizer of 0, so mu_action resolves G itself when p divides |G|
+    # refuse before any work, ahead of the subgroup lattice the classes need
     _check_subgroup_bound(G.order)
-    if G.order % p == 0:
-        _check_resolution_bounds(G.order, options["cohomology_depth"])
+    check_resolution_order(G.order, p)
     primes = sorted({q for q in range(2, G.order + 1) if is_prime(q) and G.order % q == 0})
     sylows = {}
     for q in primes:

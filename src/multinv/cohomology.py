@@ -22,8 +22,9 @@ first of two routes that applies:
   p = 3, S5 and B5 (3840) at p = 3 and 5, S7 (5040) at p = 3, 5 and 7, and
   W(F4) (1152) at p = 3, which it refused before this route.
 - "resolution" otherwise, p not dividing |G| included: the resolution
-  below, under all three resolution bounds.  The report keys are
-  ``route``, ``free_ranks`` and ``resolved_order``.
+  below, under the depth and entry bounds, and under the order bound when
+  p divides |G|.  The report keys are ``route``, ``free_ranks`` and
+  ``resolved_order``.
 
 F_p is resolved over F_p[G/K], where K = O_p'(G) is the largest normal
 subgroup of order prime to p (``p_prime_core``).  H^r(K, F_p) = 0 for
@@ -79,8 +80,9 @@ closed form of ``mu_p_formula`` (Swan), again with no resolution.  When P
 is elementary abelian, the Sylow invariants are read degree by degree up
 to the first nonzero one.  Otherwise the resolution is extended one degree
 at a time (``FpResolution.extend``, the step ``resolution`` repeats) until
-the first nonzero H^r.  The order and depth limits are checked before any
-route, so they trip as for a full search.
+the first nonzero H^r.  The depth limit is checked before any route, so it
+trips as for a full search; the order limit only by ``FpResolution``,
+before it reads G's table, so it applies where a resolution runs.
 """
 
 from __future__ import annotations
@@ -133,15 +135,16 @@ def _check_group(group) -> None:
         raise TypeError("expected a MatGroup")
 
 
-def _check_resolution_bounds(order: int, depth: int) -> None:
-    """Refuse a resolution past ``MAX_RESOLUTION_ORDER`` or ``MAX_RESOLUTION_DEPTH``."""
-    if order > MAX_RESOLUTION_ORDER:
+def check_resolution_order(order: int, p: int) -> None:
+    """Refuse to resolve G when p divides |G| = ``order`` past
+    ``MAX_RESOLUTION_ORDER``: |G| is the order of the table ``FpResolution``
+    reads to find O_p'(G), which is G, with no table, when p does not."""
+    if order % p == 0 and order > MAX_RESOLUTION_ORDER:
         raise BoundExceededError(f"group order {order} exceeds the resolution "
                                  f"order bound {MAX_RESOLUTION_ORDER}")
-    _check_depth_bound(depth)
 
 
-def _check_depth_bound(depth: int) -> None:
+def check_resolution_depth(depth: int) -> None:
     if depth > MAX_RESOLUTION_DEPTH:
         raise BoundExceededError(f"depth {depth} exceeds the resolution bound {MAX_RESOLUTION_DEPTH}")
 
@@ -172,23 +175,27 @@ class FpResolution:
     def __init__(self, p: int, G: MatGroup):
         self.p = p
         self.group_order = G.order
+        check_resolution_order(G.order, p)
         core = p_prime_core(G, p)
-        _check_core(G, p, core)
-        # number the cosets gK in the canonical order of their first elements
-        table = G.mult_table()
-        labels = [-1] * G.order
-        reps: list[int] = []
-        for g in range(G.order):
-            if labels[g] < 0:
-                for k in core:
-                    labels[table[g][k]] = len(reps)
-                reps.append(g)
-        self.resolved_order = len(reps)
-        labels = np.array(labels, dtype=np.intp)
-        self._perms = labels[np.array(table, dtype=np.intp)[np.ix_(reps, reps)]]
+        if len(core) == G.order and G.order % p:  # K = G: one coset, and no table
+            self._perms, picks = np.zeros((1, 1), dtype=np.intp), {}
+        else:
+            _check_core(G, p, core)
+            # number the cosets gK in the canonical order of their first elements
+            table = G.mult_table()
+            labels = [-1] * G.order
+            reps: list[int] = []
+            for g in range(G.order):
+                if labels[g] < 0:
+                    for k in core:
+                        labels[table[g][k]] = len(reps)
+                    reps.append(g)
+            labels = np.array(labels, dtype=np.intp)
+            self._perms = labels[np.array(table, dtype=np.intp)[np.ix_(reps, reps)]]
+            picks = dict.fromkeys(labels[list(G.small_generating_indices())].tolist())
+            picks.pop(int(labels[G.identity_index]), None)
+        self.resolved_order = len(self._perms)
         self._inverse_perms = np.argsort(self._perms, axis=1)
-        picks = dict.fromkeys(labels[list(G.small_generating_indices())].tolist())
-        picks.pop(int(labels[G.identity_index]), None)
         self._gen_perms = self._perms[list(picks)]
         self.ranks = [1]
         self.generator_images: list[np.ndarray] = []
@@ -264,11 +271,11 @@ class FpResolution:
         return rank
 
     def cohomology_dim(self, r: int) -> int:
-        """dim H^r(G, F_p); requires depth >= r + 1."""
+        """dim H^r(G, F_p), extending the resolution to depth r + 1 if needed."""
         if r < 0:
             raise ValueError("negative degree")
-        if self.depth < r + 1:
-            raise ValueError(f"resolution depth {self.depth} too shallow for H^{r}")
+        while self.depth <= r:
+            self.extend()
         rk_in = self.augmented_rank(r) if r >= 1 else 0
         return self.ranks[r] - self.augmented_rank(r + 1) - rk_in
 
@@ -343,11 +350,12 @@ def _module_generators(kernel_rows: np.ndarray, free: np.ndarray, perms: np.ndar
 
 def resolution(group: MatGroup, p: int, depth: int) -> FpResolution:
     """Free resolution of F_p over F_p[G/O_p'(G)], truncated at ``depth``.
-    The order bound is on |G|, checked before the p'-core is sought."""
+    The order bound is checked by ``FpResolution``, before the p'-core is
+    sought."""
     _check_group(group)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    _check_resolution_bounds(group.order, depth)
+    check_resolution_depth(depth)
     res = FpResolution(p, group)
     for _ in range(depth):
         res.extend()
@@ -356,8 +364,7 @@ def resolution(group: MatGroup, p: int, depth: int) -> FpResolution:
 
 def h_dim(group: MatGroup, p: int, r: int) -> int:
     """dim_{F_p} H^r(G, F_p)."""
-    res = resolution(group, p, r + 1)
-    return res.cohomology_dim(r)
+    return resolution(group, p, r + 1).cohomology_dim(r)
 
 
 def has_p_quotient(group: MatGroup, p: int) -> bool:
@@ -368,32 +375,31 @@ def has_p_quotient(group: MatGroup, p: int) -> bool:
 def mu_p(group: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1) -> MuValue:
     """inf { r > 0 : H^r(G, F_p) != 0 }, searched up to ``search_limit``.
 
-    Equal to ``mu_from_resolution(resolution(G, p, search_limit + 1))``, and
-    the same order and depth limits trip, but it stops at the answer: 1 with
-    no resolution when G has a p-quotient; else, when the Sylow p-subgroup is
-    cyclic, the closed form ``mu_p_formula``, exact when it is at most
-    ``search_limit`` and the inexact marker ``search_limit + 1`` otherwise;
-    else, when it is elementary abelian, the first nonzero degree of its
-    N_G(P)-invariants; else the first degree with nonzero cohomology as the
-    resolution is extended.  When p does not divide |G| no resolution is built and no limit
-    applies.
+    Equal to ``mu_from_resolution(resolution(G, p, search_limit + 1))``
+    wherever that answers, but it stops at the answer: 1 when G has a
+    p-quotient; else, when the Sylow p-subgroup is cyclic, the closed form
+    ``mu_p_formula``, exact when it is at most ``search_limit`` and the
+    inexact marker ``search_limit + 1`` otherwise; else the first nonzero
+    degree on the route of ``cohomology_table``; below limit 1 the marker.
+    The depth bound is checked first, as for a full search; the order bound
+    only where a resolution is built.  When p does not divide |G| nothing is
+    built and no limit applies.
     """
     _check_group(group)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if group.order % p != 0:
         return MuValue(INFINITY, True)
-    _check_resolution_bounds(group.order, search_limit + 1)
-    if search_limit >= 1 and has_p_quotient(group, p):
-        return MuValue(1, True)
+    check_resolution_depth(search_limit + 1)
     marker = max(search_limit + 1, 0)
+    if marker <= 1:  # no degree is searched
+        return MuValue(marker, False)
+    if has_p_quotient(group, p):
+        return MuValue(1, True)
     if _has_cyclic_sylow(group, p):
         mu = mu_p_formula(group, p)
         return MuValue(mu, True) if mu < marker else MuValue(marker, False)
-    action = _elementary_abelian_sylow(group, p, marker)
-    if action is not None:
-        return _first_nonzero(map(action.dim, range(1, marker)), marker)
-    return _first_nonzero_degree(FpResolution(p, group), marker)
+    return _first_nonzero(map(_route(group, p, marker).cohomology_dim, range(1, marker)), marker)
 
 
 def mu_from_resolution(res: FpResolution) -> MuValue:
@@ -405,18 +411,7 @@ def mu_from_resolution(res: FpResolution) -> MuValue:
     """
     if res.group_order % res.p != 0:
         return MuValue(INFINITY, True)
-    return _first_nonzero_degree(res, res.depth)
-
-
-def _first_nonzero_degree(res: FpResolution, depth: int) -> MuValue:
-    """The least r in 1..depth-1 with H^r != 0, extending ``res`` one degree
-    at a time as far as it needs; the inexact marker ``depth`` if none."""
-    def dim(r: int) -> int:
-        while res.depth <= r:
-            res.extend()
-        return res.cohomology_dim(r)
-
-    return _first_nonzero(map(dim, range(1, depth)), depth)
+    return _first_nonzero(map(res.cohomology_dim, range(1, res.depth)), res.depth)
 
 
 def _first_nonzero(dims, marker: int) -> MuValue:
@@ -466,29 +461,37 @@ class CohomologyTable:
 
 def cohomology_table(group: MatGroup, p: int, depth: int) -> CohomologyTable:
     """dim H^r(G, F_p) for r < ``depth``, and mu_p searched in degrees
-    1..depth-1, by the first route that applies:
-    - "sylow-invariants", when p divides |G| and the Sylow p-subgroup P is
-      elementary abelian: the N_G(P)-invariants of H^*(P, F_p), with the
-      details {"sylow_order": |P|};
-    - "resolution" otherwise: ``resolution(G, p, depth)``, with the details
+    1..depth-1, on the route ``_route`` takes:
+    - "sylow-invariants", with the details {"sylow_order": |P|};
+    - "resolution", a resolution of depth ``depth``, with the details
       {"free_ranks", "resolved_order"}.
     The depth bound holds on both routes and the entry bound on each in its
-    own count; the order bound only on the resolution route.
+    own count; the order bound only where ``FpResolution`` reads G's table,
+    so not when p does not divide |G|.
     """
     _check_group(group)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    _check_depth_bound(depth)
-    if group.order % p == 0:
-        action = _elementary_abelian_sylow(group, p, depth)
+    check_resolution_depth(depth)
+    source = _route(group, p, depth)
+    dims = tuple(map(source.cohomology_dim, range(depth)))
+    mu = MuValue(INFINITY, True) if group.order % p else _first_nonzero(dims[1:], depth)
+    if isinstance(source, FpResolution):
+        return CohomologyTable("resolution", dims, mu, {"free_ranks": list(source.ranks),
+                                                        "resolved_order": source.resolved_order})
+    return CohomologyTable("sylow-invariants", dims, mu, {"sylow_order": p ** source.rank})
+
+
+def _route(G: MatGroup, p: int, depth: int) -> "_SylowInvariants | FpResolution":
+    """What gives dim H^r(G, F_p) for r < ``depth`` on demand, by its
+    ``cohomology_dim(r)``: the N_G(P)-invariants of H^*(P, F_p) when p
+    divides |G| and the Sylow p-subgroup P is elementary abelian, else a
+    resolution over F_p[G/O_p'(G)], extended as far as a degree needs."""
+    if G.order % p == 0:
+        action = _elementary_abelian_sylow(G, p, depth)
         if action is not None:
-            dims = tuple(map(action.dim, range(depth)))
-            return CohomologyTable("sylow-invariants", dims, _first_nonzero(dims[1:], depth),
-                                   {"sylow_order": p ** action.rank})
-    res = resolution(group, p, depth)
-    dims = tuple(res.cohomology_dim(r) for r in range(depth))
-    return CohomologyTable("resolution", dims, mu_from_resolution(res),
-                           {"free_ranks": list(res.ranks), "resolved_order": res.resolved_order})
+            return action
+    return FpResolution(p, G)
 
 
 def _elementary_abelian_sylow(G: MatGroup, p: int, depth: int) -> "_SylowInvariants | None":
@@ -505,28 +508,27 @@ def _elementary_abelian_sylow(G: MatGroup, p: int, depth: int) -> "_SylowInvaria
 
     The entry bound is checked for every degree below ``depth`` before any
     matrix is built, with the true rank and count of acting generators.
-    When G is past ``MAX_RESOLUTION_ORDER``, so that no route is left if
-    this one is not taken, and is not a p-group (where N_G(P) = P acts
-    trivially), it is checked first before G's table is built, with the
-    rank log_p |G|_p that an elementary abelian P has and one acting
-    generator.  Past ``MAX_RESOLUTION_ORDER``, an element whose p-part has
-    order above p is then looked for, also before the table: when there is
-    one, P is not elementary abelian and None is returned at once.
+    When ``check_resolution_order`` refuses G, no route is left if this one
+    is not taken, so two looks come before G's table.  Unless G is a p-group
+    (where N_G(P) = P acts trivially), the entry bound is checked with the
+    rank log_p |G|_p of an elementary abelian P and one acting generator.
+    Then an element whose p-part has order above p is sought: if one is
+    found, P is not elementary abelian and None is returned at once.
     """
     q = _p_part(G.order, p)
-    if q < G.order and G.order > MAX_RESOLUTION_ORDER:
-        past = _entries_past_bound(p, round(math.log(q, p)), 1, depth)
+    try:
+        check_resolution_order(G.order, p)
+    except BoundExceededError as refusal:
+        past = _entries_past_bound(p, round(math.log(q, p)), 1, depth) if q < G.order else None
         if past is not None:
             raise BoundExceededError(
-                f"group order {G.order} exceeds the resolution order bound "
-                f"{MAX_RESOLUTION_ORDER}, and degree {past[0]} of H^*(P, F_{p}) for an "
+                f"{refusal}, and degree {past[0]} of H^*(P, F_{p}) for an "
                 f"elementary abelian P of order {q} ranks at least {past[1]} entries, "
-                f"past the resolution entry bound {MAX_RESOLUTION_ENTRIES}")
-    if G.order > MAX_RESOLUTION_ORDER:
-        # before the table: an element g with g^e != 1 for e = p |G| / q has
-        # a p-part of order above p, so P is not elementary abelian.  Powers
-        # are taken by squaring in uint64 blocks, modulo 2^64: reduction is
-        # a ring map, so a power != 1 modulo 2^64 is != 1 over Z
+                f"past the resolution entry bound {MAX_RESOLUTION_ENTRIES}") from None
+        # an element g with g^e != 1 for e = p |G| / q has a p-part of order
+        # above p, so P is not elementary abelian.  Powers are taken by
+        # squaring in uint64 blocks, modulo 2^64: reduction is a ring map, so
+        # a power != 1 modulo 2^64 is != 1 over Z
         mats = (G.elements % 2**64).astype(np.uint64)
         identity = np.eye(G.n, dtype=np.uint64)
         step = max(1, _BLOCK_ENTRIES // G.n ** 2)
@@ -617,7 +619,7 @@ class _SylowInvariants:
         # (exterior, degree) -> the power of each matrix, built on first use
         self._powers: dict[tuple[bool, int], list[np.ndarray]] = {}
 
-    def dim(self, r: int) -> int:
+    def cohomology_dim(self, r: int) -> int:
         total = 0
         for i, j in _blocks(self.p, self.rank, r):
             size = math.comb(self.rank, i) * math.comb(j + self.rank - 1, j)

@@ -18,13 +18,8 @@ import numpy as np
 
 from .errors import MAX_BOX_POINTS, MAX_ORBIT_SPREAD, BoundExceededError
 from .corpus import corpus_group
-from .fparith import nullspace_fp, rank_fp
+from .fparith import _BLOCK_ENTRIES, nullspace_fp, rank_fp
 from .matgroup import MatGroup
-
-
-# entries of one block of the key matrix, which is never held whole: its
-# temporaries stay at a few MB however large the box and the group
-_BLOCK_ENTRIES = 1 << 18
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -89,7 +84,7 @@ def box_orbits(G: MatGroup, B: int) -> tuple[np.ndarray, np.ndarray, int]:
     place = np.array([base ** (n - 1 - i) for i in range(n)], dtype=np.int64)
     offset = reach * int(place.sum())
     weights = place @ mats.astype(np.int64)   # key(g x) = weights[g] . x + offset
-    step = max(1, _BLOCK_ENTRIES // G.order)
+    step = max(1, _BLOCK_ENTRIES // G.order)  # the key matrix is never held whole
 
     def keys_of(points):
         return points @ weights.T + offset

@@ -352,14 +352,14 @@ def test_orbit_sums_writer_at_rank_12(tmp_path, capsys):
 
 
 def test_cohomology_builds_one_resolution_per_job(capsys, monkeypatch):
-    calls, routes = [], set()
-    real = multinv.cohomology.resolution
+    built, routes = [], set()
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return real(*args, **kwargs)
+    class Counted(multinv.cohomology.FpResolution):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
 
-    monkeypatch.setattr(multinv.cohomology, "resolution", counted)
+    monkeypatch.setattr(multinv.cohomology, "FpResolution", Counted)
     for name in corpus_names():
         entry = corpus_entry(name)
         G = entry.group()
@@ -368,14 +368,14 @@ def test_cohomology_builds_one_resolution_per_job(capsys, monkeypatch):
                    "generators": [[list(row) for row in g] for g in entry.generators]}
             for depth in range(1, 7):
                 monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
-                calls.clear()
+                built.clear()
                 code, out, _ = run_cli(capsys, "cohomology", "--input", "-",
                                        "--depth", str(depth))
                 assert code == 0
                 report = json.loads(out)
                 routes.add(report["route"])
                 resolved = [depth] if report["route"] == "resolution" else []
-                assert calls == resolved, (name, p, depth)
+                assert [res.depth for res in built] == resolved, (name, p, depth)
                 mu = mu_p(G, p, depth - 1)
                 value = "infinity" if mu.is_infinite else mu.value
                 assert report["mu_p"] == {"value": value, "exact": mu.exact}

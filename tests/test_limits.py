@@ -198,7 +198,8 @@ def test_a_tripped_limit_makes_the_rule_inapplicable(tmp_path, capsys):
 
 
 def test_analyze_refuses_its_order_bounds_before_any_work(tmp_path, capsys, monkeypatch):
-    # G is the stabilizer of 0, so mu_action would refuse it at the end
+    # the resolution order bound at a p dividing |G| refuses before the
+    # subgroup lattice, as the subgroup bounds do
     def refuse(*_):
         raise AssertionError("analyze worked on a group past its bounds")
 
@@ -399,3 +400,44 @@ def test_the_sylow_entry_bound_trips_one_step_past_it(monkeypatch):
         cohomology.cohomology_table(G, 2, 5)
     # four degrees stay below the bound
     assert cohomology.cohomology_table(G, 2, 4).dims == (1, 1, 2, 4)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_cohomology_at_a_prime_not_dividing_the_order_reads_no_table(tmp_path, capsys,
+                                                                      monkeypatch, p):
+    # B5 (order 3840 = 2^8 * 3 * 5) at p = 7 and 11: O_p'(B5) = B5, so F_p is
+    # resolved over the trivial quotient, past the order bound and with no table
+    def refuse(*_):
+        raise AssertionError("the table of B5 was built")
+
+    monkeypatch.setattr(MatGroup, "mult_table", refuse)
+    path = tmp_path / "b5.json"
+    path.write_text(json.dumps({"n": 5, "p": p, "generators": _signed_permutations(5)}))
+    start = time.perf_counter()
+    assert main(["cohomology", "--input", str(path), "--depth", "10"]) == 0
+    assert time.perf_counter() - start < 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["group_order"] == 3840
+    assert report["dims"] == [1] + [0] * 9
+    assert report["free_ranks"] == [1] + [0] * 10
+    assert report["resolved_order"] == 1
+    assert report["mu_p"] == {"exact": True, "value": "infinity"}
+
+
+def test_every_order_refusal_reads_the_one_bound(tmp_path, capsys, monkeypatch):
+    # with the bound lowered to 23, SL(2, 3) (order 24) at p = 2 is refused
+    # with the same text by each command and call that refuses past it
+    monkeypatch.setattr(cohomology, "MAX_RESOLUTION_ORDER", 23)
+    message = "group order 24 exceeds the resolution order bound 23"
+    G = generate(SL23_GENERATORS)
+    for call in (lambda: resolution(G, 2, 1), lambda: cohomology.mu_p(G, 2)):
+        with pytest.raises(BoundExceededError, match=f"^{message}$"):
+            call()
+    path = tmp_path / "sl23.json"
+    path.write_text(json.dumps({"n": 4, "p": 2, "generators": SL23_GENERATORS}))
+    for argv in (["cohomology", "--depth", "4"], ["analyze"]):
+        assert main(argv + ["--input", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["classify", "--audit", "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert f"R6 skipped: bound exceeded: {message}" in report["notes"]

@@ -1,14 +1,17 @@
 """``mu_p`` and ``mu_action`` stop at their answer; the full-resolution
 search they replace is kept here as the reference."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
-from multinv.action import isotropy_subgroups, mu_action
+from multinv import cohomology
+from multinv.action import IsotropyReport, isotropy_subgroups, mu_action, stabilizer
 from multinv.cohomology import (
     INFINITY,
     FpResolution,
     MuValue,
-    _first_nonzero_degree,
+    cohomology_table,
     has_p_quotient,
     mu_p,
     resolution,
@@ -25,7 +28,7 @@ from multinv.matgroup import (
 )
 from test_action import B3_GENERATORS, CENSUS_MAXIMAL
 from test_classify import QUAT_I, QUAT_J, SL23_GENERATORS
-from test_limits import F54_GENERATORS
+from test_limits import B4_GENERATORS, F54_GENERATORS, _signed_permutations
 
 LIMITS = range(5)
 
@@ -45,7 +48,11 @@ def reference_mu_p(group, p, search_limit):
 
 def reference_mu_action(G, p, search_limit):
     """The minimum over full searches of every realizable stabilizer."""
-    values = [reference_mu_p(H, p, search_limit) for H, _ in isotropy_subgroups(G).entries]
+    return _least([reference_mu_p(H, p, search_limit) for H, _ in isotropy_subgroups(G).entries])
+
+
+def _least(values):
+    """The minimum of mu values, exact when an exact value attains it."""
     best = min(v.value for v in values)
     if best == INFINITY:
         return MuValue(INFINITY, True)
@@ -99,12 +106,9 @@ def test_limit_zero_stays_inexact():
 
 
 def test_limits_raise_as_in_the_full_search():
-    # F54 at p = 3 has realizable stabilizers of order 3, with mu = 1, before
-    # the whole group, of order 54 > MAX_RESOLUTION_ORDER
-    F54 = generate(F54_GENERATORS)
+    # the depth limit trips before the shortcuts: z2 has a 2-quotient
     z2, _ = corpus_group("inversion1")
-    cases = [(F54, 2, 1), (F54, 3, 1), (F54, 3, 4),
-             (z2, 2, MAX_RESOLUTION_DEPTH), (GROUPS["s3"], 3, MAX_RESOLUTION_DEPTH)]
+    cases = [(z2, 2, MAX_RESOLUTION_DEPTH), (GROUPS["s3"], 3, MAX_RESOLUTION_DEPTH)]
     for G, p, limit in cases:
         for fast, slow in ((mu_p, reference_mu_p), (mu_of_action, reference_mu_action)):
             expected = _outcome(slow, G, p, limit)
@@ -202,10 +206,79 @@ def test_mu_p_matches_the_search_for_every_limit(family):
             res = FpResolution(p, G)
             for limit in range(MAX_RESOLUTION_DEPTH):
                 try:
-                    expected = _first_nonzero_degree(res, limit + 1)
+                    expected = _search(res, limit)
                 except BoundExceededError:
                     raised.append((name, p, limit, mu_p(G, p, limit)))
                     continue
                 assert mu_p(G, p, limit) == expected, (name, p, limit)
     assert closed_form
     assert raised == []  # no search raised where the closed form answers
+
+
+def _search(res, limit):
+    """mu searched in degrees 1..limit through ``res``, which is extended as
+    far as the search needs."""
+    for r in range(1, limit + 1):
+        if res.cohomology_dim(r):
+            return MuValue(r, True)
+    return MuValue(limit + 1, False)
+
+
+def _plain_searches(G, p):
+    """``reference_mu_p(G, p, limit)`` for every limit in LIMITS, read from
+    one resolution to the deepest of them."""
+    if G.order % p:
+        return {limit: MuValue(INFINITY, True) for limit in LIMITS}
+    res = resolution(G, p, LIMITS[-1] + 1)
+    return {limit: _search(res, limit) for limit in LIMITS}
+
+
+def _stabilizer_report(G, points):
+    """An isotropy report of the distinct stabilizers of ``points``."""
+    found = {}
+    for x in points:
+        found.setdefault(stabilizer(G, x), x)
+    return IsotropyReport(tuple(found.items()))
+
+
+def _past_the_order_bound(name):
+    """(G, primes, isotropy report) for a group past MAX_RESOLUTION_ORDER.
+    B4 (order 384) is past the subgroup enumeration bound too; its points
+    0 <= x_1 <= ... <= x_4 <= 4 meet every orbit pattern of zeros and equal
+    absolute values, so their stabilizers hold a conjugate of each
+    realizable stabilizer."""
+    if name == "B4":
+        B4 = generate(B4_GENERATORS)
+        return B4, (3,), _stabilizer_report(B4, combinations_with_replacement(range(5), 4))
+    G = generate(_signed_permutations(5)[:-1] if name == "S5" else F54_GENERATORS)
+    return G, (2, 3, 5) if name == "S5" else (2, 3), isotropy_subgroups(G)
+
+
+@pytest.mark.parametrize("name", ["S5", "B4", "F54"])
+def test_mu_answers_past_the_order_bound(name, monkeypatch):
+    """mu_p's shortcuts, and mu_action's through them, answer past the order
+    bound with the value of the plain search run with the bound lifted, and
+    with cohomology_table's mu wherever that answers."""
+    G, primes, isotropy = _past_the_order_bound(name)
+    assert G.order > cohomology.MAX_RESOLUTION_ORDER
+    tables = 0
+    for p in primes:
+        with monkeypatch.context() as patch:
+            patch.setattr(cohomology, "MAX_RESOLUTION_ORDER", G.order)
+            plain = {H: _plain_searches(H, p) for H, _ in isotropy.entries}
+        for limit in LIMITS:
+            assert mu_p(G, p, limit) == plain[G][limit], (p, limit)
+            assert (mu_action(isotropy, p, limit)
+                    == _least([values[limit] for values in plain.values()])), (p, limit)
+            try:
+                table = cohomology_table(G, p, limit + 1)
+            except BoundExceededError:
+                continue
+            tables += 1
+            assert table.mu == plain[G][limit], (p, limit)
+    assert tables
+    if name == "F54":
+        # F54 = C2 x C3^3 has a p-quotient at p = 2 and 3, so mu = 1 with no
+        # resolution of its 54 elements
+        for p, limit in ((2, 1), (3, 1), (3, 4)):
+            assert mu_p(G, p, limit) == mu_action(isotropy, p, limit) == MuValue(1, True)
