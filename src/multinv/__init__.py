@@ -26,7 +26,6 @@ from .cohomology import (
     FpResolution,
     MuValue,
     cohomology_table,
-    h_dim,
     mu_p,
     mu_p_formula,
     resolution,
@@ -65,7 +64,7 @@ __all__ = [
     "MuValue", "NonUnimodularError", "Sublattice", "Verdict", "applicable_rules",
     "classification_cases", "classify", "check_g1_decomposition", "cohomology_table",
     "corpus_entry", "corpus_group", "corpus_names", "det", "fixed_lattice", "generate",
-    "h_dim", "identity_matrix", "intmat", "is_fixed_point_free", "isotropy_subgroups",
+    "identity_matrix", "intmat", "is_fixed_point_free", "isotropy_subgroups",
     "moved_lattice", "mu_action", "mu_p", "mu_p_formula", "op_core",
     "quotient_invariants", "resolution", "snf", "stabilizer",
     "subgroup_conjugacy_classes", "subgroup_structure", "subgroups", "sylow",

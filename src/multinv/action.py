@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import INFINITY, MuValue, check_resolution_depth, has_p_quotient, mu_p
+from .cohomology import MuValue, mu_p
 from .errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from .intlinalg import Sublattice, fixed_lattice
-from .matgroup import MatGroup, is_prime, subgroup_conjugacy_classes
+from .matgroup import MatGroup, subgroup_conjugacy_classes
 
 # Shell-by-shell witness searches are dense (they always succeed at a small
 # radius); this guard only trips on internal errors.
@@ -107,46 +107,16 @@ def isotropy_subgroups(G: MatGroup) -> IsotropyReport:
 def mu_action(isotropy: IsotropyReport, p: int,
               search_limit: int = MAX_RESOLUTION_DEPTH - 1) -> MuValue:
     """Least positive degree where the action's cohomology is nonzero, for
-    the group whose ``isotropy_subgroups`` report is ``isotropy``.
-
-    Equals the minimum of mu_p over the realizable stabilizer subgroups
+    the group whose ``isotropy_subgroups`` report is ``isotropy``: the least
+    ``mu_p(H, p, search_limit)`` over its realizable stabilizers H
     (conjugates contribute equal values, so class representatives suffice).
-    The result is exact when the minimum is certified: attained by an exact
-    contribution that no inexact lower bound can undercut.
-
-    The search stops at its answer and gives what the full search gives, the
-    minimum over ``mu_p(H, p, search_limit)`` for every stabilizer H, with
-    its exactness and its errors.  A stabilizer of order prime to p adds the
-    exact INFINITY; for one of order divisible by p, ``mu_p`` with limit L
-    returns its mu exactly when mu <= L, else the inexact marker L + 1.
-    - Errors: the depth limit is checked before any stabilizer is searched,
-      when some order is divisible by p, so it raises as the full search
-      would.  The order limit is met only where ``mu_p`` builds a resolution
-      of a stabilizer, so the shortcuts below answer past it.
-    - Shortcut: for L >= 1, a stabilizer with a p-quotient has the exact
-      mu = 1, and no contribution is below 1, so the minimum is exact 1.
-    - Otherwise stabilizer i is searched to L_i = min(L, b - 1), where b is
-      the least exact value found before it (L_i = L while there is none).
-      If mu(H_i) <= L_i, it is found exactly, as with limit L.  If not,
-      either mu(H_i) > L, and the full search gets the marker L + 1 too, or
-      mu(H_i) >= b, and H_i cannot lower the least exact value.  So the
-      final b is the least exact value of the full search.  Every exact
-      value is at most L, below the marker, so the minimum is the exact b;
-      with no exact value it is the inexact L + 1 if some order is
-      divisible by p, else the exact INFINITY.
+    Every exact value is below the inexact marker ``search_limit + 1``, so
+    the least value is exact when an exact value attains it.  No value is
+    below 1, so the search stops at the first exact 1.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    dividing = [H for H, _ in isotropy.entries if H.order % p == 0]
-    if dividing:
-        check_resolution_depth(search_limit + 1)
-    if search_limit >= 1 and any(has_p_quotient(H, p) for H in dividing):
-        return MuValue(1, True)
-    best, limit = MuValue(INFINITY, True), search_limit
-    for H in dividing:
-        value = mu_p(H, p, limit)
-        if value.exact:
-            best, limit = value, value.value - 1
-        elif best.is_infinite:
-            best = value
-    return best
+    values = []
+    for H, _ in isotropy.entries:
+        values.append(mu_p(H, p, search_limit))
+        if values[-1] == MuValue(1, True):
+            break
+    return min(values, key=lambda v: v.value)

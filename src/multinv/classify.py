@@ -165,15 +165,17 @@ def _rule_r5(ctx: _Context):
 
 def _rule_r6(ctx: _Context):
     """mu of the action is mu_p(G) here, with the same value and exactness
-    as ``mu_action`` on G's isotropy report, which takes the minimum of mu_p
-    over the realizable stabilizers of order divisible by p.  The resolution
-    order bound is checked first: ``verify_certificate`` re-reads mu from a
-    plain resolution of G, so R6 refuses where that would.
+    as ``mu_action`` on G's isotropy report, the least mu_p over the
+    realizable stabilizers, since one of order prime to p gives the exact
+    INFINITY.  The resolution order bound is checked first:
+    ``verify_certificate`` re-reads mu from a plain resolution of G, so R6
+    refuses where that would.
 
-    Lemma: if P acts fixed-point-freely, G = Stab(0) is the only such
-    stabilizer.  Suppose H = Stab(x) with x != 0 had p dividing |H|.  Then H
-    holds an element h of order p, which lies in a conjugate gPg^-1 of P, so
-    g^-1 h g, a nonidentity element of P, would fix g^-1 x != 0.
+    Lemma: if P acts fixed-point-freely, G = Stab(0) is the only
+    stabilizer of order divisible by p.  Suppose H = Stab(x) with x != 0 had
+    p dividing |H|.  Then H holds an element h of order p, which lies in a
+    conjugate gPg^-1 of P, so g^-1 h g, a nonidentity element of P, would
+    fix g^-1 x != 0.
     """
     P = ctx.sylow
     if not is_fixed_point_free(P):

@@ -33,6 +33,7 @@ from .classify import ClassifyOptions, classify
 from .cohomology import check_resolution_order, cohomology_table
 from .corpus import corpus_entry, corpus_names
 from .errors import (
+    BLOCK_ENTRIES,
     MAX_BOX_RADIUS,
     MAX_GROUP_ORDER,
     MAX_PRIMALITY,
@@ -40,11 +41,10 @@ from .errors import (
     BoundExceededError,
     NonUnimodularError,
 )
-from .fparith import _BLOCK_ENTRIES
 from .laurent import box_orbits
 from .matgroup import (
     MatGroup,
-    _check_subgroup_bound,
+    check_subgroup_enumeration,
     generate,
     is_prime,
     subgroup_conjugacy_classes,
@@ -165,7 +165,7 @@ def cmd_classify(args) -> tuple[int, dict]:
 def cmd_analyze(args) -> tuple[int, dict]:
     G, p, options = _load_job(args)
     # refuse before any work, ahead of the subgroup lattice the classes need
-    _check_subgroup_bound(G.order)
+    check_subgroup_enumeration(G.order)
     check_resolution_order(G.order, p)
     primes = sorted({q for q in range(2, G.order + 1) if is_prime(q) and G.order % q == 0})
     sylows = {}
@@ -267,7 +267,7 @@ def _orbit_sums_json(points: np.ndarray, sizes: np.ndarray) -> _JsonText:
     right-aligned in D = len(str(-R)) bytes after zero bytes and followed by
     ", " but for the last, then the tail that closes the point and maybe its
     orbit, padded with zero bytes.  Dropping the zero bytes leaves the text.
-    Rows are filled in blocks of at most ``_BLOCK_ENTRIES`` bytes, so no
+    Rows are filled in blocks of at most ``BLOCK_ENTRIES`` bytes, so no
     Python object is made per point and the temporaries stay bounded.
     """
     count, n = points.shape
@@ -284,7 +284,7 @@ def _orbit_sums_json(points: np.ndarray, sizes: np.ndarray) -> _JsonText:
     head = len(_POINT_HEAD)
     last = head + (n - 1) * (width + 2)
     row = last + width + _POINT_TAILS.shape[1]
-    step = max(1, _BLOCK_ENTRIES // row)
+    step = max(1, BLOCK_ENTRIES // row)
     # room for every row at full width: the pages the text does not reach
     # are never touched
     text = np.empty(2 + count * row, dtype=np.uint8)
@@ -384,9 +384,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         sp.add_argument("--human", action="store_true",
                         help="render a table instead of JSON")
 
-    def add_source(sp):
+    def add_source(sp, *spellings):
         sp.add_argument("--input", help="jobspec JSON file, or - for stdin")
-        sp.add_argument("--builtin", choices=corpus_names(),
+        sp.add_argument("--builtin", *spellings, choices=corpus_names(),
                         help="use a built-in corpus group")
 
     sp = sub.add_parser("classify", help="Cohen-Macaulay verdict with certificate")
@@ -403,9 +403,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     sp = sub.add_parser("cohomology", help="cohomology dimension table and mu_p")
     add_common(sp)
-    sp.add_argument("--group", dest="builtin", choices=corpus_names(),
-                    help="built-in corpus group")
-    sp.add_argument("--input", help="jobspec JSON file, or - for stdin")
+    add_source(sp, "--group")  # --group: the older spelling of --builtin
     sp.add_argument("--depth", type=int, help=f"truncation depth (<= {MAX_RESOLUTION_DEPTH})")
     sp.set_defaults(func=cmd_cohomology)
 

@@ -60,7 +60,7 @@ I*ker needs only a generating set S of G/K (the cosets of G's picks,
 ideals (s - 1) F_p[G/K] for s in S (Brown, ch. I-II), and the kernel is a
 submodule, so I*ker is spanned by (s - 1) v for s in S and v in an F_p-basis
 of the kernel.  The rows (s - 1) v of several generators go into one span
-insert, in blocks of at most ``fparith._BLOCK_ENTRIES`` entries.
+insert, in blocks of at most ``errors.BLOCK_ENTRIES`` entries.
 
 Cohomology dimensions are read from the induced complex Hom(F_*, F_p): the
 differential of that complex is the entry-wise augmentation of the boundary
@@ -94,12 +94,13 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .errors import (
+    BLOCK_ENTRIES,
     MAX_RESOLUTION_DEPTH,
     MAX_RESOLUTION_ENTRIES,
     MAX_RESOLUTION_ORDER,
     BoundExceededError,
 )
-from .fparith import _BLOCK_ENTRIES, SpanFp, matmul_fp, nullspace_fp, rank_fp
+from .fparith import SpanFp, matmul_fp, nullspace_fp, rank_fp
 from .matgroup import (
     MatGroup,
     _op_core_indices,
@@ -326,9 +327,9 @@ def _module_generators(kernel_rows: np.ndarray, free: np.ndarray, perms: np.ndar
     blocks, positions = free - free % n, free % n
     identity = np.eye(k, dtype=np.int64)
     ideal = SpanFp(p, k)
-    # the k rows of each generator, stacked in blocks of at most _BLOCK_ENTRIES entries
+    # the k rows of each generator, stacked in blocks of at most BLOCK_ENTRIES entries
     inverses = np.argsort(gen_perms, axis=1)[:, positions]
-    step = max(1, _BLOCK_ENTRIES // (k * k))
+    step = max(1, BLOCK_ENTRIES // (k * k))
     for s in range(0, len(inverses), step):
         moved = kernel_rows[:, blocks + inverses[s:s + step]] - identity[:, None]
         ideal.add(moved.transpose(1, 0, 2)[..., ::-1])
@@ -360,11 +361,6 @@ def resolution(group: MatGroup, p: int, depth: int) -> FpResolution:
     for _ in range(depth):
         res.extend()
     return res
-
-
-def h_dim(group: MatGroup, p: int, r: int) -> int:
-    """dim_{F_p} H^r(G, F_p)."""
-    return resolution(group, p, r + 1).cohomology_dim(r)
 
 
 def has_p_quotient(group: MatGroup, p: int) -> bool:
@@ -531,7 +527,7 @@ def _elementary_abelian_sylow(G: MatGroup, p: int, depth: int) -> "_SylowInvaria
         # a power != 1 modulo 2^64 is != 1 over Z
         mats = (G.elements % 2**64).astype(np.uint64)
         identity = np.eye(G.n, dtype=np.uint64)
-        step = max(1, _BLOCK_ENTRIES // G.n ** 2)
+        step = max(1, BLOCK_ENTRIES // G.n ** 2)
         for start in range(0, G.order, step):
             base, power, e = mats[start:start + step], identity, p * G.order // q
             while e:

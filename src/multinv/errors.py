@@ -11,6 +11,7 @@ MAX_BOX_POINTS = 17**5  # (2 radius + 1)^n points of the invariants box: radius 
 MAX_ORBIT_SPREAD = 8  # row l1-norm in box_orbits: orbits of the radius-B box stay within 8 B
 MAX_PRIMALITY = 3_317_044_064_679_887_385_961_981  # is_prime is exact below it
 MAX_PRIME = 3037000499  # the largest p with p * p < 2**63, for int64 F_p elimination
+BLOCK_ENTRIES = 1 << 18  # entries of one block of a batched temporary
 
 
 class NonUnimodularError(ValueError):

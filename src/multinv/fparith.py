@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MAX_PRIME, BoundExceededError
+from .errors import BLOCK_ENTRIES, MAX_PRIME, BoundExceededError
 
 _EXACT_FLOAT = 2**53  # float64 holds every integer below it
-_BLOCK_ENTRIES = 1 << 18  # entries of one row block of a float product
 
 
 def _check_prime(p: int) -> None:
@@ -75,7 +74,7 @@ def matmul_fp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if K * (p - 1) ** 2 < _EXACT_FLOAT:
         out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
         bf = b.astype(np.float64)
-        step = max(1, _BLOCK_ENTRIES // max(K, b.shape[1], 1))
+        step = max(1, BLOCK_ENTRIES // max(K, b.shape[1], 1))
         for s in range(0, a.shape[0], step):
             out[s:s + step] = np.fmod(a[s:s + step].astype(np.float64) @ bf, p)
         return out

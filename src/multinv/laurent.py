@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_BOX_POINTS, MAX_ORBIT_SPREAD, BoundExceededError
+from .errors import BLOCK_ENTRIES, MAX_BOX_POINTS, MAX_ORBIT_SPREAD, BoundExceededError
 from .corpus import corpus_group
-from .fparith import _BLOCK_ENTRIES, nullspace_fp, rank_fp
+from .fparith import nullspace_fp, rank_fp
 from .matgroup import MatGroup
 
 
@@ -84,7 +84,7 @@ def box_orbits(G: MatGroup, B: int) -> tuple[np.ndarray, np.ndarray, int]:
     place = np.array([base ** (n - 1 - i) for i in range(n)], dtype=np.int64)
     offset = reach * int(place.sum())
     weights = place @ mats.astype(np.int64)   # key(g x) = weights[g] . x + offset
-    step = max(1, _BLOCK_ENTRIES // G.order)  # the key matrix is never held whole
+    step = max(1, BLOCK_ENTRIES // G.order)  # the key matrix is never held whole
 
     def keys_of(points):
         return points @ weights.T + offset

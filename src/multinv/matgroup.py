@@ -336,7 +336,7 @@ def generate(gens, max_order: int = MAX_GROUP_ORDER) -> MatGroup:
     return MatGroup(n, np.array(keys, dtype=object).reshape(-1, n, n), keys)
 
 
-def _check_subgroup_bound(order: int) -> None:
+def check_subgroup_enumeration(order: int) -> None:
     """Refuse to enumerate the subgroups of a group past ``MAX_SUBGROUP_ENUMERATION``."""
     if order > MAX_SUBGROUP_ENUMERATION:
         raise BoundExceededError(f"group order {order} exceeds the subgroup "
@@ -351,7 +351,7 @@ def subgroups(G: MatGroup) -> list[MatGroup]:
     not hold, closing its own short generator list plus one generator of the
     cyclic subgroup.  Past ``MAX_SUBGROUPS`` subgroups it raises.
     """
-    _check_subgroup_bound(G.order)
+    check_subgroup_enumeration(G.order)
     if G._subgroups is not None:
         return list(G._subgroups)
     # one generator per cyclic subgroup; each join adds one to a short list

@@ -8,12 +8,12 @@ import pytest
 import multinv.action
 import multinv.intlinalg
 import multinv.matgroup
-from multinv.action import isotropy_subgroups, mu_action, stabilizer
-from multinv.cohomology import mu_p
+from multinv.action import IsotropyReport, isotropy_subgroups, mu_action, stabilizer
+from multinv.cohomology import INFINITY, MuValue, mu_p
 from multinv.cli import main
 from multinv.corpus import corpus_group, corpus_names
 from multinv.intlinalg import fixed_lattice
-from multinv.matgroup import generate, subgroup_conjugacy_classes, trivial_group
+from multinv.matgroup import generate, subgroup_conjugacy_classes, sylow, trivial_group
 
 G1 = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
 
@@ -76,6 +76,23 @@ def test_mu_action_examples():
     s3, _ = corpus_group("s3")
     m = mu_action(isotropy_subgroups(s3), 3)
     assert m.value == 3 and m.exact
+
+
+def test_mu_action_is_the_least_mu_p_in_any_order(monkeypatch):
+    """At p = 3, mu_p(S3) = 3, mu_p(C3) = 1 and mu_p(C2) = infinity, in
+    reports that list them in either order; the search stops at an exact 1."""
+    s3, _ = corpus_group("s3")
+    c3, c2 = sylow(s3, 3), sylow(s3, 2)
+    calls = []
+    monkeypatch.setattr(multinv.action, "mu_p", lambda H, *args: calls.append(H) or mu_p(H, *args))
+    cases = [((s3, c3), 9, MuValue(1, True), 2), ((c3, s3), 9, MuValue(1, True), 1),
+             ((c2, s3), 9, MuValue(3, True), 2), ((s3, c2), 2, MuValue(3, False), 2),
+             ((c2,), 9, MuValue(INFINITY, True), 1)]
+    for groups, limit, expected, searched in cases:
+        calls.clear()
+        report = IsotropyReport(tuple((H, ()) for H in groups))
+        assert mu_action(report, 3, limit) == expected, [H.order for H in groups]
+        assert len(calls) == searched
 
 
 def test_mu_action_at_most_mu_p():

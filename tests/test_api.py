@@ -89,7 +89,6 @@ LIBRARY_ONLY = {
     "cli.py build_parser": "API: the full parser, which parse_args matches reading each argument once",
     "cohomology.py FpResolution.check_complex": "test oracle: consecutive boundaries compose to 0",
     "cohomology.py FpResolution.is_minimal": "test oracle: boundaries in the augmentation ideal",
-    "cohomology.py h_dim": "test oracle: one cohomology dimension",
     "intlinalg.py Sublattice.__eq__": "lattice equality, for tests and callers",
     "intlinalg.py Sublattice.__hash__": "lattices as dict keys, with __eq__",
     "intlinalg.py Sublattice.__repr__": "printing a lattice (demos/01)",

@@ -152,6 +152,16 @@ def test_cohomology_report(capsys):
     assert (report["free_ranks"], report["resolved_order"]) == ([1, 3, 4, 4, 5, 6], 24)
 
 
+@pytest.mark.parametrize("human", [[], ["--human"]], ids=["json", "human"])
+def test_cohomology_takes_builtin_and_group_alike(human, capsys):
+    """--builtin, as every command spells it, and the older --group give one report."""
+    for name in ("s3", "s4"):
+        argv = [name, "--depth", "5", *human]
+        builtin = run_cli(capsys, "cohomology", "--builtin", *argv)
+        assert builtin == run_cli(capsys, "cohomology", "--group", *argv)
+        assert builtin[0] == 0 and builtin[1]
+
+
 def test_cohomology_past_the_resolution_order_bound(tmp_path, capsys):
     # each Sylow subgroup is elementary abelian, so no resolution is needed
     s5 = [[[int(c == perm[r]) for c in range(5)] for r in range(5)]
@@ -329,7 +339,7 @@ def test_orbit_sums_writer(tmp_path, capsys, case):
 
 def test_orbit_sums_writer_in_blocks(tmp_path, capsys, monkeypatch):
     # blocks of 64 bytes hold one row each: every point is its own block
-    monkeypatch.setattr(multinv.cli, "_BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(multinv.cli, "BLOCK_ENTRIES", 64)
     for gens, ball in [WRITER_CASES["two-digit"], (corpus_entry("s4").generators, 2)]:
         G, out = _run_invariants(tmp_path, capsys, gens, ball)
         orbits, burnside = _reference_orbits(G, ball)
@@ -520,7 +530,8 @@ PARSE_CASES = [
     ["classify", "--builtin", "s3", "extra", "--more"], ["selftest", "--input", "x"],
     ["classify", "--builtin", "s3"], ["classify", "--input", "job.json", "--audit", "--human"],
     ["analyze", "--builtin", "s4"], ["analyze", "--input", "-"],
-    ["cohomology", "--group", "s3", "--depth", "4"], ["cohomology", "--input", "job.json"],
+    ["cohomology", "--group", "s3", "--depth", "4"], ["cohomology", "--builtin", "s3"],
+    ["cohomology", "--input", "job.json"],
     ["invariants", "--builtin", "gamma", "--ball", "2"], ["invariants", "--input", "job.json"],
     ["selftest"], ["selftest", "--human"],
 ]

@@ -7,7 +7,6 @@ from multinv import cohomology
 from multinv.cohomology import (
     MuValue,
     cohomology_table,
-    h_dim,
     mu_from_resolution,
     mu_p,
     mu_p_formula,
@@ -90,9 +89,9 @@ def test_boundary_composition_zero_everywhere():
 
 def test_h_dim_s3_mod3():
     s3, _ = corpus_group("s3")
-    assert h_dim(s3, 3, 1) == 0
-    assert h_dim(s3, 3, 2) == 0
-    assert h_dim(s3, 3, 3) == 1
+    assert resolution(s3, 3, 2).cohomology_dim(1) == 0
+    assert resolution(s3, 3, 3).cohomology_dim(2) == 0
+    assert resolution(s3, 3, 4).cohomology_dim(3) == 1
 
 
 def test_h_dim_z2_all_degrees():
@@ -207,6 +206,10 @@ def test_permutation_matrices_agree_with_rotation_group():
 
 def test_only_a_matgroup_is_resolved():
     rot3, _ = corpus_group("rot3")
+
+    def h_dim(group, p, r):
+        return resolution(group, p, r + 1).cohomology_dim(r)
+
     for fn, args in ((resolution, (3, 2)), (h_dim, (3, 1)), (mu_p, (3,))):
         with pytest.raises(TypeError, match="MatGroup"):
             fn(rot3.mult_table(), *args)

@@ -114,7 +114,7 @@ def test_matmul_fp_matches_python_ints():
 
 
 def test_matmul_fp_in_row_blocks(monkeypatch):
-    monkeypatch.setattr(fparith, "_BLOCK_ENTRIES", 7)
+    monkeypatch.setattr(fparith, "BLOCK_ENTRIES", 7)
     rng = random.Random(9)
     for p in (2, 3, 7):
         a = [[rng.randrange(p) for _ in range(5)] for _ in range(20)]

@@ -156,7 +156,7 @@ def test_box_orbits_norm_guard_trips_at_the_escape(gens):
 
 def test_box_orbits_in_blocks(monkeypatch):
     # blocks of 40 key entries: every group below spans many blocks
-    monkeypatch.setattr(laurent, "_BLOCK_ENTRIES", 40)
+    monkeypatch.setattr(laurent, "BLOCK_ENTRIES", 40)
     for name in ("s4", "rot4_nonsplit", "B3c32", "rot6"):
         G = KERNEL_GROUPS[name]
         for B in (1, 2):

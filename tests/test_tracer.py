@@ -30,7 +30,9 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
     try:
         assert multinv.matgroup.generate is not generate
         assert vars(MatGroup)["mult_table"] is not methods["matgroup", "MatGroup", "mult_table"]
-        assert main(["classify", "--audit", "--builtin", "s4"]) == 0
+        for argv in (["classify", "--audit", "--builtin", "s4"], ["analyze", "--builtin", "s3"],
+                     ["cohomology", "--builtin", "s3", "--depth", "5"]):
+            assert main(argv) == 0, argv
     finally:
         t.uninstall()
     capsys.readouterr()
@@ -42,3 +44,7 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
     assert metrics["matgroup.mult_table.calls"][0] > 0
     assert metrics["matgroup.mult_table.entries"][0] > 0
     assert metrics["classify.verdicts.R2"][0] == 1
+    # analyze reaches the hooks on isotropy_subgroups and mu_action
+    assert metrics["action.isotropy_subgroups.realized"][0] > 0
+    assert metrics["action.mu_action.calls"][0] > 0
+    assert t.per_name()["cohomology.cohomology_table"][0] == 1
