@@ -104,19 +104,18 @@ def isotropy_subgroups(G: MatGroup) -> IsotropyReport:
                                 for H, outside in _realizable_classes(G)))
 
 
-def mu_action(isotropy: IsotropyReport, p: int,
-              search_limit: int = MAX_RESOLUTION_DEPTH - 1) -> MuValue:
+def mu_action(isotropy: IsotropyReport, p: int, depth: int = MAX_RESOLUTION_DEPTH) -> MuValue:
     """Least positive degree where the action's cohomology is nonzero, for
     the group whose ``isotropy_subgroups`` report is ``isotropy``: the least
-    ``mu_p(H, p, search_limit)`` over its realizable stabilizers H
-    (conjugates contribute equal values, so class representatives suffice).
-    Every exact value is below the inexact marker ``search_limit + 1``, so
-    the least value is exact when an exact value attains it.  No value is
-    below 1, so the search stops at the first exact 1.
+    ``mu_p(H, p, depth)`` over its realizable stabilizers H (conjugates
+    contribute equal values, so class representatives suffice).  Every
+    exact value is below the inexact marker ``depth``, so the least value is
+    exact when an exact value attains it.  No value is below 1, so the
+    search stops at the first exact 1.
     """
     values = []
     for H, _ in isotropy.entries:
-        values.append(mu_p(H, p, search_limit))
+        values.append(mu_p(H, p, depth))
         if values[-1] == MuValue(1, True):
             break
     return min(values, key=lambda v: v.value)

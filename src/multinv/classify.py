@@ -34,6 +34,7 @@ from .errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from .intlinalg import fixed_lattice
 from .matgroup import (
     MatGroup,
+    has_cyclic_sylow,
     is_fixed_point_free,
     is_prime,
     op_core,
@@ -52,7 +53,7 @@ class InconsistentRulesError(RuntimeError):
 
 @dataclass
 class ClassifyOptions:
-    mu_search_limit: int = MAX_RESOLUTION_DEPTH - 1
+    cohomology_depth: int = MAX_RESOLUTION_DEPTH
     audit: bool = False
 
 
@@ -135,17 +136,11 @@ def _rule_r4(ctx: _Context):
     return None, "Sylow subgroup is not settled CM by rules R1-R3"
 
 
-def _cyclic_generator_indices(P: MatGroup) -> list[int]:
-    orders = P.element_orders()
-    return [i for i in range(P.order) if orders[i] == P.order]
-
-
 def _rule_r5(ctx: _Context):
     P = ctx.sylow
     if P.order == 1:
         return None, "Sylow subgroup is trivial"
-    gens = _cyclic_generator_indices(P)
-    if not gens:
+    if not has_cyclic_sylow(P, ctx.p):
         return None, "Sylow subgroup is not cyclic"
     core = op_core(ctx.G, ctx.p)
     if core.order == ctx.G.order:
@@ -156,7 +151,7 @@ def _rule_r5(ctx: _Context):
         return None, "the Sylow generator is a bireflection"
     cert = {
         "sylow_order": P.order,
-        "sylow_generator": P.elements[gens[0]].tolist(),
+        "sylow_generator": P.elements[P.element_orders().index(P.order)].tolist(),
         "generator_rank_drop": drop,
         "p_quotient_order": ctx.G.order // core.order,
     }
@@ -181,14 +176,13 @@ def _rule_r6(ctx: _Context):
     if not is_fixed_point_free(P):
         return None, "Sylow subgroup does not act fixed-point-freely"
     check_resolution_order(ctx.G.order, ctx.p)
-    mu = mu_p(ctx.G, ctx.p, ctx.opts.mu_search_limit)
+    mu = mu_p(ctx.G, ctx.p, ctx.opts.cohomology_depth)
     if not mu.exact:
         ctx.notes.append(
             f"mu undetermined: H^r nonzero first occurs above degree {mu.value - 1}")
         return None, "fixed-point-free, but mu exceeded the search limit"
     n = ctx.G.n
-    mu_repr = "infinity" if mu.is_infinite else int(mu.value)
-    cert = {"mu": mu_repr, "dim": n, "fixed_point_free": True}
+    cert = {"mu": mu.json_value, "dim": n, "fixed_point_free": True}
     status = CM if (mu.is_infinite or n <= mu.value + 1) else NOT_CM
     return (status, cert), None
 
@@ -334,27 +328,26 @@ def verify_certificate(G: MatGroup, p: int, verdict: Verdict) -> bool:
                 and G.order // core.order == cert["p_quotient_order"]
                 and verdict.status == NOT_CM)
     if verdict.rule == "R6":
-        # searching exactly to the claimed mu finds a smaller mu and misses a
-        # larger one.  By _rule_r6's lemma G is then the only realizable
-        # stabilizer of order divisible by p, so mu of the action is mu_p(G),
-        # re-read with none of mu_p's shortcuts from a resolution of
-        # G/O_p'(G), which has G's cohomology; the resolution re-checks that
-        # the core is a normal subgroup of order prime to p
-        limit = 0 if cert["mu"] == "infinity" else cert["mu"]
-        if type(limit) is not int or not 0 <= limit < MAX_RESOLUTION_DEPTH:
+        # a search through the claimed mu, at depth mu + 1, finds a smaller mu
+        # and misses a larger one.  By _rule_r6's lemma G is then the only
+        # realizable stabilizer of order divisible by p, so mu of the action
+        # is mu_p(G), re-read with none of mu_p's shortcuts from a resolution
+        # of G/O_p'(G), which has G's cohomology; the resolution re-checks
+        # that the core is a normal subgroup of order prime to p
+        claimed = 0 if cert["mu"] == "infinity" else cert["mu"]
+        if type(claimed) is not int or not 0 <= claimed < MAX_RESOLUTION_DEPTH:
             return False
         P = sylow(G, p)
         if cert["fixed_point_free"] is not True or not is_fixed_point_free(P):
             return False
         try:
             mu = (MuValue(INFINITY, True) if G.order % p
-                  else mu_from_resolution(resolution(G, p, limit + 1)))
+                  else mu_from_resolution(resolution(G, p, claimed + 1)))
         except BoundExceededError:  # no R6 verdict is made past a limit
             return False
         if not mu.exact:
             return False
-        mu_repr = "infinity" if mu.is_infinite else int(mu.value)
-        if mu_repr != cert["mu"] or cert["dim"] != G.n:
+        if mu.json_value != cert["mu"] or cert["dim"] != G.n:
             return False
         cm = mu.is_infinite or G.n <= mu.value + 1
         return verdict.status == (CM if cm else NOT_CM)

@@ -137,14 +137,9 @@ def _load_job(args) -> tuple[MatGroup, int, dict]:
     return parse_jobspec(data)
 
 
-def _mu_json(mu) -> dict:
-    value = "infinity" if mu.is_infinite else int(mu.value)
-    return {"value": value, "exact": mu.exact}
-
-
 def cmd_classify(args) -> tuple[int, dict]:
     G, p, options = _load_job(args)
-    opts = ClassifyOptions(options["cohomology_depth"] - 1, args.audit or options["audit"])
+    opts = ClassifyOptions(options["cohomology_depth"], args.audit or options["audit"])
     start = time.perf_counter()
     verdict = classify(G, p, opts)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
@@ -188,7 +183,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
         })
     report_iso = isotropy_subgroups(G)
     iso = [{"order": H.order, "witness": list(w)} for H, w in report_iso.entries]
-    mu = mu_action(report_iso, p, options["cohomology_depth"] - 1)
+    mu = mu_action(report_iso, p, options["cohomology_depth"])
     drops = [G.n - r for r in G.element_fixed_ranks()]  # rank(g - 1)
     report = {
         "command": "analyze",
@@ -203,7 +198,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
         "sylow": sylows,
         "subgroup_heights": heights,
         "isotropy": iso,
-        "mu": _mu_json(mu),
+        "mu": {"value": mu.json_value, "exact": mu.exact},
     }
     return EXIT_OK, report
 
@@ -220,7 +215,7 @@ def cmd_cohomology(args) -> tuple[int, dict]:
         "depth": depth,
         "route": table.route,
         "dims": list(table.dims),
-        "mu_p": _mu_json(table.mu),
+        "mu_p": {"value": table.mu.json_value, "exact": table.mu.exact},
         **table.details,
     }
     return EXIT_OK, report

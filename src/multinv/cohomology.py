@@ -71,12 +71,15 @@ with that property does not exist (projective covers are not free), and the
 Hom complex is the honest route.  Each augmented boundary is
 ranked once per resolution.
 
-mu_p, the least r > 0 with H^r(G, F_p) != 0, stops at its answer.
-H^1(G, F_p) = Hom(G, F_p) is nonzero exactly when G has a quotient of order
-p, that is when O^p(G) != G (Brown, ch. III), so mu_p = 1 is read from the
-closure that ``op_core`` uses, with no resolution.  When the Sylow
-p-subgroup P is cyclic, of any order, mu_p = 2 [N_G(P):C_G(P)] - 1, the
-closed form of ``mu_p_formula`` (Swan), again with no resolution.  When P
+mu_p, the least r > 0 with H^r(G, F_p) != 0, takes the depth d that the
+other calls take: it searches degrees 1..d-1, as ``cohomology_table`` and
+``mu_from_resolution`` do, and d is its inexact marker when none of them
+is nonzero.  It stops at its answer.  H^1(G, F_p) = Hom(G, F_p) is nonzero
+exactly when G has a quotient of order p, that is when O^p(G) != G (Brown,
+ch. III), so mu_p = 1 is read from ``matgroup.has_p_quotient``, with no
+resolution.  When the Sylow p-subgroup P is cyclic
+(``matgroup.has_cyclic_sylow``), of any order, mu_p = 2 [N_G(P):C_G(P)] - 1,
+the closed form of ``mu_p_formula`` (Swan), again with no resolution.  When P
 is elementary abelian, the Sylow invariants are read degree by degree up
 to the first nonzero one.  Otherwise the resolution is extended one degree
 at a time (``FpResolution.extend``, the step ``resolution`` repeats) until
@@ -103,9 +106,10 @@ from .errors import (
 from .fparith import SpanFp, matmul_fp, nullspace_fp, rank_fp
 from .matgroup import (
     MatGroup,
-    _op_core_indices,
-    _p_part,
+    has_cyclic_sylow,
+    has_p_quotient,
     is_prime,
+    p_part,
     p_prime_core,
     subgroup_structure,
     sylow,
@@ -119,8 +123,8 @@ class MuValue:
     """Least positive degree with nonvanishing cohomology.
 
     ``value`` is that degree, or INFINITY exactly when p does not divide the
-    group order, or ``search_limit + 1`` as an inexact marker meaning the true
-    value exceeds the searched range.
+    group order, or, inexact, the depth d of a search of degrees 1..d-1 that
+    found none: the true value is at least d.
     """
 
     value: int | float
@@ -130,10 +134,18 @@ class MuValue:
     def is_infinite(self) -> bool:
         return self.value == INFINITY
 
+    @property
+    def json_value(self) -> int | str:
+        """``value`` as every report writes it: "infinity" or an int."""
+        return "infinity" if self.is_infinite else int(self.value)
 
-def _check_group(group) -> None:
+
+def _check_input(group, p: int) -> None:
+    """Refuse a group that is not a MatGroup, and a p that is not prime."""
     if not isinstance(group, MatGroup):
         raise TypeError("expected a MatGroup")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def check_resolution_order(order: int, p: int) -> None:
@@ -335,7 +347,7 @@ def _module_generators(kernel_rows: np.ndarray, free: np.ndarray, perms: np.ndar
         ideal.add(moved.transpose(1, 0, 2)[..., ::-1])
     reversed_pivots = set(ideal.pivots)
     picks = [i for i in range(k) if k - 1 - i not in reversed_pivots]
-    if _p_part(n, p) != n:
+    if p_part(n, p) != n:
         # the rows of perms are also the inverse rows, in another order
         every = blocks + perms[:, positions]
         span = SpanFp(p, k)
@@ -353,9 +365,7 @@ def resolution(group: MatGroup, p: int, depth: int) -> FpResolution:
     """Free resolution of F_p over F_p[G/O_p'(G)], truncated at ``depth``.
     The order bound is checked by ``FpResolution``, before the p'-core is
     sought."""
-    _check_group(group)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_input(group, p)
     check_resolution_depth(depth)
     res = FpResolution(p, group)
     for _ in range(depth):
@@ -363,39 +373,31 @@ def resolution(group: MatGroup, p: int, depth: int) -> FpResolution:
     return res
 
 
-def has_p_quotient(group: MatGroup, p: int) -> bool:
-    """O^p(G) != G, that is H^1(G, F_p) = Hom(G, F_p) != 0."""
-    return len(_op_core_indices(group, p)) < group.order
+def mu_p(group: MatGroup, p: int, depth: int = MAX_RESOLUTION_DEPTH) -> MuValue:
+    """inf { r > 0 : H^r(G, F_p) != 0 }, searched in degrees 1..depth-1.
 
-
-def mu_p(group: MatGroup, p: int, search_limit: int = MAX_RESOLUTION_DEPTH - 1) -> MuValue:
-    """inf { r > 0 : H^r(G, F_p) != 0 }, searched up to ``search_limit``.
-
-    Equal to ``mu_from_resolution(resolution(G, p, search_limit + 1))``
-    wherever that answers, but it stops at the answer: 1 when G has a
-    p-quotient; else, when the Sylow p-subgroup is cyclic, the closed form
-    ``mu_p_formula``, exact when it is at most ``search_limit`` and the
-    inexact marker ``search_limit + 1`` otherwise; else the first nonzero
-    degree on the route of ``cohomology_table``; below limit 1 the marker.
-    The depth bound is checked first, as for a full search; the order bound
-    only where a resolution is built.  When p does not divide |G| nothing is
-    built and no limit applies.
+    Equal to ``cohomology_table(G, p, depth).mu`` and to
+    ``mu_from_resolution(resolution(G, p, depth))`` wherever they answer,
+    but it stops at the answer: 1 when G has a p-quotient; else, when the
+    Sylow p-subgroup is cyclic, the closed form ``mu_p_formula``, exact when
+    it is below ``depth`` and the inexact marker ``depth`` otherwise; else
+    the first nonzero degree on the route of ``cohomology_table``; below
+    depth 2 the marker.  The depth bound is checked first, as for a full
+    search; the order bound only where a resolution is built.  When p does
+    not divide |G| nothing is built and no limit applies.
     """
-    _check_group(group)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_input(group, p)
     if group.order % p != 0:
         return MuValue(INFINITY, True)
-    check_resolution_depth(search_limit + 1)
-    marker = max(search_limit + 1, 0)
-    if marker <= 1:  # no degree is searched
-        return MuValue(marker, False)
+    check_resolution_depth(depth)
+    if depth <= 1:  # no degree is searched
+        return MuValue(max(depth, 0), False)
     if has_p_quotient(group, p):
         return MuValue(1, True)
-    if _has_cyclic_sylow(group, p):
+    if has_cyclic_sylow(group, p):
         mu = mu_p_formula(group, p)
-        return MuValue(mu, True) if mu < marker else MuValue(marker, False)
-    return _first_nonzero(map(_route(group, p, marker).cohomology_dim, range(1, marker)), marker)
+        return MuValue(mu, True) if mu < depth else MuValue(depth, False)
+    return _first_nonzero(map(_route(group, p, depth).cohomology_dim, range(1, depth)), depth)
 
 
 def mu_from_resolution(res: FpResolution) -> MuValue:
@@ -419,12 +421,6 @@ def _first_nonzero(dims, marker: int) -> MuValue:
     return MuValue(marker, False)
 
 
-def _has_cyclic_sylow(G: MatGroup, p: int) -> bool:
-    """Whether the Sylow p-subgroups of G are cyclic: some element has the
-    order q of the p-part of |G|, and it generates a subgroup of order q."""
-    return _p_part(G.order, p) in G.element_orders()
-
-
 def mu_p_formula(G: MatGroup, p: int) -> int:
     """mu_p(G) = 2*[N_G(P):C_G(P)] - 1 for a nontrivial cyclic Sylow
     p-subgroup P, of any order.
@@ -438,7 +434,7 @@ def mu_p_formula(G: MatGroup, p: int) -> int:
     """
     if G.order % p != 0:
         raise ValueError(f"{p} does not divide the group order {G.order}")
-    if not _has_cyclic_sylow(G, p):
+    if not has_cyclic_sylow(G, p):
         raise ValueError(f"the Sylow {p}-subgroup is not cyclic")
     _, _, nc = subgroup_structure(G, sylow(G, p))
     return 2 * nc - 1
@@ -465,9 +461,7 @@ def cohomology_table(group: MatGroup, p: int, depth: int) -> CohomologyTable:
     own count; the order bound only where ``FpResolution`` reads G's table,
     so not when p does not divide |G|.
     """
-    _check_group(group)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_input(group, p)
     check_resolution_depth(depth)
     source = _route(group, p, depth)
     dims = tuple(map(source.cohomology_dim, range(depth)))
@@ -511,7 +505,7 @@ def _elementary_abelian_sylow(G: MatGroup, p: int, depth: int) -> "_SylowInvaria
     Then an element whose p-part has order above p is sought: if one is
     found, P is not elementary abelian and None is returned at once.
     """
-    q = _p_part(G.order, p)
+    q = p_part(G.order, p)
     try:
         check_resolution_order(G.order, p)
     except BoundExceededError as refusal:

@@ -100,11 +100,7 @@ def _eye_lists(n: int) -> list[list[int]]:
 
 def det(M: np.ndarray) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    return _det_rows(_int_rows(M))
-
-
-def _det_rows(A: list[list[int]]) -> int:
-    """``det`` of rows read by ``_int_rows``, which it overwrites."""
+    A = _int_rows(M)
     n = len(A)
     if n == 0:
         return 1

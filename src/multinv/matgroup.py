@@ -29,7 +29,7 @@ from .errors import (
     BoundExceededError,
     NonUnimodularError,
 )
-from .intlinalg import _det_rows, _from_lists, _int_rows, det, identity_matrix, intmat
+from .intlinalg import det, identity_matrix, intmat
 
 # strong-probable-prime bases: together they admit no composite below MAX_PRIMALITY
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -306,19 +306,20 @@ def generate(gens, max_order: int = MAX_GROUP_ORDER) -> MatGroup:
     Every generator is read first, so a malformed one raises ValueError
     before any is checked.  Then, in order, each must be n x n, for the n of
     the first, and lie in GL_n(Z): NonUnimodularError for |det| != 1.
-    BoundExceededError when the closure passes ``max_order`` (the group is
-    infinite or larger than requested).
+    BoundExceededError when the closure, the identity included, passes
+    ``max_order`` (the group is infinite or larger than requested).
     """
-    read = [_int_rows(g) for g in gens]
-    if not read:
+    mats = [intmat(g) for g in gens]
+    if not mats:
         raise ValueError("need at least one generator (use trivial_group(n) otherwise)")
-    n = len(read[0])
-    for rows in read:
-        if len(rows) != n or any(len(row) != n for row in rows):
+    n = len(mats[0])
+    for g in mats:
+        if g.shape != (n, n):
             raise ValueError("generators of mixed dimensions")
-        if abs(_det_rows([row[:] for row in rows])) != 1:
+        if abs(det(g)) != 1:
             raise NonUnimodularError("generator has |det| != 1")
-    mats = [_from_lists(rows, n) for rows in read]
+    if max_order < 1:  # the identity alone passes it
+        raise BoundExceededError(f"closure exceeded max_order={max_order}")
     frontier = identity_matrix(n)[None]
     found = set(_keys_of(frontier))
     while len(frontier):
@@ -412,7 +413,8 @@ def subgroup_conjugacy_classes(G: MatGroup) -> list[list[MatGroup]]:
     return [list(cls) for cls in G._classes]
 
 
-def _p_part(m: int, p: int) -> int:
+def p_part(m: int, p: int) -> int:
+    """The largest power of p that divides m."""
     q = 1
     while m % p == 0:
         m //= p
@@ -440,7 +442,7 @@ def sylow(G: MatGroup, p: int) -> MatGroup:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    q = _p_part(G.order, p)
+    q = p_part(G.order, p)
     if q == G.order:
         return G
     if q == 1:
@@ -481,7 +483,7 @@ def _op_core_indices(G: MatGroup, p: int) -> frozenset[int]:
     orders = G.element_orders()
     core = G.closure_indices([i for i in range(G.order) if orders[i] % p != 0])
     quotient = G.order // len(core)
-    assert quotient == _p_part(quotient, p), "core index is not a p-power"
+    assert quotient == p_part(quotient, p), "core index is not a p-power"
     return core
 
 
@@ -504,7 +506,7 @@ def p_prime_core(G: MatGroup, p: int) -> frozenset[int]:
     if G.order % p:
         return frozenset(range(G.order))
     core = G.closure_indices(())
-    if _p_part(G.order, p) == G.order:
+    if p_part(G.order, p) == G.order:
         return core
     orders, seen = G.element_orders(), set(core)
     for x in range(G.order):
@@ -518,6 +520,17 @@ def p_prime_core(G: MatGroup, p: int) -> frozenset[int]:
             core = joined
             seen |= core
     return core
+
+
+def has_p_quotient(G: MatGroup, p: int) -> bool:
+    """O^p(G) != G, that is H^1(G, F_p) = Hom(G, F_p) != 0."""
+    return len(_op_core_indices(G, p)) < G.order
+
+
+def has_cyclic_sylow(G: MatGroup, p: int) -> bool:
+    """Whether the Sylow p-subgroups of G are cyclic: some element has the
+    order q of the p-part of |G|, and it generates a subgroup of order q."""
+    return p_part(G.order, p) in G.element_orders()
 
 
 def op_core(G: MatGroup, p: int) -> MatGroup:

@@ -31,7 +31,7 @@ from .intlinalg import (
     unimodular_inverse,
 )
 from .laurent import box_orbits, check_g1_decomposition
-from .matgroup import generate, op_core, subgroups, sylow
+from .matgroup import generate, has_cyclic_sylow, op_core, subgroups, sylow
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ def _mu_formula_agreement():
         for how, mu in (("mu_p", mu_p(G, p)), ("resolution", full)):
             if not mu.exact or mu.value != expected:
                 return False, f"mu_{p}({name}) by {how} = {mu}, expected exact {expected}"
-        P = sylow(G, p)
-        if P.order in P.element_orders():  # P is cyclic
+        if has_cyclic_sylow(G, p):
             formula = mu_p_formula(G, p)
             if formula != full.value:
                 return False, (f"{name}, p={p}: resolution gives {full.value}, "
@@ -169,9 +168,8 @@ def _sylow_order_bound():
         P = sylow(G, p)
         if P.order == 1:
             continue
-        orders = P.element_orders()
-        if not any(o == P.order for o in orders):
-            continue  # not cyclic
+        if not has_cyclic_sylow(G, p):
+            continue
         if op_core(G, p).order == G.order:
             continue
         moved = G.n - fixed_lattice(P.elements).rank

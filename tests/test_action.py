@@ -86,13 +86,13 @@ def test_mu_action_is_the_least_mu_p_in_any_order(monkeypatch):
     c3, c2 = sylow(s3, 3), sylow(s3, 2)
     calls = []
     monkeypatch.setattr(multinv.action, "mu_p", lambda H, *args: calls.append(H) or mu_p(H, *args))
-    cases = [((s3, c3), 9, MuValue(1, True), 2), ((c3, s3), 9, MuValue(1, True), 1),
-             ((c2, s3), 9, MuValue(3, True), 2), ((s3, c2), 2, MuValue(3, False), 2),
-             ((c2,), 9, MuValue(INFINITY, True), 1)]
-    for groups, limit, expected, searched in cases:
+    cases = [((s3, c3), 10, MuValue(1, True), 2), ((c3, s3), 10, MuValue(1, True), 1),
+             ((c2, s3), 10, MuValue(3, True), 2), ((s3, c2), 3, MuValue(3, False), 2),
+             ((c2,), 10, MuValue(INFINITY, True), 1)]
+    for groups, depth, expected, searched in cases:
         calls.clear()
         report = IsotropyReport(tuple((H, ()) for H in groups))
-        assert mu_action(report, 3, limit) == expected, [H.order for H in groups]
+        assert mu_action(report, 3, depth) == expected, [H.order for H in groups]
         assert len(calls) <= searched
 
 

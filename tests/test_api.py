@@ -68,6 +68,24 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def _private_imports(source: str) -> list[str]:
+    """The underscore names that ``source`` imports from a package module."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").partition(".")[0] == "multinv")
+            for a in node.names if a.name.startswith("_")]
+
+
+def test_no_module_imports_a_private_name():
+    """Package modules meet only at public names."""
+    planted = ("from __future__ import annotations\nfrom os import _exit\n"
+               "from .matgroup import MatGroup, _p_part\nfrom multinv.fparith import _echelon")
+    assert _private_imports(planted) == ["_p_part", "_echelon"], "the walk misses a private import"
+    private = [f"{path.name} {name}" for path in sorted(SRC.glob("*.py"))
+               for name in _private_imports(path.read_text(encoding="utf-8"))]
+    assert private == []
+
+
 def test_every_export_resolves():
     """``__all__`` names exactly the public names that ``__init__.py`` binds,
     and each of them is an attribute of the package."""

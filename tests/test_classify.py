@@ -1,6 +1,5 @@
 import pytest
 
-import multinv.cohomology
 import multinv.matgroup
 from multinv.classify import (
     ClassifyOptions,
@@ -152,9 +151,7 @@ def test_r6_recheck_shares_no_shortcut_with_the_rule(monkeypatch):
         orders = G.element_orders()
         return frozenset(i for i in range(G.order) if orders[i] % p)
 
-    # cohomology imports _op_core_indices by name, so it is patched there too
-    for module in (multinv.matgroup, multinv.cohomology):
-        monkeypatch.setattr(module, "_op_core_indices", unclosed_core)
+    monkeypatch.setattr(multinv.matgroup, "_op_core_indices", unclosed_core)
     wrong = classify(G, 2, ClassifyOptions(audit=True))
     assert (wrong.status, wrong.rule, wrong.certificate["mu"]) == ("NotCM", "R6", 1)
     assert not verify_certificate(G, 2, wrong)
@@ -165,7 +162,7 @@ def test_r6_recheck_shares_no_shortcut_with_the_rule(monkeypatch):
 
 def test_inexact_mu_downgrades_to_unknown_with_note():
     Q8 = generate([QUAT_I, QUAT_J])
-    v = classify(Q8, 2, ClassifyOptions(mu_search_limit=0))
+    v = classify(Q8, 2, ClassifyOptions(cohomology_depth=1))
     assert (v.status, v.rule) == ("Unknown", "R8")
     assert any("mu undetermined" in note for note in v.notes)
 

@@ -18,6 +18,7 @@ from multinv.corpus import corpus_entry, corpus_names
 from multinv.errors import MAX_ORBIT_SPREAD, MAX_RESOLUTION_ORDER
 from multinv.matgroup import generate, subgroup_conjugacy_classes, subgroups
 from test_action import W_F4_GENERATORS
+from test_classify import SL23_GENERATORS
 from test_laurent import INVOLUTIONS, _off_diagonal, _orbit_lists, _reference_orbits
 from test_limits import B4_GENERATORS
 
@@ -386,10 +387,35 @@ def test_cohomology_builds_one_resolution_per_job(capsys, monkeypatch):
                 routes.add(report["route"])
                 resolved = [depth] if report["route"] == "resolution" else []
                 assert [res.depth for res in built] == resolved, (name, p, depth)
-                mu = mu_p(G, p, depth - 1)
+                mu = mu_p(G, p, depth)
                 value = "infinity" if mu.is_infinite else mu.value
                 assert report["mu_p"] == {"value": value, "exact": mu.exact}
     assert routes == {"resolution", "sylow-invariants"}
+
+
+@pytest.mark.parametrize("depth", [3, 4, 10])
+def test_commands_agree_on_mu_at_one_depth(depth, tmp_path, capsys):
+    """SL(2, 3) at p = 2: the Sylow subgroup Q8 acts fixed-point-freely, so
+    R6 applies and mu of the action is mu_2 = 3.  classify, analyze and
+    cohomology read it exact from depth 4 on, and inexact 3 at depth 3."""
+    path = tmp_path / "sl23.json"
+    path.write_text(json.dumps({"n": 4, "p": 2, "generators": SL23_GENERATORS,
+                                "options": {"cohomology_depth": depth}}))
+    reports = {}
+    for argv in (["classify", "--audit"], ["analyze"], ["cohomology", "--depth", str(depth)]):
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert (code, err) == (0, ""), argv
+        reports[argv[0]] = json.loads(out)
+    mu = {"value": 3, "exact": depth >= 4}
+    assert reports["analyze"]["mu"] == reports["cohomology"]["mu_p"] == mu
+    classify = reports["classify"]
+    if depth >= 4:
+        assert (classify["status"], classify["rule"]) == ("CM", "R6")
+        assert classify["certificate"]["mu"] == 3
+        assert classify["notes"] == []
+    else:
+        assert (classify["status"], classify["rule"]) == ("Unknown", "R8")
+        assert classify["notes"] == ["mu undetermined: H^r nonzero first occurs above degree 2"]
 
 
 # SHA-1 of the canonical JSON of ``analyze --builtin NAME``, taken from the

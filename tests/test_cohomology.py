@@ -18,8 +18,8 @@ from multinv.classify import ClassifyOptions, classify, verify_certificate
 from multinv.fparith import SpanFp, nullspace_fp, rref_fp
 from multinv.intlinalg import intmat
 from multinv.matgroup import (
-    _p_part,
     generate,
+    p_part,
     p_prime_core,
     subgroup_conjugacy_classes,
     subgroup_structure,
@@ -128,7 +128,7 @@ def test_mu_p_examples():
 
 def test_mu_p_inexact_marker():
     s3, _ = corpus_group("s3")
-    m = mu_p(s3, 3, search_limit=2)
+    m = mu_p(s3, 3, depth=3)
     assert m.value == 3 and not m.exact
 
 
@@ -305,7 +305,7 @@ def full_width_module_generators(kernel_rows, perms, gen_perms, p):
         ideal.add(translates(kernel_rows, perm[None])[0] - kernel_rows)
     _, picks = rref_fp(ideal.residues(kernel_rows).T, p)
     n = perms.shape[0]
-    if _p_part(n, p) != n:
+    if p_part(n, p) != n:
         span = SpanFp(p, width)
         for i in picks:
             span.add(translates(kernel_rows[i:i + 1], perms))
@@ -443,7 +443,7 @@ def test_sylow_invariants_match_the_resolution():
                     continue
                 res = resolution(G, p, 6)
                 assert table.dims == tuple(res.cohomology_dim(r) for r in range(6)), (family, G, p)
-                assert table.mu == mu_from_resolution(res) == mu_p(G, p, 5)
+                assert table.mu == mu_from_resolution(res) == mu_p(G, p, 6)
                 assert table.details == {"sylow_order": sylow(G, p).order}
                 checked += 1
     assert checked == 371

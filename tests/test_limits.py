@@ -88,6 +88,9 @@ LIMITS = {
     "generate max_order": (
         5, lambda: generate(S3_GENERATORS, max_order=6),
         lambda: generate(S3_GENERATORS, max_order=5)),
+    # the identity is the first element of every closure, and counts too
+    "generate max_order at the identity": (
+        0, lambda: generate([[[1]]], max_order=1), lambda: generate([[[1]]], max_order=0)),
     "MAX_GROUP_ORDER in generate": (MAX_GROUP_ORDER, None, lambda: generate([SHEAR])),
     "MAX_SUBGROUP_ENUMERATION": (
         MAX_SUBGROUP_ENUMERATION, None, lambda: subgroups(generate(B4_GENERATORS))),
@@ -223,7 +226,7 @@ def test_a_tripped_limit_is_listed_in_an_unknown_verdict():
     # mu searched to degree 10 needs a resolution of depth 11; R7 does not
     # apply to Q8 either, so the verdict is Unknown and names the limit
     Q8 = generate([QUAT_I, QUAT_J])
-    opts = ClassifyOptions(mu_search_limit=MAX_RESOLUTION_DEPTH)
+    opts = ClassifyOptions(cohomology_depth=MAX_RESOLUTION_DEPTH + 1)
     v = classify(Q8, 2, opts)
     reason = (f"bound exceeded: depth {MAX_RESOLUTION_DEPTH + 1} exceeds the "
               f"resolution bound {MAX_RESOLUTION_DEPTH}")

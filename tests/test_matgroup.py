@@ -11,11 +11,11 @@ from multinv.intlinalg import fixed_lattice, identity_matrix, intmat
 from multinv.matgroup import (
     MatGroup,
     _conjugates,
-    _p_part,
     generate,
     is_fixed_point_free,
     is_prime,
     op_core,
+    p_part,
     p_prime_core,
     subgroup_conjugacy_classes,
     subgroup_structure,
@@ -612,7 +612,7 @@ def _reference_cyclics(table, e):
 def _reference_p_power_part(table, e, orders, i, p):
     o = orders[i]
     out = e
-    for _ in range(o // _p_part(o, p)):
+    for _ in range(o // p_part(o, p)):
         out = table[out][i]
     return out
 
@@ -620,7 +620,7 @@ def _reference_p_power_part(table, e, orders, i, p):
 def _reference_sylow(G, p):
     """``sylow`` as it ran, through whole normalizers and p-power parts, with
     the p-power part walked through the table."""
-    q = _p_part(G.order, p)
+    q = p_part(G.order, p)
     if q == 1:
         return frozenset([G.identity_index])
     table, e, orders = G.mult_table(), G.identity_index, G.element_orders()
@@ -633,7 +633,7 @@ def _reference_sylow(G, p):
             if h in P or hp in P:
                 continue
             J = G.closure_indices(P | {hp})
-            if len(J) == _p_part(len(J), p):
+            if len(J) == p_part(len(J), p):
                 P = J
                 break
     return min({G.conjugate_indices(g, P) for g in range(G.order)}, key=sorted)
@@ -687,7 +687,7 @@ def test_power_walk_matches_the_table_walks():
         assert G.inverse_indices() == tuple(row.index(e) for row in table), name
         assert set(map(frozenset, G._powers)) == _reference_cyclics(table, e), name
         for p in (2, 3, 5):
-            step = [o // _p_part(o, p) for o in orders]
+            step = [o // p_part(o, p) for o in orders]
             assert [G._powers[i][step[i] - 1] for i in range(N)] == \
                 [_reference_p_power_part(table, e, orders, i, p) for i in range(N)], (name, p)
             P = sylow(G, p)

@@ -12,7 +12,6 @@ from multinv.cohomology import (
     FpResolution,
     MuValue,
     cohomology_table,
-    has_p_quotient,
     mu_p,
     resolution,
 )
@@ -20,6 +19,7 @@ from multinv.corpus import corpus_group, corpus_names
 from multinv.errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from multinv.matgroup import (
     generate,
+    has_p_quotient,
     is_fixed_point_free,
     is_prime,
     subgroup_conjugacy_classes,
@@ -30,25 +30,25 @@ from test_action import B3_GENERATORS, CENSUS_MAXIMAL
 from test_classify import QUAT_I, QUAT_J, SL23_GENERATORS
 from test_limits import B4_GENERATORS, F54_GENERATORS, _signed_permutations
 
-LIMITS = range(5)
+LIMITS = range(1, 6)
 
 
-def reference_mu_p(group, p, search_limit):
-    """Resolve to search_limit + 1, then read the least nonzero degree."""
+def reference_mu_p(group, p, depth):
+    """Resolve to ``depth``, then read the least nonzero degree below it."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if group.order % p != 0:
         return MuValue(INFINITY, True)
-    res = resolution(group, p, search_limit + 1)
+    res = resolution(group, p, depth)
     for r in range(1, res.depth):
         if res.cohomology_dim(r) != 0:
             return MuValue(r, True)
     return MuValue(res.depth, False)
 
 
-def reference_mu_action(G, p, search_limit):
+def reference_mu_action(G, p, depth):
     """The minimum over full searches of every realizable stabilizer."""
-    return _least([reference_mu_p(H, p, search_limit) for H, _ in isotropy_subgroups(G).entries])
+    return _least([reference_mu_p(H, p, depth) for H, _ in isotropy_subgroups(G).entries])
 
 
 def _least(values):
@@ -59,9 +59,9 @@ def _least(values):
     return MuValue(best, any(v.exact and v.value == best for v in values))
 
 
-def mu_of_action(G, p, search_limit=MAX_RESOLUTION_DEPTH - 1):
+def mu_of_action(G, p, depth=MAX_RESOLUTION_DEPTH):
     """``mu_action`` on the isotropy report of G."""
-    return mu_action(isotropy_subgroups(G), p, search_limit)
+    return mu_action(isotropy_subgroups(G), p, depth)
 
 
 def _groups():
@@ -87,8 +87,8 @@ def _outcome(fn, *args):
 def test_mu_p_matches_full_resolution(name):
     G = GROUPS[name]
     for p in (2, 3):
-        for limit in LIMITS:
-            assert mu_p(G, p, limit) == reference_mu_p(G, p, limit), (p, limit)
+        for depth in LIMITS:
+            assert mu_p(G, p, depth) == reference_mu_p(G, p, depth), (p, depth)
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -96,24 +96,25 @@ def test_mu_action_matches_full_searches(name):
     G = GROUPS[name]
     isotropy = isotropy_subgroups(G)
     for p in (2, 3):
-        for limit in LIMITS:
-            assert mu_action(isotropy, p, limit) == reference_mu_action(G, p, limit), (p, limit)
+        for depth in LIMITS:
+            assert mu_action(isotropy, p, depth) == reference_mu_action(G, p, depth), (p, depth)
 
 
 def test_limit_zero_stays_inexact():
+    # depth 1 searches no degree, even where H^1 is nonzero
     z2, _ = corpus_group("inversion1")
-    assert mu_p(z2, 2, 0) == mu_of_action(z2, 2, 0) == MuValue(1, False)
+    assert mu_p(z2, 2, 1) == mu_of_action(z2, 2, 1) == MuValue(1, False)
 
 
 def test_limits_raise_as_in_the_full_search():
     # the depth limit trips before the shortcuts: z2 has a 2-quotient
     z2, _ = corpus_group("inversion1")
-    cases = [(z2, 2, MAX_RESOLUTION_DEPTH), (GROUPS["s3"], 3, MAX_RESOLUTION_DEPTH)]
-    for G, p, limit in cases:
+    cases = [(z2, 2, MAX_RESOLUTION_DEPTH + 1), (GROUPS["s3"], 3, MAX_RESOLUTION_DEPTH + 1)]
+    for G, p, depth in cases:
         for fast, slow in ((mu_p, reference_mu_p), (mu_of_action, reference_mu_action)):
-            expected = _outcome(slow, G, p, limit)
+            expected = _outcome(slow, G, p, depth)
             assert expected[0] == "raised"
-            assert _outcome(fast, G, p, limit) == expected, (fast.__name__, p, limit)
+            assert _outcome(fast, G, p, depth) == expected, (fast.__name__, p, depth)
 
 
 def test_mu_action_b3_builds_no_resolution_degree(monkeypatch):
@@ -155,14 +156,14 @@ def test_mu_of_the_group_is_mu_of_the_action_when_sylow_is_fixed_point_free(fami
     since G is the only realizable stabilizer of order divisible by p."""
     cases = FIXED_POINT_FREE[family]
     assert cases
-    limits = [*LIMITS, MAX_RESOLUTION_DEPTH] if family == "limits" else LIMITS
+    depths = [*LIMITS, MAX_RESOLUTION_DEPTH + 1] if family == "limits" else LIMITS
     for name, G, p in cases:
         isotropy = isotropy_subgroups(G)
         dividing = [H for H, _ in isotropy.entries if H.order % p == 0]
         assert dividing == ([G] if G.order % p == 0 else []), (name, p)
-        for limit in limits:
-            assert _outcome(mu_p, G, p, limit) == _outcome(mu_action, isotropy, p, limit), \
-                (name, p, limit)
+        for depth in depths:
+            assert _outcome(mu_p, G, p, depth) == _outcome(mu_action, isotropy, p, depth), \
+                (name, p, depth)
     if family == "limits":
         assert {(name, p) for name, _, p in cases} == {("Q8", 2), ("Q8", 3), ("F54", 2)}
 
@@ -196,41 +197,49 @@ CLOSED_FORM_FAMILIES = {
 def test_mu_p_matches_the_search_for_every_limit(family):
     """mu_p, the closed form when the Sylow subgroup is cyclic, gives the
     value and exactness of the search through one resolution, for every
-    limit up to MAX_RESOLUTION_DEPTH - 1 and every prime dividing |G|."""
-    closed_form, raised = [], []
+    depth up to MAX_RESOLUTION_DEPTH and every prime dividing |G|, and the
+    mu of ``cohomology_table`` at the same depth wherever that answers."""
+    closed_form, raised, tables = [], [], 0
     for name, G in CLOSED_FORM_FAMILIES[family].items():
         for p in (q for q in range(2, G.order + 1) if G.order % q == 0 and is_prime(q)):
             P = sylow(G, p)
             if max(P.element_orders()) == P.order and not has_p_quotient(G, p):
                 closed_form.append((name, p))
             res = FpResolution(p, G)
-            for limit in range(MAX_RESOLUTION_DEPTH):
+            for depth in range(1, MAX_RESOLUTION_DEPTH + 1):
                 try:
-                    expected = _search(res, limit)
+                    expected = _search(res, depth)
                 except BoundExceededError:
-                    raised.append((name, p, limit, mu_p(G, p, limit)))
+                    raised.append((name, p, depth, mu_p(G, p, depth)))
                     continue
-                assert mu_p(G, p, limit) == expected, (name, p, limit)
+                assert mu_p(G, p, depth) == expected, (name, p, depth)
+                try:
+                    table = cohomology_table(G, p, depth)
+                except BoundExceededError:
+                    continue
+                assert table.mu == expected, (name, p, depth)
+                tables += 1
     assert closed_form
     assert raised == []  # no search raised where the closed form answers
+    assert tables
 
 
-def _search(res, limit):
-    """mu searched in degrees 1..limit through ``res``, which is extended as
-    far as the search needs."""
-    for r in range(1, limit + 1):
+def _search(res, depth):
+    """mu searched in degrees 1..depth-1 through ``res``, which is extended
+    as far as the search needs."""
+    for r in range(1, depth):
         if res.cohomology_dim(r):
             return MuValue(r, True)
-    return MuValue(limit + 1, False)
+    return MuValue(depth, False)
 
 
 def _plain_searches(G, p):
-    """``reference_mu_p(G, p, limit)`` for every limit in LIMITS, read from
+    """``reference_mu_p(G, p, depth)`` for every depth in LIMITS, read from
     one resolution to the deepest of them."""
     if G.order % p:
-        return {limit: MuValue(INFINITY, True) for limit in LIMITS}
-    res = resolution(G, p, LIMITS[-1] + 1)
-    return {limit: _search(res, limit) for limit in LIMITS}
+        return {depth: MuValue(INFINITY, True) for depth in LIMITS}
+    res = resolution(G, p, LIMITS[-1])
+    return {depth: _search(res, depth) for depth in LIMITS}
 
 
 def _stabilizer_report(G, points):
@@ -266,19 +275,19 @@ def test_mu_answers_past_the_order_bound(name, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(cohomology, "MAX_RESOLUTION_ORDER", G.order)
             plain = {H: _plain_searches(H, p) for H, _ in isotropy.entries}
-        for limit in LIMITS:
-            assert mu_p(G, p, limit) == plain[G][limit], (p, limit)
-            assert (mu_action(isotropy, p, limit)
-                    == _least([values[limit] for values in plain.values()])), (p, limit)
+        for depth in LIMITS:
+            assert mu_p(G, p, depth) == plain[G][depth], (p, depth)
+            assert (mu_action(isotropy, p, depth)
+                    == _least([values[depth] for values in plain.values()])), (p, depth)
             try:
-                table = cohomology_table(G, p, limit + 1)
+                table = cohomology_table(G, p, depth)
             except BoundExceededError:
                 continue
             tables += 1
-            assert table.mu == plain[G][limit], (p, limit)
+            assert table.mu == plain[G][depth], (p, depth)
     assert tables
     if name == "F54":
         # F54 = C2 x C3^3 has a p-quotient at p = 2 and 3, so mu = 1 with no
         # resolution of its 54 elements
-        for p, limit in ((2, 1), (3, 1), (3, 4)):
-            assert mu_p(G, p, limit) == mu_action(isotropy, p, limit) == MuValue(1, True)
+        for p, depth in ((2, 2), (3, 2), (3, 5)):
+            assert mu_p(G, p, depth) == mu_action(isotropy, p, depth) == MuValue(1, True)
