@@ -6,8 +6,9 @@ The decision procedure fires the first applicable rule in a fixed order:
   R2  CM     G is generated by reflections (rank(g-1) <= 1); the invariants
              form an affine normal semigroup algebra.
   R3  CM     rank of A/A^P is at most 2 for a Sylow p-subgroup P.
-  R4  CM     P itself is settled CM by R1-R3 (indices prime to p transfer
-             the property from R^P up to R^G).
+  R4  CM     P is generated by reflections, R2 on P (indices prime to p
+             transfer the property from R^P up to R^G; R1 and R3 on P are
+             R1 and R3 on G).
   R5  NotCM  P is cyclic, G has a nontrivial p-group quotient, and no
              generator of P is a bireflection (rank(g-1) <= 2).
   R6  CM/NotCM  P acts fixed-point-freely; then CM holds iff n <= mu + 1,
@@ -121,19 +122,13 @@ def _rule_r3(ctx: _Context):
 
 
 def _rule_r4(ctx: _Context):
-    sub_ctx = _Context(ctx.sylow, ctx.p, ctx.opts)
-    for rule_id, fn in (("R1", _rule_r1), ("R2", _rule_r2), ("R3", _rule_r3)):
-        outcome, _ = fn(sub_ctx)
-        if outcome is not None:
-            status, sub_cert = outcome
-            assert status == CM
-            cert = {
-                "sylow_order": ctx.sylow.order,
-                "sylow_rule": rule_id,
-                "sylow_certificate": sub_cert,
-            }
-            return (CM, cert), None
-    return None, "Sylow subgroup is not settled CM by rules R1-R3"
+    # R1 and R3 on P are R1 and R3 on G: P = 1 exactly when p does not
+    # divide |G|, and P is its own Sylow subgroup, with G's moved rank
+    outcome, reason = _rule_r2(_Context(ctx.sylow, ctx.p, ctx.opts))
+    if outcome is None:
+        return None, f"in the Sylow subgroup, {reason}"
+    cert = {"sylow_order": ctx.sylow.order, "sylow_rule": "R2", "sylow_certificate": outcome[1]}
+    return (CM, cert), None
 
 
 def _rule_r5(ctx: _Context):

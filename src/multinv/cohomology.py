@@ -7,14 +7,15 @@ permutation matrices.
 ``cohomology_table``, which the ``cohomology`` command calls, takes the
 first of two routes that applies:
 - "sylow-invariants", when p divides |G| and the Sylow p-subgroup P is
-  elementary abelian.  For abelian P, restriction is an isomorphism of
-  H^*(G, F_p) onto the N_G(P)-invariants of H^*(P, F_p) (Swan, The p-period
-  of a finite group, Illinois J. Math. 4, 1960; Brown, Cohomology of
-  Groups, III.10).  With V = Hom(P, F_p), the degree-r part M_r of
-  H^*(P, F_p) is S^r V for p = 2 and the sum of Lambda^i V (x) S^j V over
-  i + 2j = r for odd p, so dim H^r(G, F_p) = dim M_r less the ``rank_fp``
-  of the stack of rho_r(n) - 1 over the generators n of N_G(P) that act
-  nontrivially on P.  No resolution is built.  The report keys are
+  elementary abelian, which is asked by powers of G's elements modulo 2^64
+  before any table or Sylow search.  For abelian P, restriction is an
+  isomorphism of H^*(G, F_p) onto the N_G(P)-invariants of H^*(P, F_p)
+  (Swan, The p-period of a finite group, Illinois J. Math. 4, 1960; Brown,
+  Cohomology of Groups, III.10).  With V = Hom(P, F_p), the degree-r part
+  M_r of H^*(P, F_p) is S^r V for p = 2 and the sum of Lambda^i V (x) S^j V
+  over i + 2j = r for odd p, so dim H^r(G, F_p) = dim M_r less the
+  ``rank_fp`` of the stack of rho_r(n) - 1 over the generators n of N_G(P)
+  that act nontrivially on P.  No resolution is built.  The report keys are
   ``route`` and ``sylow_order`` = |P|.  The work bound is
   ``MAX_RESOLUTION_ENTRIES`` on (acting generators) * dim(M_r)^2 entries
   per degree, checked before anything is built; ``MAX_RESOLUTION_ORDER``
@@ -74,7 +75,8 @@ ranked once per resolution.
 mu_p, the least r > 0 with H^r(G, F_p) != 0, takes the depth d that the
 other calls take: it searches degrees 1..d-1, as ``cohomology_table`` and
 ``mu_from_resolution`` do, and d is its inexact marker when none of them
-is nonzero.  It stops at its answer.  H^1(G, F_p) = Hom(G, F_p) is nonzero
+is nonzero; all three read it through one ``_mu``.  A negative depth is a
+ValueError.  mu_p stops at its answer.  H^1(G, F_p) = Hom(G, F_p) is nonzero
 exactly when G has a quotient of order p, that is when O^p(G) != G (Brown,
 ch. III), so mu_p = 1 is read from ``matgroup.has_p_quotient``, with no
 resolution.  When the Sylow p-subgroup P is cyclic
@@ -158,6 +160,9 @@ def check_resolution_order(order: int, p: int) -> None:
 
 
 def check_resolution_depth(depth: int) -> None:
+    """Refuse a negative depth (ValueError) and one past ``MAX_RESOLUTION_DEPTH``."""
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative")
     if depth > MAX_RESOLUTION_DEPTH:
         raise BoundExceededError(f"depth {depth} exceeds the resolution bound {MAX_RESOLUTION_DEPTH}")
 
@@ -378,47 +383,42 @@ def mu_p(group: MatGroup, p: int, depth: int = MAX_RESOLUTION_DEPTH) -> MuValue:
 
     Equal to ``cohomology_table(G, p, depth).mu`` and to
     ``mu_from_resolution(resolution(G, p, depth))`` wherever they answer,
-    but it stops at the answer: 1 when G has a p-quotient; else, when the
-    Sylow p-subgroup is cyclic, the closed form ``mu_p_formula``, exact when
-    it is below ``depth`` and the inexact marker ``depth`` otherwise; else
-    the first nonzero degree on the route of ``cohomology_table``; below
-    depth 2 the marker.  The depth bound is checked first, as for a full
-    search; the order bound only where a resolution is built.  When p does
-    not divide |G| nothing is built and no limit applies.
+    but it stops at the answer: INFINITY when p does not divide |G|, and
+    below depth 2 the marker, with nothing built; else 1 when G has a
+    p-quotient; else, when the Sylow p-subgroup is cyclic, the closed form
+    ``mu_p_formula``, exact when it is below ``depth`` and the inexact
+    marker ``depth`` otherwise; else the first nonzero degree on the route of
+    ``cohomology_table``.  The depth bound is checked first, as for a full
+    search; the order bound only where a resolution is built.
     """
     _check_input(group, p)
-    if group.order % p != 0:
-        return MuValue(INFINITY, True)
     check_resolution_depth(depth)
-    if depth <= 1:  # no degree is searched
-        return MuValue(max(depth, 0), False)
+    if group.order % p or depth <= 1:  # no degree is searched
+        return _mu(group.order, p, (), depth)
     if has_p_quotient(group, p):
         return MuValue(1, True)
     if has_cyclic_sylow(group, p):
         mu = mu_p_formula(group, p)
         return MuValue(mu, True) if mu < depth else MuValue(depth, False)
-    return _first_nonzero(map(_route(group, p, depth).cohomology_dim, range(1, depth)), depth)
+    return _mu(group.order, p, map(_route(group, p, depth).cohomology_dim, range(1, depth)), depth)
 
 
 def mu_from_resolution(res: FpResolution) -> MuValue:
-    """mu_p read from a resolution of depth d, searching degrees 1..d-1.
+    """mu_p read from a resolution of depth d, searching degrees 1..d-1."""
+    return _mu(res.group_order, res.p, map(res.cohomology_dim, range(1, res.depth)), res.depth)
 
-    Exactly INFINITY when p does not divide the group order (positive-degree
-    cohomology of a p'-group vanishes); otherwise the least degree with
-    nonzero cohomology, or the inexact marker d when there is none.
-    """
-    if res.group_order % res.p != 0:
+
+def _mu(order: int, p: int, dims, depth: int) -> MuValue:
+    """mu_p of a group of the given order: exactly INFINITY, with no dim
+    read, when p does not divide it (the positive-degree cohomology of a
+    p'-group vanishes); else the degree of the first nonzero one of dim H^1,
+    dim H^2, ..., read one at a time, or the inexact marker ``depth``."""
+    if order % p:
         return MuValue(INFINITY, True)
-    return _first_nonzero(map(res.cohomology_dim, range(1, res.depth)), res.depth)
-
-
-def _first_nonzero(dims, marker: int) -> MuValue:
-    """mu read from dim H^1, dim H^2, ..., taken one at a time up to the
-    first nonzero one: its degree, or the inexact ``marker`` if none is."""
     for r, dim in enumerate(dims, 1):
         if dim:
             return MuValue(r, True)
-    return MuValue(marker, False)
+    return MuValue(depth, False)
 
 
 def mu_p_formula(G: MatGroup, p: int) -> int:
@@ -465,7 +465,7 @@ def cohomology_table(group: MatGroup, p: int, depth: int) -> CohomologyTable:
     check_resolution_depth(depth)
     source = _route(group, p, depth)
     dims = tuple(map(source.cohomology_dim, range(depth)))
-    mu = MuValue(INFINITY, True) if group.order % p else _first_nonzero(dims[1:], depth)
+    mu = _mu(group.order, p, dims[1:], depth)
     if isinstance(source, FpResolution):
         return CohomologyTable("resolution", dims, mu, {"free_ranks": list(source.ranks),
                                                         "resolved_order": source.resolved_order})
@@ -488,22 +488,21 @@ def _elementary_abelian_sylow(G: MatGroup, p: int, depth: int) -> "_SylowInvaria
     """The action of N_G(P) on H^*(P, F_p) below ``depth``, for P =
     ``sylow(G, p)`` elementary abelian; None when P is not.
 
-    P is elementary abelian when every element has order 1 or p and its
-    greedy generators (a basis x_1..x_k, since each one multiplies the span
-    by p) commute.  n in N_G(P) acts on P = F_p^k by the matrix A_n whose
-    column i holds the coordinates of n x_i n^-1, and on V = Hom(P, F_p) by
-    the inverse transpose of A_n.  The A_n^T of N_G(P)'s generators generate
-    the same set of matrices, with the same invariants, so those of them
-    that are not the identity are kept.
+    P is elementary abelian when it has exponent p (``_has_exponent_p``,
+    asked before ``sylow``, so a P of larger exponent costs no Sylow search)
+    and its greedy generators (a basis x_1..x_k, since each one multiplies
+    the span by p) commute.  n in N_G(P) acts on P = F_p^k by the matrix A_n
+    whose column i holds the coordinates of n x_i n^-1, and on V = Hom(P,
+    F_p) by the inverse transpose of A_n.  The A_n^T of N_G(P)'s generators
+    generate the same set of matrices, with the same invariants, so those of
+    them that are not the identity are kept.
 
     The entry bound is checked for every degree below ``depth`` before any
     matrix is built, with the true rank and count of acting generators.
     When ``check_resolution_order`` refuses G, no route is left if this one
-    is not taken, so two looks come before G's table.  Unless G is a p-group
-    (where N_G(P) = P acts trivially), the entry bound is checked with the
-    rank log_p |G|_p of an elementary abelian P and one acting generator.
-    Then an element whose p-part has order above p is sought: if one is
-    found, P is not elementary abelian and None is returned at once.
+    is not taken, so before the exponent test, unless G is a p-group (where
+    N_G(P) = P acts trivially), the entry bound is checked with the rank
+    log_p |G|_p of an elementary abelian P and one acting generator.
     """
     q = p_part(G.order, p)
     try:
@@ -515,27 +514,9 @@ def _elementary_abelian_sylow(G: MatGroup, p: int, depth: int) -> "_SylowInvaria
                 f"{refusal}, and degree {past[0]} of H^*(P, F_{p}) for an "
                 f"elementary abelian P of order {q} ranks at least {past[1]} entries, "
                 f"past the resolution entry bound {MAX_RESOLUTION_ENTRIES}") from None
-        # an element g with g^e != 1 for e = p |G| / q has a p-part of order
-        # above p, so P is not elementary abelian.  Powers are taken by
-        # squaring in uint64 blocks, modulo 2^64: reduction is a ring map, so
-        # a power != 1 modulo 2^64 is != 1 over Z
-        mats = (G.elements % 2**64).astype(np.uint64)
-        identity = np.eye(G.n, dtype=np.uint64)
-        step = max(1, BLOCK_ENTRIES // G.n ** 2)
-        for start in range(0, G.order, step):
-            base, power, e = mats[start:start + step], identity, p * G.order // q
-            while e:
-                if e & 1:
-                    power = power @ base
-                e >>= 1
-                base = base @ base
-            if (power != identity).any():
-                return None
-    members = G.indices_of_subgroup(sylow(G, p))
-    orders = G.element_orders()
-    if any(orders[i] not in (1, p) for i in members):
+    if not _has_exponent_p(G, p):
         return None
-    basis = G.small_generating_indices(sorted(members))
+    basis = G.small_generating_indices(sorted(G.indices_of_subgroup(sylow(G, p))))
     table = G.mult_table()
     if any(table[a][b] != table[b][a] for a, b in combinations(basis, 2)):
         return None
@@ -565,6 +546,30 @@ def _elementary_abelian_sylow(G: MatGroup, p: int, depth: int) -> "_SylowInvaria
             f"degree {past[0]} of H^*(P, F_{p}) for P of order {p ** k} ranks {past[1]} "
             f"entries, past the resolution entry bound {MAX_RESOLUTION_ENTRIES}")
     return _SylowInvariants(p, k, matrices)
+
+
+def _has_exponent_p(G: MatGroup, p: int) -> bool:
+    """Whether the Sylow p-subgroup has exponent p: g^e = 1 for every g in G,
+    for e = p |G| / |G|_p, as the part of g of order prime to p has an order
+    dividing e / p.  Powers are taken by squaring in uint64 blocks, modulo
+    2^64, with no table.  That is exact both ways: reduction is a ring map,
+    so g^e != 1 modulo 2^64 gives g^e != 1 over Z; and reduction modulo
+    m >= 3 is injective on a finite subgroup of GL_n(Z) (Minkowski), so
+    g^e = 1 modulo 2^64 gives g^e = 1."""
+    mats = (G.elements % 2**64).astype(np.uint64)
+    identity = np.eye(G.n, dtype=np.uint64)
+    exponent = p * G.order // p_part(G.order, p)
+    step = max(1, BLOCK_ENTRIES // G.n ** 2)
+    for start in range(0, G.order, step):
+        base, power, e = mats[start:start + step], identity, exponent
+        while e:
+            if e & 1:
+                power = power @ base
+            e >>= 1
+            base = base @ base
+        if (power != identity).any():
+            return False
+    return True
 
 
 def _blocks(p: int, k: int, r: int) -> list[tuple[int, int]]:

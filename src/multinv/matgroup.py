@@ -459,15 +459,18 @@ def sylow(G: MatGroup, p: int) -> MatGroup:
 
 
 def subgroup_structure(G: MatGroup, H: MatGroup) -> tuple[MatGroup, MatGroup, int]:
-    """Normalizer, centralizer, and the index [N_G(H) : C_G(H)]."""
+    """Normalizer, centralizer, and the index [N_G(H) : C_G(H)].
+
+    Both are read from H's short generating list in G: g normalizes H when
+    it conjugates those generators into H (then gHg^-1 <= H, and the two
+    have one order), and centralizes H when it commutes with them."""
     if not G.contains_subgroup(H):
         raise ValueError("H is not a subgroup of G")
     table = G.mult_table()
-    hidx = sorted(G.indices_of_subgroup(H))
-    hset = frozenset(hidx)
-    normalizer = [g for g in range(G.order) if G.conjugate_indices(g, hset) == hset]
-    centralizer = [g for g in range(G.order)
-                   if all(table[g][h] == table[h][g] for h in hidx)]
+    hset = G.indices_of_subgroup(H)
+    gens = G.small_generating_indices(sorted(hset))
+    normalizer = [g for g in range(G.order) if G.conjugate_indices(g, gens) <= hset]
+    centralizer = [g for g in range(G.order) if all(table[g][h] == table[h][g] for h in gens)]
     N = G.subgroup_from_indices(normalizer)
     C = G.subgroup_from_indices(centralizer)
     return N, C, N.order // C.order
@@ -492,34 +495,25 @@ def p_prime_core(G: MatGroup, p: int) -> frozenset[int]:
     prime to p.
 
     The product NM of two normal p'-subgroups is again one, of order
-    |N||M|/|N ∩ M|, so O_p'(G) holds every normal p'-subgroup.  The search is
-    greedy over the elements in canonical order: an element x of order prime
-    to p joins the core K when the normal closure of K ∪ {x} still has order
-    prime to p.  K stays a normal p'-subgroup, so K ≤ O_p'(G) and every x in
-    O_p'(G) joins; an x outside it would make a normal p'-subgroup that
-    O_p'(G) does not hold.  A rejected x rejects its whole conjugacy class,
-    since K only grows.  K = G at once when p does not divide |G|, and K = 1
-    at once for a p-group.  ``FpResolution`` re-checks K (a subgroup, normal,
-    of order prime to p), so a fault here can cost speed, never a wrong
-    dimension or a wrong R6 certificate.
+    |N||M|/|N ∩ M|, so O_p'(G) holds every normal p'-subgroup.  An element
+    x lies in it exactly when its normal closure, the closure of its
+    conjugacy class, has order prime to p, so O_p'(G) is the union of the
+    classes of the p'-elements with that property.  K = G at once when p does
+    not divide |G|, which reads no table.  ``FpResolution`` re-checks K (a
+    subgroup, normal, of order prime to p), so a fault here can cost speed,
+    never a wrong dimension or a wrong R6 certificate.
     """
     if G.order % p:
         return frozenset(range(G.order))
-    core = G.closure_indices(())
-    if p_part(G.order, p) == G.order:
-        return core
-    orders, seen = G.element_orders(), set(core)
+    orders, seen, core = G.element_orders(), set(), set()
     for x in range(G.order):
         if x in seen or orders[x] % p == 0:
             continue
-        # the normal closure of K ∪ {x} is generated by K and the class of x
         cls = frozenset().union(*_conjugates(G, frozenset((x,))))
         seen |= cls
-        joined = G.closure_indices(core | cls)
-        if len(joined) % p:
-            core = joined
-            seen |= core
-    return core
+        if len(G.closure_indices(cls)) % p:
+            core |= cls
+    return frozenset(core)
 
 
 def has_p_quotient(G: MatGroup, p: int) -> bool:

@@ -1,17 +1,22 @@
+import importlib
+
 import pytest
 
 import multinv.matgroup
 from multinv.classify import (
+    CM,
     ClassifyOptions,
     Verdict,
     _Context,
     _evaluate,
+    _rule_r1,
     _rule_r2,
+    _rule_r3,
     applicable_rules,
     classify,
     verify_certificate,
 )
-from multinv.corpus import classification_cases, corpus_group
+from multinv.corpus import classification_cases, corpus_group, corpus_names
 from multinv.intlinalg import fixed_lattice
 from multinv.matgroup import generate, op_core, subgroups, sylow
 from test_action import B3_GENERATORS, B5_GENERATORS, CENSUS_MAXIMAL, W_F4_GENERATORS
@@ -93,6 +98,58 @@ def test_sylow_transfer_rule_fires_when_sylow_is_reflection_group():
     assert (v.status, v.rule) == ("CM", "R4")
     assert v.certificate["sylow_rule"] == "R2"
     assert verify_certificate(G, 2, v)
+
+
+def _three_rule_r4(ctx):
+    """R4 as it was: R1, R2 and R3 on P in turn, the first that applies."""
+    sub_ctx = _Context(ctx.sylow, ctx.p, ctx.opts)
+    for rule_id, fn in (("R1", _rule_r1), ("R2", _rule_r2), ("R3", _rule_r3)):
+        outcome, _ = fn(sub_ctx)
+        if outcome is not None:
+            cert = {"sylow_order": ctx.sylow.order, "sylow_rule": rule_id,
+                    "sylow_certificate": outcome[1]}
+            return (CM, cert), None
+    return None, "Sylow subgroup is not settled CM by rules R1-R3"
+
+
+R4_FAMILIES = {
+    "census": [H for gens in CENSUS_MAXIMAL.values() for H in subgroups(generate(gens))],
+    "corpus": [corpus_group(name)[0] for name in corpus_names()],
+}
+
+
+@pytest.mark.parametrize("family", R4_FAMILIES)
+def test_r4_is_r2_on_the_sylow_subgroup(family, monkeypatch):
+    """In audit mode R4 applies exactly when R2 hits on P, and a miss gives
+    R2's reason on P.  In plain mode the rules before R4 have missed, so R1
+    and R3 on P would miss too, and the old three-rule R4 gives the same
+    verdict: the same rule, certificate and notes, and an R8 certificate
+    that differs only in R4's reason."""
+    groups = R4_FAMILIES[family]
+    cases = [(G, p) for G in groups for p in (2, 3, 5)]
+    verdicts = [classify(G, p) for G, p in cases]
+    hits = 0
+    for G, p in cases:
+        outcome, reason = _rule_r2(_Context(sylow(G, p), p, ClassifyOptions()))
+        assert ("R4" in applicable_rules(G, p)) == (outcome is not None)
+        hits += outcome is not None
+        audit = classify(G, p, ClassifyOptions(audit=True))
+        if audit.rule == "R8":
+            r4, = [item for item in audit.certificate["inapplicable"] if item["rule"] == "R4"]
+            assert r4["reason"] == f"in the Sylow subgroup, {reason}"
+    assert 0 < hits < len(cases)
+    module = importlib.import_module("multinv.classify")  # the package's classify is the function
+    rules = [(rid, _three_rule_r4 if rid == "R4" else fn) for rid, fn in module._RULES]
+    monkeypatch.setattr(module, "_RULES", rules)
+    for (G, p), new in zip(cases, verdicts):
+        old = classify(G, p)
+        assert (new.status, new.rule, new.notes) == (old.status, old.rule, old.notes)
+        if new.rule != "R8":
+            assert new.certificate == old.certificate
+            continue
+        reasons = [(item["rule"], item["reason"]) for item in new.certificate["inapplicable"]]
+        old_reasons = [(item["rule"], item["reason"]) for item in old.certificate["inapplicable"]]
+        assert [r for r in reasons if r[0] != "R4"] == [r for r in old_reasons if r[0] != "R4"]
 
 
 def test_r7_detects_excess_height():

@@ -499,15 +499,27 @@ def _audit_reports(capsys, monkeypatch):
     return lines
 
 
-# SHA-1 over the lines of ``_audit_reports``, taken before the fixed lattices
-# of group elements were cached
-B3_AUDIT_SHA1 = "b427a4e3dfbbbe6163d2ae61e638d9deb58cb081"
+# SHA-1 over the lines of ``_audit_reports``; and over the same lines with
+# R4's reason in each R8 certificate read as the reason of the three-rule R4
+# (R1, R2 and R3 on P), taken before the fixed lattices of group elements
+# were cached
+B3_AUDIT_SHA1 = "1691e4b1d33231ee74b3517392e027e20ff1d13c"
+B3_AUDIT_THREE_RULE_R4_SHA1 = "b427a4e3dfbbbe6163d2ae61e638d9deb58cb081"
 
 
 def test_classify_audit_reports_pinned(capsys, monkeypatch):
     lines = _audit_reports(capsys, monkeypatch)
     assert len(lines) == 2 * 98
     assert _sha1("\n".join(lines)) == B3_AUDIT_SHA1
+    three_rule = []
+    for line in lines:
+        report = json.loads(line)
+        for item in report["certificate"].get("inapplicable", []):
+            if item["rule"] == "R4":
+                assert item["reason"].startswith("in the Sylow subgroup, reflections generate ")
+                item["reason"] = "Sylow subgroup is not settled CM by rules R1-R3"
+        three_rule.append(json.dumps(report, sort_keys=True))
+    assert _sha1("\n".join(three_rule)) == B3_AUDIT_THREE_RULE_R4_SHA1
 
 
 def test_parser_built_once_and_flags_do_not_carry_over(tmp_path, capsys):

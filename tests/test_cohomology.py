@@ -16,7 +16,7 @@ from multinv.corpus import corpus_group, corpus_names
 from multinv.errors import MAX_RESOLUTION_DEPTH, BoundExceededError
 from multinv.classify import ClassifyOptions, classify, verify_certificate
 from multinv.fparith import SpanFp, nullspace_fp, rref_fp
-from multinv.intlinalg import intmat
+from multinv.intlinalg import identity_matrix, intmat
 from multinv.matgroup import (
     generate,
     p_part,
@@ -28,7 +28,7 @@ from multinv.matgroup import (
     trivial_group,
 )
 from test_action import B3_GENERATORS, B5_GENERATORS, CENSUS_MAXIMAL, W_F4_GENERATORS
-from test_classify import SL23_GENERATORS
+from test_classify import QUAT_I, QUAT_J, SL23_GENERATORS
 from test_fparith import ReferenceSpan
 from test_limits import B4_GENERATORS, F54_GENERATORS
 
@@ -191,6 +191,18 @@ def test_resolution_bounds():
         resolution(s3, 3, 11)
     with pytest.raises(ValueError):
         resolution(s3, 4, 3)  # p must be prime
+
+
+def test_a_negative_depth_is_refused_and_depth_zero_searches_no_degree():
+    Q8 = generate([QUAT_I, QUAT_J])
+    calls = (lambda d: mu_p(Q8, 2, d), lambda d: cohomology_table(Q8, 2, d),
+             lambda d: resolution(Q8, 2, d),
+             lambda d: classify(Q8, 2, ClassifyOptions(cohomology_depth=d)))
+    for call in calls:
+        with pytest.raises(ValueError, match="^depth -3 is negative$"):
+            call(-3)
+    assert (mu_p(Q8, 2, 0) == cohomology_table(Q8, 2, 0).mu
+            == mu_from_resolution(resolution(Q8, 2, 0)) == MuValue(0, False))
 
 
 def test_permutation_matrices_agree_with_rotation_group():
@@ -449,6 +461,19 @@ def test_sylow_invariants_match_the_resolution():
     assert checked == 371
 
 
+def test_a_sylow_subgroup_of_larger_exponent_costs_no_sylow_search(monkeypatch):
+    """B3's Sylow 2-subgroup (order 16) and Q8 in SL(2, 3) hold elements of
+    order 4: the exponent test sends both to the resolution, within the
+    order bound as past it, with no Sylow search."""
+    def refuse(*_):
+        raise AssertionError("a Sylow subgroup was sought")
+
+    monkeypatch.setattr(cohomology, "sylow", refuse)
+    for gens, dims in ((B3_GENERATORS, (1, 2, 4, 7, 10)), (SL23_GENERATORS, (1, 0, 0, 1, 1))):
+        table = cohomology_table(generate(gens), 2, 5)
+        assert (table.route, table.dims) == ("resolution", dims)
+
+
 def _blocks_of_two(a, b, c, d):
     """The 4 x 4 matrix [[a, b], [c, d]] of 2 x 2 blocks."""
     return [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]
@@ -504,6 +529,36 @@ def _symmetric_group(n):
 def _large_group(name):
     return {"S5": lambda: _symmetric_group(5), "S7": lambda: _symmetric_group(7),
             "B4": lambda: generate(B4_GENERATORS), "B5": lambda: generate(B5_GENERATORS)}[name]()
+
+
+def _sheared(G, shear):
+    """G conjugated by the shear [[1, s], [0, 1]] in its first two coordinates."""
+    Q, Qinv = identity_matrix(G.n).copy(), identity_matrix(G.n).copy()
+    Q[0, 1], Qinv[0, 1] = shear, -shear
+    return generate([Q @ g @ Qinv for g in G.generators])
+
+
+EXPONENT_FAMILIES = {
+    **GENERATOR_FAMILIES,
+    # entries reach s^2: at s = 10^5 their products pass 2^64, at s = 10^10 they do
+    "sheared S5": [_sheared(_symmetric_group(5), shear) for shear in (10**5, 10**10)],
+}
+
+
+@pytest.mark.parametrize("family", EXPONENT_FAMILIES)
+def test_the_exponent_test_matches_the_sylow_element_orders(family):
+    """The power test modulo 2^64 says the Sylow p-subgroup has exponent p
+    exactly when every element of ``sylow(G, p)`` has order 1 or p."""
+    answers = set()
+    for G in EXPONENT_FAMILIES[family]:
+        for p in (2, 3, 5):
+            oracle = all(o in (1, p) for o in sylow(G, p).element_orders())
+            assert cohomology._has_exponent_p(G, p) == oracle, (family, G, p)
+            answers.add(oracle)
+    # every subgroup of census H has an elementary abelian Sylow 2-subgroup
+    assert answers == ({True} if family == "census H" else {True, False})
+    if family == "sheared S5":
+        assert max(abs(x) for x in EXPONENT_FAMILIES[family][1].elements.flat) > 2**64
 
 
 @pytest.mark.parametrize(("name", "p"), [("S5", 3), ("S5", 5), ("B4", 3), ("B5", 3),

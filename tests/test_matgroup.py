@@ -217,6 +217,30 @@ def test_p_prime_core_is_the_largest_normal_p_prime_subgroup(family):
             assert p_prime_core(G, p) == G.indices_of_subgroup(largest)
 
 
+def _reference_structure(G, H):
+    """N_G(H) and C_G(H) from every element of H: the g with gHg^-1 = H, and
+    the g that commute with each h in H."""
+    table = G.mult_table()
+    hset = G.indices_of_subgroup(H)
+    normalizer = [g for g in range(G.order) if G.conjugate_indices(g, hset) == hset]
+    centralizer = [g for g in range(G.order) if all(table[g][h] == table[h][g] for h in hset)]
+    return G.subgroup_from_indices(normalizer), G.subgroup_from_indices(centralizer)
+
+
+@pytest.mark.parametrize("family", CORE_FAMILIES)
+def test_subgroup_structure_matches_the_all_element_sweep(family):
+    """N_G(H) and C_G(H), read from H's generators, are the sweep's over
+    every element of H, for every subgroup H of every group G."""
+    checked = 0
+    for G in CORE_FAMILIES[family]:
+        for H in subgroups(G):
+            N, C, nc = subgroup_structure(G, H)
+            assert (N, C) == _reference_structure(G, H)
+            assert nc == N.order // C.order
+            checked += 1
+    assert checked >= len(CORE_FAMILIES[family])
+
+
 def test_p_prime_core_examples():
     s4, _ = corpus_group("s4")
     assert [len(p_prime_core(s4, p)) for p in (2, 3, 5)] == [1, 4, 24]
