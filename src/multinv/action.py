@@ -2,12 +2,15 @@
 
 A stabilizer H is recognized from its Reynolds sum S_H = Σ_{h∈H} h, whose
 columns span Fix(H) over Q.  Only the witness search needs a basis of Fix(H)
-(``intlinalg.fixed_lattice``).
+(``intlinalg.fixed_lattice``).  Both tests are batched integer matmuls over
+one (N, n, n) stack of G's elements, in int64 when a bound on every value
+they form is below 2^62 (then no partial sum overflows, so each product is
+exact) and in Python ints (``dtype=object``) otherwise, through the same code.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,8 @@ from .matgroup import MatGroup, subgroup_conjugacy_classes
 # Shell-by-shell witness searches are dense (they always succeed at a small
 # radius); this guard only trips on internal errors.
 _MAX_SEARCH_RADIUS = 64
+# a kernel runs in int64 when every |value| it forms is below this
+_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -37,9 +42,16 @@ def stabilizer(G: MatGroup, point) -> MatGroup:
     return G.subgroup_from_indices([i for i, q in enumerate(images) if q == pt])
 
 
-def _realizable_classes(G: MatGroup):
-    """Yield (H, elements of G outside H) for each conjugacy-class
-    representative H that is the stabilizer of some lattice point.
+def _exact(a: np.ndarray, bound: int) -> np.ndarray:
+    """``a`` in int64 when ``bound`` bounds every |value| that the products
+    over it form below 2^62, and in Python ints otherwise."""
+    return a.astype(np.int64 if bound < _INT64_SAFE else object, copy=False)
+
+
+def _realizable_classes(G: MatGroup, stack: np.ndarray):
+    """Yield (H, the rows of ``stack`` outside H) for each conjugacy-class
+    representative H that is the stabilizer of some lattice point;
+    ``stack`` holds G's elements in canonical order.
 
     H is realizable iff some point of Fix(H) is moved by every g outside H,
     that is, iff the parts Fix(H) ∩ Fix(g) fail to cover Fix(H).  Each part
@@ -51,47 +63,52 @@ def _realizable_classes(G: MatGroup):
     """
     for cls in subgroup_conjugacy_classes(G):
         H = cls[0]
-        hidx = G.indices_of_subgroup(H)
-        outside = G.elements[[i for i in range(G.order) if i not in hidx]]
-        reynolds = H.elements.sum(axis=0)
+        inside = np.zeros(G.order, dtype=bool)
+        inside[list(G.indices_of_subgroup(H))] = True
+        outside = stack[~inside]
+        reynolds = stack[inside].sum(axis=0)
         if not (outside @ reynolds == reynolds).all(axis=(1, 2)).any():
             yield H, outside
 
 
-def _coordinate_shells(r: int):
-    """Yield coordinate vectors of Z^r grouped by increasing infinity norm."""
-    if r == 0:
-        yield [()]
-        return
-    for radius in itertools.count():
-        shell = [c for c in itertools.product(range(-radius, radius + 1), repeat=r)
-                 if max((abs(x) for x in c), default=0) == radius]
-        yield shell
-        if radius >= _MAX_SEARCH_RADIUS:
-            raise BoundExceededError("witness search radius exceeded")
+@functools.cache
+def _shell(r: int, radius: int) -> np.ndarray:
+    """The points of Z^r of infinity norm ``radius`` (r, radius >= 1), as a
+    read-only (m, r) int64 array."""
+    cube = np.indices((2 * radius + 1,) * r).reshape(r, -1).T - radius
+    shell = cube[np.abs(cube).max(axis=1) == radius]
+    shell.setflags(write=False)
+    return shell
 
 
-def _best_witness(candidates: list[tuple[int, ...]]) -> tuple[int, ...]:
-    # minimal infinity norm, then fewest nonzero coordinates, then the
-    # lexicographically greatest vector; fully deterministic
-    def shape(v):
-        return (max((abs(x) for x in v), default=0), sum(1 for x in v if x))
+def _witness(ambient: Sublattice, outside: np.ndarray, entry_bound: int) -> tuple[int, ...]:
+    """The best point of the first coordinate shell of ``ambient`` that
+    holds a point no matrix of ``outside`` fixes: least infinity norm, then
+    fewest nonzero coordinates, then the lexicographically greatest.
 
-    m = min(shape(v) for v in candidates)
-    return max(v for v in candidates if shape(v) == m)
-
-
-def _witness(ambient: Sublattice, outside: np.ndarray) -> tuple[int, ...]:
-    """The best point (as `_best_witness` ranks them) of the first coordinate
-    shell of ``ambient`` that holds a point no matrix of ``outside`` fixes."""
-    basis_t = ambient.basis.T
-    for shell in _coordinate_shells(ambient.rank):
-        points = np.array(shell, dtype=object) @ basis_t
-        fixed = (outside @ points.T == points.T).all(axis=1).any(axis=0)
-        found = [tuple(pt) for pt, f in zip(points.tolist(), fixed) if not f]
-        if found:
-            return _best_witness(found)
-    raise AssertionError("unreachable")
+    Every matrix fixes 0, so with ``outside`` nonempty the search starts at
+    radius 1; then ``ambient`` has rank r >= 1 (``_realizable_classes``).
+    With B = ``entry_bound`` bounding the entries of ``outside`` and c the
+    largest basis entry, a point of coordinates up to R has entries up to
+    r·R·c and its images entries up to n·B·r·R·c: the shell of radius R runs
+    in int64 below 2^62 and in Python ints past it.
+    """
+    n, r = ambient.ambient_rank, ambient.rank
+    if not len(outside):
+        return (0,) * n
+    spread = n * entry_bound * r * max(abs(x) for col in ambient.columns for x in col)
+    for radius in range(1, _MAX_SEARCH_RADIUS + 1):
+        bound = spread * radius
+        points = _exact(_shell(r, radius), bound) @ _exact(np.array(ambient.columns), bound)
+        images = points @ _exact(outside, bound).reshape(-1, n).T
+        fixed = (images.reshape(len(points), -1, n) == points[:, None, :]).all(axis=2).any(axis=1)
+        moved = points[~fixed]
+        if len(moved):
+            # np.lexsort sorts by its last key first
+            keys = [-moved[:, j] for j in reversed(range(n))]
+            keys += [(moved != 0).sum(axis=1), abs(moved).max(axis=1)]
+            return tuple(moved[np.lexsort(keys)[0]].tolist())
+    raise BoundExceededError("witness search radius exceeded")
 
 
 def isotropy_subgroups(G: MatGroup) -> IsotropyReport:
@@ -99,9 +116,17 @@ def isotropy_subgroups(G: MatGroup) -> IsotropyReport:
     each with a witness: among the points of the first coordinate shell of
     Fix(H) that no g outside H fixes, the one of least infinity norm, then
     fewest nonzero coordinates, then the lexicographically greatest.
+
+    G's elements are stacked once.  With B the largest |entry|, each entry of
+    a Reynolds sum is at most N·B and each entry of g·S_H at most n·B²·N, so
+    the stack is int64 when n·B²·N < 2^62 and holds Python ints otherwise.
+    The witness search picks its own dtype per shell (``_witness``) and, since
+    every g fixes the origin, starts at radius 1 unless H = G.
     """
-    return IsotropyReport(tuple((H, _witness(fixed_lattice(H.elements), outside))
-                                for H, outside in _realizable_classes(G)))
+    B = int(abs(G.elements).max())
+    stack = _exact(G.elements, G.n * B * B * G.order)
+    return IsotropyReport(tuple((H, _witness(fixed_lattice(H.elements), outside, B))
+                                for H, outside in _realizable_classes(G, stack)))
 
 
 def mu_action(isotropy: IsotropyReport, p: int, depth: int = MAX_RESOLUTION_DEPTH) -> MuValue:

@@ -65,13 +65,6 @@ def identity_matrix(n: int) -> np.ndarray:
     return _from_lists(_eye_lists(n), n)
 
 
-def zero_matrix(rows: int, cols: int) -> np.ndarray:
-    out = np.empty((rows, cols), dtype=object)
-    out[...] = 0
-    out.setflags(write=False)
-    return out
-
-
 def _from_lists(rows: list[list[int]], width: int = 0) -> np.ndarray:
     """Read-only object array of rows this module built (entries are not
     re-checked); ``width`` is the column count when there are no rows."""
@@ -81,13 +74,6 @@ def _from_lists(rows: list[list[int]], width: int = 0) -> np.ndarray:
         out = np.empty((0, width), dtype=object)
     out.setflags(write=False)
     return out
-
-
-def _from_columns(cols: list, n: int) -> np.ndarray:
-    """The n x len(cols) object array with the given columns."""
-    if not cols:
-        return zero_matrix(n, 0)
-    return _from_lists([list(row) for row in zip(*cols)])
 
 
 def _eye_lists(n: int) -> list[list[int]]:
@@ -302,17 +288,16 @@ class Sublattice:
 
     ``saturated`` records whether Z^n / L is torsion free; it is computed at
     construction from the invariant factors of the basis.  The basis is kept
-    as a tuple of column tuples of Python ints; ``basis`` is its array view.
+    as ``columns``, a tuple of column tuples of Python ints.
     """
 
-    __slots__ = ("ambient_rank", "columns", "saturated", "_basis", "_factors")
+    __slots__ = ("ambient_rank", "columns", "saturated", "_factors")
 
     def __init__(self, ambient_rank: int, columns, saturated: bool):
         """``columns`` must already be the canonical column Hermite basis."""
         self.ambient_rank = ambient_rank
         self.columns = tuple(tuple(c) for c in columns)
         self.saturated = saturated
-        self._basis = None
         self._factors = None
 
     @classmethod
@@ -325,13 +310,6 @@ class Sublattice:
     @property
     def rank(self) -> int:
         return len(self.columns)
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The basis as an (ambient_rank, rank) array, one column per vector."""
-        if self._basis is None:
-            self._basis = _from_columns(self.columns, self.ambient_rank)
-        return self._basis
 
     def _invariant_factors(self) -> list[int]:
         """The diagonal of the Smith form of the basis."""

@@ -349,14 +349,16 @@ def subgroups(G: MatGroup) -> list[MatGroup]:
 
     Every subgroup is a join of cyclic subgroups.  Starting from the trivial
     group, each subgroup found is joined with each cyclic subgroup it does
-    not hold, closing its own short generator list plus one generator of the
-    cyclic subgroup.  Past ``MAX_SUBGROUPS`` subgroups it raises.
+    not hold, by ``_join_indices`` on its own short generator list plus one
+    generator of the cyclic subgroup.  Past ``MAX_SUBGROUPS`` subgroups it
+    raises.
     """
     check_subgroup_enumeration(G.order)
     if G._subgroups is not None:
         return list(G._subgroups)
     # one generator per cyclic subgroup; each join adds one to a short list
     cyclic_gens = {frozenset(c): c[0] for c in G._powers}.values()
+    table = G.mult_table()
     trivial = G.closure_indices(())
     found, work = {trivial}, [((), trivial)]
     while work:
@@ -364,7 +366,7 @@ def subgroups(G: MatGroup) -> list[MatGroup]:
         for c in cyclic_gens:
             if c in S:
                 continue
-            J = G.closure_indices(gens + (c,))
+            J = _join_indices(table, S, gens, c)
             if J not in found:
                 found.add(J)
                 if len(found) > MAX_SUBGROUPS:
@@ -375,6 +377,32 @@ def subgroups(G: MatGroup) -> list[MatGroup]:
     subs = [G.subgroup_from_indices(s) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
     G._subgroups = subs
     return list(subs)
+
+
+def _join_indices(table, S: frozenset[int], gens: tuple[int, ...], c: int) -> frozenset[int]:
+    """Indices of the subgroup generated by the subgroup S, which ``gens``
+    generate, and the element c, closed from S rather than from the identity.
+
+    Start from S ∪ c·S and multiply every element outside S on the left by
+    each of ``gens + (c,)`` until nothing new appears.  The result is closed
+    under those generators: gens maps S into S, c maps S onto c·S, and every
+    other element has met each generator.  It holds the identity and only
+    products of the generators, so it is the subgroup they generate.
+    ``table`` is the multiplication table of the group that holds them."""
+    found = set(S)
+    frontier = [x for x in map(table[c].__getitem__, S) if x not in found]
+    found.update(frontier)
+    rows = [table[g] for g in gens + (c,)]
+    while frontier:
+        new = []
+        for row in rows:
+            for b in frontier:
+                x = row[b]
+                if x not in found:
+                    found.add(x)
+                    new.append(x)
+        frontier = new
+    return frozenset(found)
 
 
 def _conjugates(G: MatGroup, S: frozenset[int]) -> set[frozenset[int]]:

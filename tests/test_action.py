@@ -3,6 +3,7 @@ import itertools
 import json
 import sys
 
+import numpy as np
 import pytest
 
 import multinv.action
@@ -57,6 +58,17 @@ def test_full_group_witness_is_zero():
         report = isotropy_subgroups(G)
         full = [w for H, w in report.entries if H.order == G.order]
         assert full == [(0,) * G.n]
+
+
+def test_witness_ranks_the_norm_before_the_nonzeros():
+    """<s, -1> for the reflection s = 1 - v l^T, l = (1, 2, -3), v = e2:
+    Fix(s) = ker l has the basis (1, 1, 1), (0, 3, 2), whose first shell
+    holds (1, 1, 1) (norm 1, three nonzeros) and (0, 3, 2) (norm 3, two)."""
+    G = generate([[[1, 0, 0], [-1, -1, 3], [0, 0, 1]], [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]])
+    assert orders_with_witnesses(G) == [(1, (1, 0, 0)), (2, (0, 1, 0)), (2, (1, 1, 1)),
+                                        (4, (0, 0, 0))]
+    assert [(H.canonical_key(), w) for H, w in isotropy_subgroups(G).entries] == \
+        [(H.canonical_key(), w) for H, w in _reference_isotropy(G)]
 
 
 def test_witness_stabilizers_are_exact():
@@ -189,6 +201,101 @@ def test_isotropy_matches_reference():
         got = isotropy_subgroups(G).entries
         assert [(H.canonical_key(), w) for H, w in got] == \
             [(H.canonical_key(), w) for H, w in expected], name
+
+
+def _exact_dtypes(monkeypatch, fn, *args):
+    """(``fn(*args)``, the dtype of each array ``action._exact`` returned in it)."""
+    dtypes = []
+    real = multinv.action._exact
+
+    def spy(a, bound):
+        out = real(a, bound)
+        dtypes.append(out.dtype)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(multinv.action, "_exact", spy)
+        return fn(*args), dtypes
+
+
+def _isotropy_paths(monkeypatch, G):
+    """(dtype of the element stack, dtypes of the witness shells, entries)
+    of ``isotropy_subgroups(G)``; the stack is the first array it makes exact."""
+    report, dtypes = _exact_dtypes(monkeypatch, isotropy_subgroups, G)
+    return dtypes[0], set(dtypes[1:]), report.entries
+
+
+def test_every_differential_group_takes_the_int64_path(monkeypatch):
+    """No corpus, B3-class, census or W(A4) group falls back to Python ints;
+    rot4_far, with entries near 10^12, falls back for the stack only.  (The
+    trivial group searches no witness.)"""
+    for name, G in _differential_groups().items():
+        stack, witness, _ = _isotropy_paths(monkeypatch, G)
+        expected = object if name == "rot4_far" else np.int64
+        assert stack == np.dtype(expected), name
+        assert witness == ({np.dtype(np.int64)} if G.order > 1 else set()), name
+
+
+def _shear_conjugate(g, t):
+    """T g T^-1 for the shear T = [[1, t], [0, 1]]."""
+    (a, b), (c, d) = g
+    return [[a + t * c, b + t * d - t * (a + t * c)], [c, d - t * c]]
+
+
+# (generator, t, stack dtype, witness dtype).  rot4' = [[t, -t^2 - 1], [1, -t]]
+# has B = t^2 + 1 and order 4; swap' = [[t, 1 - t^2], [1, -t]] has B = t^2 - 1
+# and order 2.  The stack is int64 iff 2 B^2 |G| < 2^62.  Only the trivial
+# subgroup searches for a witness, in Fix = Z^2 with the identity basis, and
+# it finds one at radius 1, so its shell is int64 iff 2 B 2 < 2^62.
+SHEAR_CASES = [
+    ("rot4", 27554, "int64", "int64"), ("rot4", 27555, "object", "int64"),
+    ("rot4", 2**30 - 1, "object", "int64"), ("rot4", 2**30, "object", "object"),
+    ("rot4", 2**31, "object", "object"),
+    ("swap", 2**15, "int64", "int64"), ("swap", 2**15 + 1, "object", "int64"),
+    ("swap", 2**30, "object", "int64"), ("swap", 2**30 + 1, "object", "object"),
+    ("swap", 2**31, "object", "object"),
+]
+
+
+@pytest.mark.parametrize("name,t,stack,witness", SHEAR_CASES)
+def test_isotropy_at_the_exactness_bounds(monkeypatch, name, t, stack, witness):
+    g = _shear_conjugate({"rot4": [[0, -1], [1, 0]], "swap": [[0, 1], [1, 0]]}[name], t)
+    G = generate([g])
+    B = max(abs(x) for row in g for x in row)
+    assert B == t * t + (1 if name == "rot4" else -1)
+    assert (2 * B * B * G.order < 2**62) == (stack == "int64")
+    assert (2 * B * 2 < 2**62) == (witness == "int64")
+    got_stack, got_witness, entries = _isotropy_paths(monkeypatch, G)
+    assert (got_stack, got_witness) == (np.dtype(stack), {np.dtype(witness)})
+    assert [(H.canonical_key(), w) for H, w in entries] == \
+        [(H.canonical_key(), w) for H, w in _reference_isotropy(G)]
+
+
+def test_witness_shells_pick_their_own_dtype(monkeypatch):
+    """D4 (+) rot4' on Z^2 (+) Z^2, rot4' the shear conjugate at t = 2^28 + 2^27:
+    a reflection of D4 fixes every radius-1 point of Z^4, so the trivial
+    subgroup's witness lies at radius 2.  Its shell of radius R has the bound
+    n B r R c = 16 B R (n = r = 4, identity basis, B = t^2 + 1), and
+    16 B < 2^62 <= 32 B: radius 1 runs in int64 and radius 2 in Python ints."""
+    t = 2**28 + 2**27
+    eye = [[1, 0], [0, 1]]
+
+    def block(a, b):
+        return [[*a[0], 0, 0], [*a[1], 0, 0], [0, 0, *b[0]], [0, 0, *b[1]]]
+
+    G = generate([block([[0, -1], [1, 0]], eye), block([[0, 1], [1, 0]], eye),
+                  block(eye, _shear_conjugate([[0, -1], [1, 0]], t))])
+    B = t * t + 1
+    assert int(abs(G.elements).max()) == B and 16 * B < 2**62 <= 32 * B
+    outside = G.elements[[i for i in range(G.order) if i != G.identity_index]]
+    ambient = fixed_lattice([[[int(i == j) for j in range(4)] for i in range(4)]])
+    witness, dtypes = _exact_dtypes(monkeypatch, multinv.action._witness, ambient, outside, B)
+    assert (dtypes[0], dtypes[-1]) == (np.dtype(np.int64), np.dtype(object))
+    assert max(map(abs, witness)) == 2
+    expected = _reference_isotropy(G)
+    assert expected[0][0].order == 1 and witness == expected[0][1]
+    assert [(H.canonical_key(), w) for H, w in isotropy_subgroups(G).entries] == \
+        [(H.canonical_key(), w) for H, w in expected]
 
 
 def test_element_fixed_ranks_match_fixed_lattices():

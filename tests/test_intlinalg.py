@@ -122,7 +122,7 @@ def test_fixed_lattice_examples():
     assert fixed_lattice([neg]) == Sublattice(3, (), True)
     L = fixed_lattice([G1])
     assert L.rank == 1
-    assert [int(x) for x in L.basis[:, 0]] == [0, 1, 1]
+    assert L.columns == ((0, 1, 1),)
     assert L.saturated
     assert quotient_invariants(L)[1] == []
 
@@ -144,11 +144,11 @@ def test_moved_lattice_examples():
     assert moved_lattice([ident]) == Sublattice(2, (), True)
     neg = [[-1, 0], [0, -1]]
     L = moved_lattice([neg])
-    assert [[int(x) for x in row] for row in L.basis] == [[2, 0], [0, 2]]
+    assert L.columns == ((2, 0), (0, 2))
     assert not L.saturated
     assert quotient_invariants(L) == (0, [2, 2])
     Lg1 = moved_lattice([G1])
-    assert [[int(x) for x in row] for row in Lg1.basis] == [[2, 0], [0, 1], [0, -1]]
+    assert Lg1.columns == ((2, 0, 0), (0, 1, -1))
     assert quotient_invariants(Lg1) == (1, [2])
 
 

@@ -124,6 +124,42 @@ def test_subgroup_orders_divide_group_order():
         assert G.order % H.order == 0
 
 
+def _reference_subgroups(G):
+    """``subgroups`` with every join closed from the identity."""
+    cyclic_gens = {G.closure_indices((c,)): c for c in range(G.order)}.values()
+    trivial = G.closure_indices(())
+    found, work = {trivial}, [((), trivial)]
+    while work:
+        gens, S = work.pop()
+        for c in cyclic_gens:
+            if c not in S:
+                J = G.closure_indices(gens + (c,))
+                if J not in found:
+                    found.add(J)
+                    work.append((gens + (c,), J))
+    return [sorted(s) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+
+
+def test_joins_closed_from_the_subgroup_match_closure_from_scratch():
+    """Same subgroups in the same order as closing every join from the
+    identity, on the corpus, the B3 classes, the census maximal groups,
+    W(A4) (156 subgroups) and diag(±1)^6 (2825)."""
+    n = 6
+    groups = {name: corpus_group(name)[0] for name in corpus_names()}
+    for k, cls in enumerate(subgroup_conjugacy_classes(generate(B3_GENERATORS))):
+        groups[f"B3c{k}"] = cls[0]
+    groups.update((name, generate(gens)) for name, gens in CENSUS_MAXIMAL.items())
+    groups["W(A4)"] = generate(W_A4_GENERATORS)
+    groups["diag6"] = generate([[[(-1 if r == i else 1) * int(r == c) for c in range(n)]
+                                 for r in range(n)] for i in range(n)])
+    counts = {}
+    for name, G in groups.items():
+        got = [sorted(G.indices_of_subgroup(H)) for H in subgroups(G)]
+        assert got == _reference_subgroups(G), name
+        counts[name] = len(got)
+    assert (counts["W(A4)"], counts["diag6"]) == (156, 2825)
+
+
 def test_subgroups_bound():
     with pytest.raises(BoundExceededError):
         subgroups(generate(B4_GENERATORS))
